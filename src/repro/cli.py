@@ -673,7 +673,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SimError as err:
+    except (SimError, OSError) as err:
+        # An unreadable input or unwritable output is a user error: a
+        # named message, never a traceback.
         print(f"repro: {err}", file=sys.stderr)
         return 2
 

@@ -146,6 +146,7 @@ class LWCBackend(Backend):
         no seccomp program, no hypercall."""
         tracer = self.litterbox.tracer
         metrics = self.litterbox.metrics
+        spans = self.litterbox.spans
         env = cpu.current_env or self.litterbox.trusted_env
         if not env.allows_syscall(nr):
             if tracer is not None:
@@ -156,6 +157,9 @@ class LWCBackend(Backend):
                 metrics.verdicts.inc(
                     mechanism="lwc-kernel", verdict="kill",
                     category=CATEGORY_OF.get(nr, "other"))
+            if spans is not None:
+                spans.annotate_filter(
+                    "kill", CATEGORY_OF.get(nr, "other"), "lwc-kernel")
             raise SyscallFault(
                 f"lwc kernel rejected {syscall_name(nr)} in context "
                 f"{env.name!r}", nr).attribute(env)
@@ -167,6 +171,10 @@ class LWCBackend(Backend):
             metrics.verdicts.inc(
                 mechanism="lwc-kernel", verdict="allow",
                 category=CATEGORY_OF.get(nr, "other"))
+        if spans is not None:
+            # Ring-only breadcrumb, as for the host kernel's seccomp.
+            spans.annotate_filter(
+                "allow", CATEGORY_OF.get(nr, "other"), "lwc-kernel")
         return self.litterbox.kernel.syscall(nr, args, cpu.ctx, pkru=0)
 
     # ------------------------------------------------------------ containment

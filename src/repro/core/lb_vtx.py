@@ -208,6 +208,7 @@ class VTXBackend(Backend):
         clock.charge(COSTS.GUEST_SYSCALL)
         tracer = self.litterbox.tracer
         metrics = self.litterbox.metrics
+        spans = self.litterbox.spans
         env = cpu.current_env or self.litterbox.trusted_env
         if not env.allows_syscall(nr):
             if tracer is not None:
@@ -218,6 +219,9 @@ class VTXBackend(Backend):
                 metrics.verdicts.inc(
                     mechanism="guest-os", verdict="kill",
                     category=CATEGORY_OF.get(nr, "other"))
+            if spans is not None:
+                spans.annotate_filter(
+                    "kill", CATEGORY_OF.get(nr, "other"), "guest-os")
             raise SyscallFault(
                 f"guest OS rejected {syscall_name(nr)} in environment "
                 f"{env.name!r}", nr).attribute(env)
@@ -234,6 +238,9 @@ class VTXBackend(Backend):
                     metrics.verdicts.inc(
                         mechanism="guest-os", verdict="kill",
                         category=CATEGORY_OF.get(nr, "other"))
+                if spans is not None:
+                    spans.annotate_filter(
+                        "kill", CATEGORY_OF.get(nr, "other"), "guest-os")
                 raise SyscallFault(
                     f"guest OS rejected {syscall_name(nr)}: argument "
                     f"{rule.arg_index} = {value:#x} not in the allow-list",
@@ -246,6 +253,10 @@ class VTXBackend(Backend):
             metrics.verdicts.inc(
                 mechanism="guest-os", verdict="allow",
                 category=CATEGORY_OF.get(nr, "other"))
+        if spans is not None:
+            # Ring-only breadcrumb, as for the host kernel's seccomp.
+            spans.annotate_filter(
+                "allow", CATEGORY_OF.get(nr, "other"), "guest-os")
         return self.kvm.forward_syscall(nr, args, cpu.ctx)
 
     # ------------------------------------------------------------ containment

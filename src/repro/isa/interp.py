@@ -82,16 +82,16 @@ class Interpreter:
     """Executes instructions against a :class:`CPU`."""
 
     def __init__(self, mmu: MMU, clock: SimClock, fusion: bool = True,
-                 jit: bool = False, jit_threshold: int = 8):
+                 jit: bool = False):
         self.mmu = mmu
         self.clock = clock
         self.perf = mmu.perf
         #: Whether register_code runs the superinstruction peephole.
         self.fusion = fusion
         #: Trace-JIT compiler (None when the `jit` switch is off); see
-        #: :mod:`repro.isa.jit`.  Engaged only by the slice loops —
+        #: :mod:`repro.isa.jit`.  Engaged only by :meth:`run_slice` —
         #: :meth:`step` always interprets.
-        self.jit = JitCompiler(self, jit_threshold) if jit else None
+        self.jit = JitCompiler(self) if jit else None
         #: Architectural instructions retired by complete dispatch
         #: groups of a JIT region before the group that faulted (see
         #: :meth:`_jit_fault`); folded into :attr:`slice_executed`.
@@ -105,9 +105,8 @@ class Interpreter:
         #: Architectural instructions retired by the most recent
         #: :meth:`run_slice` call (valid even if it raised).
         self.slice_executed = 0
-        #: Sim-time sampling profiler, wired by the machine.  Checked
-        #: once per slice, never per instruction: the null path's loop
-        #: body is untouched (see :meth:`_run_slice_profiled`).
+        #: Sim-time sampling profiler, wired by the machine; drained by
+        #: :meth:`run_slice` at retire boundaries.
         self._profiler = None
         self._dispatch = _build_dispatch()
 
@@ -160,18 +159,6 @@ class Interpreter:
 
     # -- single step -------------------------------------------------------
 
-    def fetch(self, cpu: CPU) -> Instr:
-        """Checked fetch (reference path; ``step`` inlines the fast one)."""
-        self.mmu.check_exec(cpu.ctx, cpu.pc)
-        instr = self.code.get(cpu.pc)
-        if instr is None:
-            raw = self.mmu.read(cpu.ctx, cpu.pc, INSTR_SIZE, charge=False)
-            instr = Instr.decode(raw)
-            self.code[cpu.pc] = instr
-        elif instr.op >= JIT_OP:
-            instr = instr.orig
-        return instr
-
     def step(self, cpu: CPU) -> int:
         """Execute one dispatch and return how many architectural
         instructions it covered (1, or 2 for a fused pair — the
@@ -221,68 +208,20 @@ class Interpreter:
         scheduler's total-instruction accounting (step-budget overrun
         detection) stays exact when a slice ends early on a fault,
         ``WouldBlock``, or exit.
-        """
-        if self.profiler is not None:
-            return self._run_slice_profiled(cpu, budget)
-        executed = 0
-        code = self.code
-        dispatch = self._dispatch
-        perf = self.perf
-        op_counts = perf.op_counts
-        mmu = self.mmu
-        jit_op = JIT_OP
-        self._jit_partial = 0
-        try:
-            while executed < budget:
-                pc = cpu.pc
-                ctx = cpu.ctx
-                tag = self._exec_tag
-                if tag is None or tag[0] != pc >> PAGE_SHIFT \
-                        or tag[1] is not ctx \
-                        or tag[2] is not ctx.page_table \
-                        or tag[3] != tag[2].gen \
-                        or tag[4] is not ctx.ept \
-                        or (tag[4] is not None and tag[5] != tag[4].gen):
-                    perf.fetch_slow += 1
-                    self._exec_tag = mmu.exec_tag(ctx, pc)
-                instr = code.get(pc)
-                if instr is None:
-                    raw = mmu.read(ctx, pc, INSTR_SIZE, charge=False)
-                    instr = Instr.decode(raw)
-                    code[pc] = instr
-                op = instr.op
-                if op >= jit_op:
-                    fn = instr.fn
-                    if fn is not None and budget - executed >= instr.length \
-                            and len(cpu.operands) >= instr.min_depth:
-                        n = fn(self, cpu, budget - executed)
-                        if n:
-                            executed += n
-                            continue
-                    instr = self._jit_fallback(instr, cpu, budget - executed)
-                    op = instr.op
-                op_counts[op] += 1
-                handler = dispatch[op]
-                if handler is None:  # pragma: no cover
-                    raise Fault("exec", f"unknown opcode {op!r} at {pc:#x}")
-                handler(self, cpu, instr)
-                executed += 1 if op < FUSED_BASE else 2
-        finally:
-            self.slice_executed = executed + self._jit_partial
-        return executed
 
-    def _run_slice_profiled(self, cpu: CPU, budget: int) -> int:
-        """:meth:`run_slice` with a retire-boundary drain for the
-        sampling profiler.  A separate copy of the loop so the unprofiled
-        path pays nothing; the drain itself charges no simulated cost,
-        so sim-ns stays bit-identical with profiling on."""
+        With a sampling profiler attached, every retired dispatch whose
+        clock has crossed the profiler's ``next_due`` drains it with the
+        pre-dispatch pc.  The drain charges no simulated cost, so sim-ns
+        stays bit-identical with profiling on; compiled traces drain at
+        their own group boundaries, so none is due after one.
+        """
         executed = 0
         code = self.code
         dispatch = self._dispatch
         perf = self.perf
         op_counts = perf.op_counts
         mmu = self.mmu
-        profiler = self.profiler
+        profiler = self._profiler
         clock = self.clock
         jit_op = JIT_OP
         self._jit_partial = 0
@@ -309,9 +248,6 @@ class Interpreter:
                     fn = instr.fn
                     if fn is not None and budget - executed >= instr.length \
                             and len(cpu.operands) >= instr.min_depth:
-                        # Profiled traces drain at their own group
-                        # boundaries (including the last), so no drain
-                        # is due here.
                         n = fn(self, cpu, budget - executed)
                         if n:
                             executed += n
@@ -324,7 +260,7 @@ class Interpreter:
                     raise Fault("exec", f"unknown opcode {op!r} at {pc:#x}")
                 handler(self, cpu, instr)
                 executed += 1 if op < FUSED_BASE else 2
-                if profiler.next_due <= clock.now_ns:
+                if profiler is not None and profiler.next_due <= clock.now_ns:
                     profiler.drain_retire(pc)
         finally:
             self.slice_executed = executed + self._jit_partial

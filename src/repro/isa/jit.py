@@ -4,7 +4,7 @@ PR 4's superinstruction fusion still pays one Python-level dispatch per
 (fused) instruction.  This module removes that cost for hot code: at
 load time it discovers *regions* — runs of simple opcodes inside one
 code page, optionally ending in a branch — and, once a region has been
-entered ``jit_threshold`` times, compiles it into one generated Python
+entered :data:`JIT_THRESHOLD` times, compiles it into one generated Python
 function that executes the whole region in a single call from
 :meth:`Interpreter.run_slice`.  A region whose terminator branches back
 to its own entry with net stack delta zero compiles to a ``while``
@@ -58,8 +58,8 @@ every observable point:
 Regions are discovered along *dispatch groups* (a fused pair is one
 group): ``op_counts`` batching credits the fused pseudo-op slots, and
 the profiled variant drains the sampling profiler at group boundaries
-with the group-start pc — both exactly what ``_run_slice_profiled``
-does.  The per-machine entry cache is keyed ``(entry_pc,
+with the group-start pc — both exactly what ``run_slice`` does with a
+profiler attached.  The per-machine entry cache is keyed ``(entry_pc,
 generation)``; quarantine trips and policy edits bump the generation
 via :meth:`JitCompiler.flush` so stale traces are never re-entered
 (per-dispatch safety additionally rests on ``run_slice``'s
@@ -87,6 +87,8 @@ from repro.isa.opcodes import (
     Op,
 )
 
+#: Interpreted entries of a region before it is compiled.
+JIT_THRESHOLD = 8
 #: Minimum architectural instructions for a region to be worth a trace.
 JIT_MIN_LEN = 4
 #: Cap so generated functions stay small enough for CPython to like.
@@ -392,9 +394,9 @@ class JitCompiler:
     an enforcement change can never be re-entered.
     """
 
-    def __init__(self, interp, threshold: int = 8):
+    def __init__(self, interp):
         self.interp = interp
-        self.threshold = max(1, int(threshold))
+        self.threshold = JIT_THRESHOLD
         #: entry pc -> JitEntry (all installed entries, hot or cold).
         self.entries: dict[int, JitEntry] = {}
         #: (entry pc, generation) -> compiled function.
@@ -629,7 +631,7 @@ def gen_source(region: Region, profiled: bool) -> str:
 
     def drain(idx: int, indent: str) -> None:
         # Retire-boundary drain with the *group-start* pc, exactly as
-        # _run_slice_profiled drains with the pre-dispatch pc.
+        # run_slice drains with the pre-dispatch pc.
         gstart = max(s for s in group_pcs if s <= idx)
         emit(f"{indent}if prof.next_due <= now:")
         emit(f"{indent}    clock.now_ns = now")

@@ -88,8 +88,6 @@ class MachineConfig:
     # paths above: every simulated value is bit-identical with the JIT
     # on or off, and jit=False restores pure interpretation exactly.
     jit: bool = True
-    #: Interpreted entries of a region before it is compiled.
-    jit_threshold: int = 8
     # Observability (PR 5).  Both are wall-clock-only like the tracer:
     # they charge no simulated cost, so sim-ns is bit-identical with
     # either on or off.
@@ -113,8 +111,6 @@ class MachineConfig:
     span_sample: float = 1.0
     #: SLO latency threshold (sim ns) above which a trace is anomalous.
     span_slo_ns: float = 1_000_000.0
-    #: Flight-recorder ring depth: last-N events kept per core.
-    span_ring: int = 32
 
 FAULT_POLICIES = ("abort", "kill-goroutine", "quarantine")
 
@@ -171,8 +167,7 @@ class Machine:
         self.kernel.host_table = self.host_table
         self.interp = Interpreter(self.mmu, self.clock,
                                   fusion=config.fuse_superinstructions,
-                                  jit=config.jit,
-                                  jit_threshold=config.jit_threshold)
+                                  jit=config.jit)
         self.interp.profiler = self.profiler
         self.cpu = CPU(mmu=self.mmu, clock=self.clock)
         self.fault: Fault | None = None
@@ -240,8 +235,7 @@ class Machine:
             spans = SpanRecorder(self.clock, seed=config.span_seed,
                                  sample=config.span_sample,
                                  slo_ns=config.span_slo_ns,
-                                 cores=config.cores,
-                                 ring=config.span_ring)
+                                 cores=config.cores)
             spans.scheduler = self.scheduler
             spans.net = self.kernel.net
             self.spans = spans

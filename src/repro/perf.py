@@ -13,7 +13,7 @@ One instance is shared per :class:`~repro.machine.Machine` by the MMU
 (translation counters), the interpreter (fetch/dispatch/fusion
 counters), the kernel (verdict cache), and LitterBox (transition
 cache), and surfaced via ``machine.perf``, ``repro run --stats``, and
-``benchmarks/baseline.py``.
+the per-layer counters of ``perfbench/bench.py``.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ A sample point is due whenever the sim clock crosses the next multiple
 of the period.  Points are *materialized* (attributed and counted) at
 the next drain site:
 
-* **instruction retire** — the interpreter's profiled slice loop drains
-  after each retired instruction, attributing pending points to
+* **instruction retire** — the interpreter's slice loop drains after
+  each retired instruction, attributing pending points to
   ``(current env, package owning pc)``.  The package is resolved
   through an interval map over the image's text sections.
 * **kernel exit** — no instructions retire while the host kernel runs
@@ -30,9 +30,9 @@ independent of *when* drains happen (only the attribution of a point
 depends on the nearest drain site, which is itself deterministic).
 
 Like the tracer and metrics registry, the profiler charges no simulated
-cost: sim-ns is bit-identical with profiling on or off, and the
-interpreter's null path gains no per-instruction work (the profiled
-slice loop is a separate copy selected once per slice).
+cost: sim-ns is bit-identical with profiling on or off.  With no
+profiler attached, the slice loop pays one ``is not None`` test per
+interpreted dispatch.
 
 Output: collapsed-stack ("folded") text consumable by standard
 flamegraph tooling — ``backend;env:E;pkg:P[;kernel:sys] count`` — plus
@@ -67,7 +67,7 @@ class Profiler:
         #: (env, pkg, kernel-symbol-or-"") -> sample count.
         self.samples: dict[tuple[str, str, str], int] = {}
         #: Next sim timestamp at which a sample point is due.  The
-        #: interpreter's profiled loop reads this directly.
+        #: interpreter's slice loop reads this directly.
         self.next_due = float(period_ns)
         #: Wired by the machine: returns the CPU's current pc, so
         #: kernel-side drains can attribute the calling package.
@@ -119,7 +119,7 @@ class Profiler:
         self.samples[key] = self.samples.get(key, 0) + count
 
     def drain_retire(self, pc: int) -> None:
-        """Called by the profiled interpreter loop after a retired
+        """Called by the interpreter's slice loop after a retired
         instruction once the clock has crossed ``next_due``."""
         pkg = self.pkg_of(pc)
         self._last_pkg = pkg

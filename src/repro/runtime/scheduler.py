@@ -11,12 +11,12 @@ SMP (``MachineConfig(cores=N)``): the scheduler owns one
 *virtual time* — the simulated instant up to which that core has
 executed.  The drive loop always runs the core with the smallest
 virtual time (lowest id on ties), sliding the shared :class:`SimClock`
-to ``max(core.vtime, goroutine.ready_at)`` before the slice and
-recording the core's new frontier after it.  The interleaving is
-therefore a pure function of the workload and seed — no host
-concurrency is involved — and a one-core machine takes a separate
-branch whose arithmetic is untouched, keeping its simulated values
-bit-identical to the historical single-core scheduler.
+to ``max(floor, core.vtime, goroutine.ready_at)`` before the slice —
+``floor`` being the clock at drive entry, so no slice starts before
+the host's own time — and recording the core's new frontier after it.
+The interleaving is therefore a pure function of the workload and
+seed — no host concurrency is involved — and on one core the same
+loop is a plain round-robin queue (see :meth:`Scheduler.run`).
 
 An idle core steals the far half of the busiest core's queue (fairness:
 no goroutine can starve behind a long queue while another core idles),
@@ -109,15 +109,14 @@ class Scheduler:
         self.cpus = list(cpus) if cpus else [cpu]
         self.cores = [SchedCore(i, c, ctx=c.ctx)
                       for i, c in enumerate(self.cpus)]
-        #: True on a multi-core machine; every SMP-only branch guards on
-        #: this so the one-core drive loop stays bit-identical.
+        #: True on a multi-core machine; SMP-only behaviour (installing
+        #: the core's own context, per-core trace args, the load
+        #: generator's dispatch instant) keys on this.
         self.smp = len(self.cores) > 1
         self.current_core: SchedCore = self.cores[0]
         #: Work-stealing events so far (queues migrated, not goroutines).
         self.steals = 0
         self.goroutines: list[Goroutine] = []
-        #: Core 0's run queue doubles as the classic single queue.
-        self.runnable = self.cores[0].runq
         self.blocked: dict[tuple, list[Goroutine]] = {}
         self.current: Goroutine | None = None
         self.main: Goroutine | None = None
@@ -214,40 +213,25 @@ class Scheduler:
 
     def run(self, max_total_steps: int = 200_000_000,
             stop_when_main_exits: bool = True) -> RunResult:
-        """Drive goroutines until HALT, main exit, a fault, or idleness."""
-        self._total = 0
-        if self.smp:
-            return self._run_smp(max_total_steps, stop_when_main_exits)
-        return self._run_uni(max_total_steps, stop_when_main_exits)
+        """Drive goroutines until HALT, main exit, a fault, or idleness.
 
-    def _run_uni(self, max_total_steps: int,
-                 stop_when_main_exits: bool) -> RunResult:
-        """The historical single-core loop, arithmetic untouched."""
-        core = self.cores[0]
-        while core.runq:
-            goroutine = core.runq.popleft()
-            if goroutine.state != "runnable":
-                continue
-            result = self._run_one(core, goroutine, stop_when_main_exits)
-            if result is not None:
-                return result
-            if self._total > max_total_steps:
-                raise self._step_budget_fault(max_total_steps)
-        return RunResult("idle")
+        Deterministic N-core interleaving under one clock.  The next
+        core to run is always the one with the least virtual time; the
+        shared clock slides to the latest of that core's frontier, the
+        goroutine's ready instant and the clock at drive entry (a host
+        that advanced the clock between drives is never rewound) for
+        the slice, and the frontier is recorded back afterwards.  On
+        any exit the clock lands on the global frontier, so callers
+        driving the machine in pieces (servers, load generators)
+        observe a monotonic clock between drives.
 
-    def _run_smp(self, max_total_steps: int,
-                 stop_when_main_exits: bool) -> RunResult:
-        """Deterministic N-core interleaving under one clock.
-
-        The next core to run is always the one with the least virtual
-        time; the shared clock slides to that core's frontier (or the
-        goroutine's ready instant, whichever is later) for the slice
-        and the frontier is recorded back afterwards.  On any exit the
-        clock lands on the global frontier, so callers driving the
-        machine in pieces (servers, load generators) observe a
-        monotonic clock between drives.
+        On one core the frontier is the clock itself and every ready
+        instant lies behind it, so each slice starts where the last
+        one ended and the loop is a plain round-robin queue.
         """
+        self._total = 0
         clock = self.cpu.clock
+        floor = clock.now_ns
         try:
             while True:
                 core = self._pick_core()
@@ -256,7 +240,7 @@ class Scheduler:
                 goroutine = core.runq.popleft()
                 if goroutine.state != "runnable":
                     continue
-                clock.now_ns = max(core.vtime, goroutine.ready_at)
+                clock.now_ns = max(floor, core.vtime, goroutine.ready_at)
                 try:
                     result = self._run_one(core, goroutine,
                                            stop_when_main_exits)
@@ -345,11 +329,14 @@ class Scheduler:
             goroutine.state = "running"
 
             # run_slice counts architectural instructions (2 per
-            # fused dispatch), so the slice budget — and thus
-            # rotation timing and SCHED_SWITCH charges — is
-            # identical with fusion on or off.  slice_executed is
-            # valid even when the slice ends in an exception, so
-            # the step total stays exact across parks/faults/exits.
+            # fused dispatch), so the slice budget means the same
+            # work with fusion on or off — except that a fused pair
+            # straddling the budget retires whole, one instruction
+            # past it.  That overshoot is the one place fusion is
+            # observable: it moves rotation points and the quota
+            # step charges below.  slice_executed is valid even
+            # when the slice ends in an exception, so the step
+            # total stays exact across parks/faults/exits.
             interp = self.interp
             try:
                 interp.run_slice(cpu, self.TIME_SLICE)

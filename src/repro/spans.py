@@ -68,6 +68,9 @@ _MASK64 = (1 << 64) - 1
 #: Trace flags that make a trace unconditionally survive tail sampling.
 ANOMALY_FLAGS = ("faulted", "failed", "refused", "reset", "shed", "slo")
 
+#: Flight-recorder ring depth: last-N events kept per core.
+RING_DEPTH = 32
+
 _HEX32 = frozenset("0123456789abcdef")
 
 
@@ -169,13 +172,12 @@ class SpanRecorder:
     """
 
     def __init__(self, clock, seed: int = 0, sample: float = 1.0,
-                 slo_ns: float = 1_000_000.0, cores: int = 1,
-                 ring: int = 32):
+                 slo_ns: float = 1_000_000.0, cores: int = 1):
         self.clock = clock
         self.seed = seed
         self.sample = sample
         self.slo_ns = slo_ns
-        self.ring = ring
+        self.ring = RING_DEPTH
         self.scheduler = None       # wired by Machine
         self.net = None             # wired by Machine
         #: Set by the host-side load generator around its ``send`` so
@@ -187,7 +189,8 @@ class SpanRecorder:
         self._wire: dict[int, deque] = {}   # id(rx endpoint) -> FIFO
         self._chan: dict[int, deque] = {}   # channel handle -> ctx FIFO
         self._encl: dict[int, list] = {}    # id(goroutine) -> open spans
-        self.rings = [deque(maxlen=ring) for _ in range(max(1, cores))]
+        self.rings = [deque(maxlen=RING_DEPTH)
+                      for _ in range(max(1, cores))]
         self.fault_dumps: list[dict] = []
 
     # -- context helpers -----------------------------------------------------

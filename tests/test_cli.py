@@ -47,6 +47,17 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert "repro:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "layout", "views", "py",
+                                         "report"])
+    def test_missing_input_is_a_named_error(self, tmp_path, capsys,
+                                            command):
+        missing = tmp_path / "nonexistent" / "main.go"
+        assert main([command, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert "No such file or directory" in err and str(missing) in err
+        assert "Traceback" not in err
+
 
 class TestLayoutAndViews:
     def test_layout(self, golite_files, capsys):

@@ -13,6 +13,9 @@ cached decisions.
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.errors import Fault, QuarantinedFault, SyscallFault
@@ -102,6 +105,21 @@ class TestObservabilityBitIdentity:
                            metrics=True, profile=True, spans=True)
 
 
+BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / \
+    "BENCH_interp.json"
+
+#: Table 2 at its committed sizes: cell -> (BENCH_interp.json key, the
+#: cell's simulated value on a machine configured as given).
+TABLE2_CELLS = {
+    "bild": ("sim_ns", lambda config: run_bild(
+        config.backend, 32, 32, 2, config=config).clock.now_ns),
+    "HTTP": ("sim_req_per_s", lambda config: run_http_server(
+        config.backend, config=config).throughput(15)),
+    "FastHTTP": ("sim_req_per_s", lambda config: run_fasthttp_server(
+        config.backend, config=config).throughput(15)),
+}
+
+
 class TestJitBitIdentity:
     """The tracing JIT (INTERNALS.md §13) under the same contract as
     the other fast paths, exercised through its hardest corners:
@@ -149,6 +167,17 @@ class TestJitBitIdentity:
         assert perf.jit_trace_executions > 0
         # Traces retire the bulk of the instruction stream.
         assert perf.jit_insns > perf.instructions // 2
+
+    @pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx"])
+    @pytest.mark.parametrize("cell", sorted(TABLE2_CELLS))
+    def test_table2_without_jit_matches_committed_pr6(self, cell, backend):
+        """Pure interpretation reproduces the committed Table 2 values
+        (BENCH_interp.json ``pr6``, recorded with the JIT on) at the one
+        decimal that entry keeps."""
+        key, measure = TABLE2_CELLS[cell]
+        pr6 = json.loads(BENCH_FILE.read_text())["pr6"]["table2"]
+        value = measure(MachineConfig(backend=backend, jit=False))
+        assert round(value, 1) == pr6[f"{cell}/{backend}"][key]
 
     def test_kill_switch_zeroes_the_counters(self):
         machine = run_bild("mpk", 16, 16, 1,
@@ -205,6 +234,11 @@ class TestEngagement:
                        for i in plain.interp.code.values())
 
 
+#: PUSH, then a PUSH+ADD pair that the peephole fuses.
+SLICE_PROGRAM = [Instr(Op.PUSH, 1), Instr(Op.PUSH, 2), Instr(Op.ADD),
+                 Instr(Op.PUSH, 0), Instr(Op.HALT)]
+
+
 class TestFusionSemantics:
     """The peephole's safety contract at the ISA level."""
 
@@ -248,17 +282,32 @@ class TestFusionSemantics:
         assert mm.cpu.operands == []            # both operands consumed
 
     def test_run_slice_counts_architectural_instructions(self):
-        """Fused dispatches count as two instructions, so slice budgets
-        (and the scheduler's rotation timing) are fusion-invariant."""
+        """Fused dispatches count as two instructions, so a slice budget
+        is the same architectural work with fusion on or off — up to
+        the overshoot of a pair straddling it (next test)."""
         mm = MiniMachine()
-        mm.load([Instr(Op.PUSH, 1), Instr(Op.PUSH, 2), Instr(Op.ADD),
-                 Instr(Op.PUSH, 0), Instr(Op.HALT)])
+        mm.load(SLICE_PROGRAM)
         mm.cpu.pc = TEXT_BASE
         interp = mm.interp
         executed = interp.run_slice(mm.cpu, 3)
         # PUSH, then the fused PUSH+ADD pair: 3 instructions retired.
         assert executed == 3
         assert interp.slice_executed == 3
+
+    @pytest.mark.parametrize("fusion, retired", [(True, 3), (False, 2)])
+    def test_pair_straddling_the_budget_overshoots_it(self, fusion, retired):
+        """The one place fusion is observable: a fused pair straddling
+        the slice budget retires whole, one instruction past it, where
+        unfused execution stops on the budget.  Slice lengths, and the
+        quota step charges taken from them, can therefore differ by one:
+        the CPU-hog tenant of perfbench's tenants-30 workload is charged
+        400001 steps with fusion on and 400000 with it off."""
+        mm = MiniMachine()
+        mm.interp = Interpreter(mm.mmu, mm.clock, fusion=fusion)
+        mm.load(SLICE_PROGRAM)
+        mm.cpu.pc = TEXT_BASE
+        assert mm.interp.run_slice(mm.cpu, 2) == retired
+        assert mm.interp.slice_executed == retired
 
 
 class TestVerdictCacheSafety:

@@ -14,7 +14,7 @@ from repro.errors import ConfigError, Fault, MachineHalt
 from repro.isa import INSTR_SIZE, Instr, Interpreter, Op
 from repro.isa.jit import JIT_MIN_LEN, JitEntry, discover_regions
 from repro.machine import Machine, MachineConfig
-from repro.workloads.bild import build_bild_image, run_bild
+from repro.workloads.bild import build_bild_image
 
 from tests.harness import TEXT_BASE, MiniMachine
 
@@ -23,8 +23,8 @@ def jit_mini(threshold: int = 1) -> MiniMachine:
     """A MiniMachine whose interpreter has the JIT enabled (the stock
     harness interpreter leaves it off, like ``Interpreter``'s default)."""
     mm = MiniMachine()
-    mm.interp = Interpreter(mm.mmu, mm.clock, jit=True,
-                            jit_threshold=threshold)
+    mm.interp = Interpreter(mm.mmu, mm.clock, jit=True)
+    mm.interp.jit.threshold = threshold
     return mm
 
 
@@ -311,17 +311,6 @@ class TestInvalidation:
         lb.note_contained_fault(fault)
         assert env.id in lb.quarantined
         assert machine.perf.jit_flushes == 1
-
-    def test_jit_threshold_is_wired_through_config(self):
-        machine = run_bild("mpk", 8, 8, 1,
-                           config=MachineConfig(backend="mpk",
-                                                jit_threshold=10 ** 9))
-        assert machine.perf.jit_traces_compiled == 0
-        hot = run_bild("mpk", 8, 8, 1,
-                       config=MachineConfig(backend="mpk",
-                                            jit_threshold=1))
-        assert hot.perf.jit_traces_compiled > 0
-        assert hot.clock.now_ns == machine.clock.now_ns
 
     def test_discovery_api_is_pure(self):
         """discover_regions inspects but never mutates the code dict

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, QuarantinedFault
+from repro.golite import build_program
 from repro.hw.pagetable import PTE, PageTable
 from repro.hw.pages import Perm
 from repro.machine import Machine, MachineConfig
@@ -143,6 +144,25 @@ func main() {
 }
 """
 
+#: ``main`` returns at once, leaving the worker it spawned runnable.
+LEFTOVER = """
+package main
+
+var out int
+
+func spin(rounds int) {
+    n := 0
+    for i := 0; i < rounds; i++ {
+        n = n + i
+    }
+    out = n
+}
+
+func main() {
+    go spin(200)
+}
+"""
+
 
 def fingerprint(machine, result):
     """Everything bit-identity covers: time, counters, outcomes."""
@@ -153,15 +173,14 @@ def fingerprint(machine, result):
 
 class TestConfig:
     def test_cores_must_be_positive(self):
-        from repro.golite import build_program
         image = build_program([SPINNERS])
         with pytest.raises(ConfigError, match="cores"):
             Machine(image, MachineConfig(backend="baseline", cores=0))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_cores1_bit_identical_to_default(self, backend):
-        """`cores=1` must go through the historical scheduler loop and
-        produce the exact same simulation as an unconfigured machine."""
+        """`cores=1` must produce the exact same simulation as an
+        unconfigured machine."""
         m_default, r_default = run_golite(SPINNERS, backend=backend)
         m_one, r_one = run_golite(
             SPINNERS, config=MachineConfig(backend=backend, cores=1))
@@ -236,6 +255,34 @@ class TestScheduler:
         frontier = max(core.vtime for core in machine.scheduler.cores)
         assert machine.clock.now_ns >= frontier
 
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_resume_never_rewinds_a_host_advanced_clock(self, cores):
+        """``main`` returns with its worker still runnable; the host
+        advances the clock and drives the machine again.  The worker
+        must run after the host's instant — not at its stale ready
+        instant on an idle core — so the clock never goes backwards."""
+        machine = Machine(build_program([LEFTOVER]),
+                          MachineConfig(backend="mpk", cores=cores))
+        starts = []
+        run_slice = machine.interp.run_slice
+
+        def timed_slice(cpu, budget):
+            starts.append(machine.clock.now_ns)
+            return run_slice(cpu, budget)
+
+        machine.interp.run_slice = timed_slice
+        assert machine.run().status == "exited"
+        machine.clock.charge(1e6)
+        host = machine.clock.now_ns
+        starts.clear()
+        assert machine.resume().status == "idle"
+        assert machine.read_global("main.out") == sum(range(200))
+        assert starts and min(starts) >= host
+        assert machine.clock.now_ns >= host
+        if cores == 1:
+            # A one-core drive starts each slice on the clock itself.
+            assert machine.clock.now_ns == 1005554.9000000423
+
 
 #: A consumer that parks on a channel immediately and a CPU-bound
 #: producer: work stealing separates them onto different cores, so the
@@ -275,8 +322,6 @@ class TestSpanPropagationSMP:
         context must not overwrite a receiver that is already tracing
         its own request), and the two traces' core attributions jointly
         cover both cores."""
-        from repro.golite import build_program
-
         config = MachineConfig(backend="baseline", cores=2, spans=True)
         machine = Machine(build_program([CROSSCORE]), config)
         recorder = machine.spans

@@ -23,7 +23,7 @@ import json
 
 import pytest
 
-from repro.machine import MachineConfig
+from repro.machine import Machine, MachineConfig
 from repro.metrics import (
     Histogram,
     MetricsFormatError,
@@ -37,6 +37,8 @@ from repro.spans import (
     write_span_trace,
 )
 from repro.workloads import asynchttp, loadgen
+
+from tests.fig1 import build_image
 
 
 # -- identity derivation and wire encoding ------------------------------------
@@ -239,20 +241,53 @@ def _run_gen(spans: bool, inject: str | None = None):
     return machine, gen
 
 
+class TestFilterVerdicts:
+    """Every backend's FilterSyscall reports to the span recorder the
+    way the host kernel's seccomp path does: a denial annotates the
+    current request's trace, and every verdict leaves a breadcrumb in
+    the flight recorder."""
+
+    MECHANISM = {"mpk": "seccomp-bpf", "vtx": "guest-os",
+                 "lwc": "lwc-kernel"}
+
+    @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
+    def test_denial_annotates_the_request_trace(self, backend):
+        machine = Machine(build_image(body="syscall",
+                                      policy="secrets:R, none"),
+                          MachineConfig(backend=backend, spans=True))
+        recorder = machine.spans
+        ctx = recorder.client_arrival(0, 0.0)
+        # Stand in for the wire: the main goroutine serves one request.
+        recorder.on_spawn = \
+            lambda parent, child: setattr(child, "trace_ctx", ctx)
+        assert machine.run().status == "faulted"
+        (annotation,) = [a for a in recorder.traces[ctx.trace_id].annotations
+                         if a[1].startswith("filter:")]
+        assert annotation[1] == "filter:kill"
+        assert annotation[2]["mechanism"] == self.MECHANISM[backend]
+        assert "filter:kill" in [e["kind"] for e in recorder.rings[0]]
+
+    @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
+    def test_verdicts_reach_the_flight_recorder_under_load(self, backend):
+        result = loadgen.run_level(backend, 10_000.0, 30, 7, spans=True)
+        kinds = [e["kind"] for ring in result.spans.rings for e in ring]
+        assert any(kind.startswith("filter:") for kind in kinds)
+
+
 class TestFlightRecorder:
     def test_contained_fault_ships_black_box(self):
         machine, _ = _run_gen(spans=True, inject="pkey@main_1:every=10")
         report = machine.containment_report()
         assert report["contained"], "injection produced no contained fault"
         flight = report["flight_recorder"]
-        assert flight["ring"] == machine.config.span_ring
+        assert flight["ring"] == machine.spans.ring
         assert len(flight["dumps"]) == len(report["contained"])
         dump = flight["dumps"][0]
         # The snapshot names the victim trace and ends at the fault.
         assert dump["trace_id"] is not None
         faulted = machine.spans.traces[int(dump["trace_id"], 16)]
         assert "faulted" in faulted.flags
-        assert 0 < len(dump["events"]) <= machine.config.span_ring
+        assert 0 < len(dump["events"]) <= machine.spans.ring
         assert dump["events"][-1]["kind"] == "fault"
         assert dump["events"][-1]["trace_id"] == dump["trace_id"]
 
