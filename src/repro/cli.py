@@ -25,7 +25,7 @@ import argparse
 import pathlib
 import sys
 
-from repro.errors import SimError
+from repro.errors import ConfigError, SimError
 from repro.golite import build_program
 from repro.machine import Machine, MachineConfig
 
@@ -280,7 +280,11 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
     from repro.workloads import loadgen
 
-    offered = tuple(float(x) for x in args.offered.split(","))
+    try:
+        offered = tuple(float(x) for x in args.offered.split(","))
+    except ValueError:
+        raise ConfigError(f"--offered takes comma-separated req/s rates, "
+                          f"got {args.offered!r}") from None
     policies = {"on": ["quarantine"], "off": ["abort"],
                 "both": ["abort", "quarantine"]}[args.containment]
     spans_on = args.spans is not None or args.flight is not None

@@ -30,7 +30,7 @@ from repro.hw.clock import COSTS
 from repro.hw.cpu import CPU
 from repro.hw.pages import Perm, Section
 from repro.hw.pagetable import PageTable
-from repro.os.syscalls import CATEGORY_OF, syscall_name
+from repro.os.syscalls import syscall_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.litterbox import LitterBox
@@ -144,37 +144,16 @@ class LWCBackend(Backend):
     def syscall(self, cpu: CPU, nr: int, args: tuple[int, ...]) -> int:
         """Filtering on the context id inside the normal kernel entry —
         no seccomp program, no hypercall."""
-        tracer = self.litterbox.tracer
-        metrics = self.litterbox.metrics
-        spans = self.litterbox.spans
+        obs = self.litterbox.obs
         env = cpu.current_env or self.litterbox.trusted_env
         if not env.allows_syscall(nr):
-            if tracer is not None:
-                tracer.instant("filter", "filter:deny",
-                               mechanism="lwc-kernel", nr=nr,
-                               env=env.name, verdict="kill")
-            if metrics is not None:
-                metrics.verdicts.inc(
-                    mechanism="lwc-kernel", verdict="kill",
-                    category=CATEGORY_OF.get(nr, "other"))
-            if spans is not None:
-                spans.annotate_filter(
-                    "kill", CATEGORY_OF.get(nr, "other"), "lwc-kernel")
+            if obs is not None:
+                obs.on_verdict("lwc-kernel", "kill", nr, env=env.name)
             raise SyscallFault(
                 f"lwc kernel rejected {syscall_name(nr)} in context "
                 f"{env.name!r}", nr).attribute(env)
-        if tracer is not None:
-            tracer.instant("filter", "filter:allow",
-                           mechanism="lwc-kernel", nr=nr,
-                           env=env.name, verdict="allow")
-        if metrics is not None:
-            metrics.verdicts.inc(
-                mechanism="lwc-kernel", verdict="allow",
-                category=CATEGORY_OF.get(nr, "other"))
-        if spans is not None:
-            # Ring-only breadcrumb, as for the host kernel's seccomp.
-            spans.annotate_filter(
-                "allow", CATEGORY_OF.get(nr, "other"), "lwc-kernel")
+        if obs is not None:
+            obs.on_verdict("lwc-kernel", "allow", nr, env=env.name)
         return self.litterbox.kernel.syscall(nr, args, cpu.ctx, pkru=0)
 
     # ------------------------------------------------------------ containment

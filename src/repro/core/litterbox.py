@@ -89,22 +89,12 @@ class LitterBox:
         #: Reusable stacks of exited goroutines, per environment (Go's
         #: runtime recycles goroutine stacks from a pool).
         self._stack_pools: dict[int, list[StackSegment]] = {}
-        #: Optional enforcement-event tracer (repro.trace.Tracer), wired
-        #: by the machine; ``None`` keeps every hook a single branch.
-        self.tracer = None
-        #: Optional enforcement metrics (repro.metrics), same contract.
-        self.metrics = None
-        #: Optional sim-time sampling profiler (repro.profiler): hooks
-        #: mirror the tracer's ``set_env`` timeline so samples land in
-        #: the environment that accrued them.
-        self.profiler = None
+        #: Observer bus (repro.obs), wired by the machine; ``None``
+        #: keeps every emission site a single branch.
+        self.obs = None
         #: Optional deterministic fault injector (repro.inject), wired
         #: by the machine; ``None`` keeps Prolog injection-free.
         self.injector = None
-        #: Optional request-span recorder (repro.spans), wired by the
-        #: machine: Prolog/Epilog open and close per-enclosure
-        #: sub-spans on the current request's trace.
-        self.spans = None
         #: Optional callback invalidating the interpreter's compiled
         #: JIT traces, wired by the machine; called wherever the other
         #: fast-path memos are revoked (quarantine trips).
@@ -177,11 +167,10 @@ class LitterBox:
     def prolog(self, cpu: CPU, goroutine: "Goroutine", encl_id: int,
                call_site: int) -> None:
         """Enter an enclosure's execution environment (§4.2 Prolog)."""
-        tracer = self.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin("switch", "prolog", call_site=call_site,
-                                backend=self.backend.name)
+        obs = self.obs
+        if obs is not None:
+            obs.on_prolog_begin(call_site, self.backend.name)
+        entered = None
         try:
             current = goroutine.env
             target = None
@@ -213,17 +202,8 @@ class LitterBox:
                     env_id=target.id, env_name=target.name)
             if self.injector is not None:
                 self.injector.on_prolog(target)
-            if span is not None:
-                # The enclosure pays its own entry: attribute the switch
-                # span — and the timeline from its start — to the target.
-                span.name = f"prolog:{target.name}"
-                span.env = target.name
-                span.args["from"] = current.name
-                tracer.set_env(target.name, at=span.t0)
-            if self.profiler is not None:
-                self.profiler.set_env(target.name)
-            if self.metrics is not None:
-                self.metrics.switches.inc(env=target.name, kind="prolog")
+            if obs is not None:
+                obs.on_prolog(current, target)
             goroutine.env_stack.append(
                 (current, cpu.fp, cpu.sp, cpu.stack))
             stack = self._stack_for(goroutine, target)
@@ -234,22 +214,19 @@ class LitterBox:
             goroutine.env = target
             self.clock.tick("switches")
             self.backend.switch_to(cpu, target)
-            if self.spans is not None:
-                self.spans.on_prolog(goroutine, target.name)
+            entered = target
         finally:
-            if span is not None:
-                tracer.end(span)
+            if obs is not None:
+                obs.on_prolog_end(goroutine, entered)
 
     def epilog(self, cpu: CPU, goroutine: "Goroutine",
                call_site: int) -> None:
         """Return to the caller's environment (§4.2 Epilog)."""
-        tracer = self.tracer
-        span = None
-        if tracer is not None:
-            # The exit switch still belongs to the enclosure being left.
-            span = tracer.begin("switch", f"epilog:{goroutine.env.name}",
-                                env=goroutine.env.name, call_site=call_site,
-                                backend=self.backend.name)
+        obs = self.obs
+        if obs is not None:
+            obs.on_epilog_begin(goroutine.env.name, call_site,
+                                self.backend.name)
+        left = None
         try:
             cache = self._trans_cache if self.transition_cache_enabled \
                 else None
@@ -263,23 +240,15 @@ class LitterBox:
             if not goroutine.env_stack:
                 raise Fault("exec", "Epilog without a matching Prolog")
             previous, fp, sp, stack = goroutine.env_stack.pop()
-            left = goroutine.env.name
+            leaving = goroutine.env
             goroutine.env = previous
             cpu.fp, cpu.sp, cpu.stack = fp, sp, stack
             self.clock.tick("switches")
             self.backend.switch_to(cpu, previous)
-            if self.spans is not None:
-                self.spans.on_epilog(goroutine, left)
-            if self.metrics is not None:
-                self.metrics.switches.inc(env=previous.name, kind="epilog")
-            if span is not None:
-                span.args["to"] = previous.name
+            left = leaving
         finally:
-            if span is not None:
-                tracer.end(span)
-                tracer.set_env(goroutine.env.name)
-            if self.profiler is not None:
-                self.profiler.set_env(goroutine.env.name)
+            if obs is not None:
+                obs.on_epilog_end(goroutine, left)
 
     def execute(self, cpu: CPU, goroutine: "Goroutine") -> None:
         """Scheduler hook: resume a goroutine in its own environment
@@ -292,8 +261,6 @@ class LitterBox:
                 f"{goroutine.env.name!r} "
                 f"({self.quarantined[goroutine.env.id]})",
                 env_id=goroutine.env.id, env_name=goroutine.env.name)
-        if self.metrics is not None:
-            self.metrics.switches.inc(env=goroutine.env.name, kind="execute")
         self.backend.switch_to(cpu, goroutine.env)
 
     # ------------------------------------------------------------ containment
@@ -315,10 +282,8 @@ class LitterBox:
         cpu.fp, cpu.sp, cpu.stack = fp, sp, stack
         self.clock.tick("switches")
         self.backend.switch_to(cpu, base_env)
-        if self.profiler is not None:
-            self.profiler.set_env(base_env.name)
-        if self.metrics is not None:
-            self.metrics.switches.inc(env=base_env.name, kind="unwind")
+        if self.obs is not None:
+            self.obs.on_unwind(base_env.name)
         return depth
 
     def note_contained_fault(self, fault: Fault) -> None:
@@ -338,8 +303,6 @@ class LitterBox:
         self.quarantined[env_id] = f"{count} contained fault(s), " \
                                    f"last: fault[{fault.kind}]"
         self.backend.quarantine(env)
-        if self.metrics is not None:
-            self.metrics.quarantined.set(1, env=env.name)
         # Revocation must also revoke every fast path: memoized
         # transitions and seccomp verdicts could otherwise replay
         # decisions made before the quarantine (the TLB is already
@@ -352,10 +315,8 @@ class LitterBox:
         # policy (the cache generation bump makes that structural).
         if self.jit_flush is not None:
             self.jit_flush()
-        if self.tracer is not None:
-            self.tracer.instant("contain", "contain:quarantine",
-                                env=env.name, fault=str(fault),
-                                fault_kind=fault.kind, faults=count)
+        if self.obs is not None:
+            self.obs.on_quarantine(env.name, fault, count)
 
     def revive(self, env_id: int) -> bool:
         """Supervised revival of a quarantined environment (the tenant
@@ -380,22 +341,18 @@ class LitterBox:
         self.kernel.flush_verdicts()
         if self.jit_flush is not None:
             self.jit_flush()
-        if self.metrics is not None:
-            self.metrics.quarantined.set(0, env=env.name)
-        if self.tracer is not None:
-            self.tracer.instant("contain", "contain:revive", env=env.name)
+        if self.obs is not None:
+            self.obs.on_revive(env.name)
         return True
 
     # -------------------------------------------------------------- transfer
 
     def transfer(self, base: int, size: int, to_pkg: str) -> None:
         """Dynamically repartition heap memory between arenas (§4.2)."""
-        tracer = self.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin("transfer", f"transfer:{to_pkg}",
-                                pkg=to_pkg, base=base, size=size,
-                                backend=self.backend.name)
+        obs = self.obs
+        if obs is not None:
+            obs.on_transfer_begin(to_pkg, base, size, self.backend.name)
+        moved = False
         try:
             if self.image is not None and to_pkg not in self.image.graph:
                 raise ConfigError(f"transfer to unknown package {to_pkg!r}")
@@ -404,14 +361,10 @@ class LitterBox:
             self.clock.tick("transfers")
             self.backend.transfer(section, to_pkg)
             self.arenas.append(ArenaRecord(section, to_pkg))
-            if self.metrics is not None:
-                self.metrics.transfers.inc(pkg=to_pkg)
-                self.metrics.transfer_bytes.inc(size, pkg=to_pkg)
-            if self.spans is not None:
-                self.spans.on_transfer(to_pkg, size)
+            moved = True
         finally:
-            if span is not None:
-                tracer.end(span)
+            if obs is not None:
+                obs.on_transfer_end(to_pkg, size, moved)
 
     # ----------------------------------------------------------------- stacks
 

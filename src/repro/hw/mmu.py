@@ -85,18 +85,17 @@ class MMU:
         self.physmem = physmem
         self.clock = clock
         self.perf = perf if perf is not None else PerfStats()
-        #: Optional enforcement-event tracer, wired by the machine.
-        #: Consulted only on fault paths — never on a successful access.
-        self.tracer = None
+        #: Observer bus (repro.obs), wired by the machine.  Consulted
+        #: only on fault paths — never on a successful access.
+        self.obs = None
         #: Optional FaultInjector consulted per checked access (None in
         #: normal runs, so the hot path pays one predictable branch).
         self.inject = None
 
     def _trace_violation(self, kind: str, vaddr: int,
                          detail: str, **extra) -> None:
-        if self.tracer is not None:
-            self.tracer.instant("violation", f"violation:{kind}",
-                                vaddr=vaddr, detail=detail, **extra)
+        if self.obs is not None:
+            self.obs.on_violation(kind, vaddr, detail, **extra)
 
     # -- translation ----------------------------------------------------
 

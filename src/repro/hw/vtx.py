@@ -56,11 +56,8 @@ class VirtualMachine:
         self.vmcs = VMCS(ept=PageTable("ept"))
         self._guest_tables: dict[str, PageTable] = {}
         self.hypercall_handler: Callable[..., int] | None = None
-        #: Optional enforcement-event tracer, wired by the machine.
-        self.tracer = None
-        #: Optional enforcement metrics (repro.metrics), wired by the
-        #: machine: per-reason VM EXIT counters.
-        self.metrics = None
+        #: Observer bus (repro.obs), wired by the machine.
+        self.obs = None
 
     # -- guest page-table management --------------------------------------
 
@@ -110,15 +107,11 @@ class VirtualMachine:
     def vm_exit(self, reason: ExitReason) -> None:
         """Account one VM EXIT + later VM RESUME round trip."""
         self.vmcs.exits += 1
-        tracer = self.tracer
-        t0 = self.clock.now_ns if tracer is not None else 0.0
+        t0 = self.clock.now_ns
         self.clock.tick("vm_exits", COSTS.VMEXIT_ROUNDTRIP)
-        if tracer is not None:
-            tracer.complete("vm_exit", f"vm_exit:{reason.value}",
-                            t0, COSTS.VMEXIT_ROUNDTRIP,
-                            total_exits=self.vmcs.exits)
-        if self.metrics is not None:
-            self.metrics.vm_exits.inc(reason=reason.value)
+        if self.obs is not None:
+            self.obs.on_vm_exit(reason.value, t0, COSTS.VMEXIT_ROUNDTRIP,
+                                self.vmcs.exits)
 
     def hypercall(self, nr: int, args: tuple[int, ...]) -> int:
         """Forward a request to root mode (the host kernel)."""

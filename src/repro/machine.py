@@ -31,6 +31,7 @@ from repro.image.elf import ElfImage
 from repro.inject import FaultInjector
 from repro.isa.interp import Interpreter
 from repro.metrics import EnforcementMetrics, MetricsRegistry
+from repro.obs import fan_out
 from repro.perf import PerfStats
 from repro.profiler import Profiler
 from repro.isa.opcodes import Hook
@@ -128,18 +129,23 @@ class Machine:
                 f"(choose from {', '.join(FAULT_POLICIES)})")
         if config.cores < 1:
             raise ConfigError(f"cores must be >= 1, got {config.cores}")
+        if not config.profile_period_ns > 0:
+            raise ConfigError(f"profile period must be > 0 sim-ns, got "
+                              f"{config.profile_period_ns}")
+        if not 0.0 <= config.span_sample <= 1.0:
+            raise ConfigError(f"span_sample must be in [0, 1], got "
+                              f"{config.span_sample}")
         self.config = config
         self.image = image
         self.clock = SimClock()
         #: Wall-clock observability counters (TLB, fetch, opcodes);
         #: shared by the MMU and interpreter, independent of SimClock.
         self.perf = PerfStats()
-        #: Enforcement-event tracer (``None`` unless ``config.trace``);
-        #: every hook site guards on ``is not None`` so the disabled
-        #: path is a single attribute test.
+        # The observers (``None`` unless configured) subscribe to the
+        # observer bus; the harness reads their results from here.
+        #: Enforcement-event tracer (``config.trace``).
         self.tracer = Tracer(self.clock) if config.trace else None
-        #: Enforcement metrics (``None`` unless ``config.metrics``);
-        #: same null-path contract as the tracer.
+        #: Enforcement metrics (``config.metrics``).
         self.metrics = None
         self.metrics_registry = None
         if config.metrics:
@@ -156,13 +162,15 @@ class Machine:
         self.profiler = (Profiler(self.clock, config.profile_period_ns,
                                   backend=config.backend)
                          if config.profile else None)
+        #: Request-span recorder (``config.spans``); subscribed once the
+        #: machine is assembled (it needs the scheduler), so boot is
+        #: observed by the others only.
+        self.spans = None
+        #: The bus every watched component's ``obs`` slot holds.
+        self.obs = fan_out(self.tracer, self.metrics, self.profiler)
         self.physmem = PhysicalMemory()
         self.mmu = MMU(self.physmem, self.clock, perf=self.perf)
-        self.mmu.tracer = self.tracer
         self.kernel = Kernel(self.physmem, self.mmu, self.clock)
-        self.kernel.tracer = self.tracer
-        self.kernel.metrics = self.metrics
-        self.kernel.profiler = self.profiler
         self.host_table = PageTable("host")
         self.kernel.host_table = self.host_table
         self.interp = Interpreter(self.mmu, self.clock,
@@ -182,9 +190,7 @@ class Machine:
         backend = self._make_backend(config)
         self.backend = backend
         self.litterbox = LitterBox(backend, self.kernel, self.mmu, self.clock)
-        self.litterbox.tracer = self.tracer
-        self.litterbox.metrics = self.metrics
-        self.litterbox.profiler = self.profiler
+        self.mmu.obs = self.kernel.obs = self.litterbox.obs = self.obs
         self.litterbox.jit_flush = self.interp.flush_jit
         self.litterbox.trusted_ctx = TranslationContext(
             page_table=self.host_table, pkru=None)
@@ -197,8 +203,6 @@ class Machine:
         self.litterbox.init(image)
         if config.backend == "vtx":
             vtx: VTXBackend = backend
-            vtx.vm.tracer = self.tracer
-            vtx.vm.metrics = self.metrics
             # Entering guest mode installs a new CR3 and the EPT: any
             # translations cached during loading are flushed.
             self.cpu.ctx.page_table = vtx.trusted_table
@@ -224,26 +228,13 @@ class Machine:
         self.allocator = Allocator(self.litterbox)
         self.scheduler = Scheduler(self.cpu, self.interp, self.litterbox,
                                    cpus=self.cpus)
-        self.scheduler.tracer = self.tracer
-        self.scheduler.profiler = self.profiler
         self.channels = ChannelTable(self.scheduler.wake)
-        #: Request-span recorder (``None`` unless ``config.spans``);
-        #: the same null-path contract as the tracer.
-        self.spans = None
         if config.spans:
             from repro.spans import SpanRecorder
-            spans = SpanRecorder(self.clock, seed=config.span_seed,
-                                 sample=config.span_sample,
-                                 slo_ns=config.span_slo_ns,
-                                 cores=config.cores)
-            spans.scheduler = self.scheduler
-            spans.net = self.kernel.net
-            self.spans = spans
-            self.scheduler.spans = spans
-            self.channels.spans = spans
-            self.kernel.spans = spans
-            self.kernel.net.spans = spans
-            self.litterbox.spans = spans
+            self.spans = SpanRecorder(self.clock, self.scheduler,
+                                      seed=config.span_seed,
+                                      sample=config.span_sample,
+                                      slo_ns=config.span_slo_ns)
         self.runtime = Runtime(self.mmu, self.allocator, self.scheduler,
                                self.channels, self.pkg_names)
         if self.metrics_registry is not None:
@@ -254,14 +245,6 @@ class Machine:
             self.runtime.metrics_renderer = (
                 lambda: self.metrics_registry.render_text(collect=False))
         self.kernel.net.waker = self.scheduler.wake
-        if self.metrics is not None:
-            metrics = self.metrics
-            self.kernel.net.on_backlog = (
-                lambda port, depth:
-                metrics.accept_queue_depth.set(depth, port=str(port)))
-            self.kernel.net.on_refused = (
-                lambda port:
-                metrics.accept_queue_refused.inc(port=str(port)))
 
         # Fast-path kill-switches (wall-clock only; defaults stay on).
         self.litterbox.transition_cache_enabled = config.transition_cache
@@ -282,12 +265,6 @@ class Machine:
         if config.quotas:
             from repro.quota import QuotaTable
             quota = QuotaTable(config.quotas)
-            quota.tracer = self.tracer
-            if self.metrics is not None:
-                metrics = self.metrics
-                quota.on_exceeded = (
-                    lambda env, resource:
-                    metrics.quota_exceeded.inc(env=env, resource=resource))
             self.quota = quota
             self.scheduler.quota = quota
             self.allocator.quota = quota
@@ -295,8 +272,14 @@ class Machine:
             self.kernel.quota_env = lambda: (
                 self.scheduler.current.env
                 if self.scheduler.current is not None else None)
-        if self.metrics is not None:
-            self.allocator.metrics = self.metrics
+        self.obs = fan_out(self.tracer, self.metrics, self.profiler,
+                           self.spans)
+        vm = backend.vm if config.backend == "vtx" else None
+        for part in (self.mmu, self.kernel, self.kernel.net, self.litterbox,
+                     self.scheduler, self.channels, self.allocator,
+                     self.quota, vm):
+            if part is not None:
+                part.obs = self.obs
 
         self.injector = None
         if config.inject:
@@ -402,9 +385,8 @@ class Machine:
         for core in remotes:
             core.vtime = max(core.vtime, t0) + COSTS.TLB_SHOOTDOWN
         self._shootdown_ns += cost
-        if self.tracer is not None:
-            self.tracer.complete("shootdown", name, t0, cost,
-                                 ipis=len(remotes))
+        if self.obs is not None:
+            self.obs.on_shootdown(name, t0, cost, len(remotes))
 
     # ------------------------------------------------------------------ setup
 
@@ -484,11 +466,8 @@ class Machine:
             if self.config.backend == "vtx":
                 # A fault triggers a VM EXIT before the program aborts.
                 self.clock.tick("vm_exits", COSTS.VMEXIT_ROUNDTRIP)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "violation", "violation:abort",
-                    fault=str(result.fault),
-                    fault_kind=getattr(result.fault, "kind", ""))
+            if self.obs is not None:
+                self.obs.on_abort(result.fault)
         elif result.status == "killed":
             # Contained: the main goroutine died but the machine did not
             # abort; the backend already charged the containment cost.

@@ -5,13 +5,14 @@ module answers "how much, in aggregate" — the cheap always-on counters,
 gauges and histograms an operator would scrape from a production
 deployment of the paper's runtime.  Every enforcement point (Prolog /
 Epilog switches, FilterSyscall verdicts, Transfer bytes, VM exits,
-quarantine trips, fault containments) increments a family here, and the
-HTTP workloads observe per-request latency histograms.
+quarantine trips, fault containments) increments a family here through
+the observer bus (:mod:`repro.obs`), and the HTTP workloads observe
+per-request latency histograms.
 
 Design rules (mirroring the tracer's contract):
 
 * **Null path** — when ``MachineConfig.metrics`` is off no registry
-  exists and every hook site is a single ``is not None`` test; no
+  exists and every emission site is a single ``is None`` test; no
   simulated cost is ever charged by a metric, so sim-ns stays
   bit-identical whether metrics are on or off.
 * **Determinism** — exposition output is byte-identical across runs:
@@ -32,6 +33,9 @@ from __future__ import annotations
 
 import json
 import re
+
+from repro.obs import Observer
+from repro.os.syscalls import CATEGORY_OF
 
 
 class MetricsFormatError(Exception):
@@ -377,10 +381,10 @@ class MetricsRegistry:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
-class EnforcementMetrics:
-    """The standard family set wired into the machine's enforcement
-    points.  One instance per :class:`~repro.machine.Machine`; every
-    hook site holds this object (or ``None`` when metrics are off)."""
+class EnforcementMetrics(Observer):
+    """The standard family set, fed by the observer bus.  One instance
+    per :class:`~repro.machine.Machine` (``None`` when metrics are off);
+    the harness observes latencies and tenant states directly."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
@@ -486,6 +490,59 @@ class EnforcementMetrics:
              perf.jit_trace_executions)
         for reason, count in perf.jit_deopts.items():
             bump(self.jit_deopts, f"deopt:{reason}", count, reason=reason)
+
+    # -- observer events (repro.obs) -------------------------------------------
+
+    def on_prolog(self, current, target):
+        self.switches.inc(env=target.name, kind="prolog")
+
+    def on_epilog_end(self, goroutine, left):
+        if left is not None:
+            self.switches.inc(env=goroutine.env.name, kind="epilog")
+
+    def on_execute_end(self, goroutine):
+        self.switches.inc(env=goroutine.env.name, kind="execute")
+
+    def on_unwind(self, env):
+        self.switches.inc(env=env, kind="unwind")
+
+    def on_retag(self, env):
+        self.switches.inc(env=env, kind="retag")
+
+    def on_verdict(self, mechanism, verdict, nr, env=None, **detail):
+        # An injected error is an errno verdict from the injector.
+        self.verdicts.inc(mechanism=mechanism,
+                          verdict="errno" if verdict == "inject" else verdict,
+                          category=CATEGORY_OF.get(nr, "other"))
+
+    def on_transfer_end(self, pkg, size, moved):
+        if moved:
+            self.transfers.inc(pkg=pkg)
+            self.transfer_bytes.inc(size, pkg=pkg)
+
+    def on_vm_exit(self, reason, t0, cost, exits):
+        self.vm_exits.inc(reason=reason)
+
+    def on_contained(self, goroutine, env, fault, unwound, reclaimed):
+        self.contained.inc(env=env, kind=fault.kind)
+
+    def on_quarantine(self, env, fault, faults):
+        self.quarantined.set(1, env=env)
+
+    def on_revive(self, env):
+        self.quarantined.set(0, env=env)
+
+    def on_quota_exceeded(self, env, resource, limit, used):
+        self.quota_exceeded.inc(env=env, resource=resource)
+
+    def on_accept_queue(self, port, depth):
+        self.accept_queue_depth.set(depth, port=str(port))
+
+    def on_refused(self, port):
+        self.accept_queue_refused.inc(port=str(port))
+
+    def on_reclaimed(self, pkg, nbytes):
+        self.allocator_reclaimed_bytes.inc(nbytes, pkg=pkg)
 
 
 # -- validation ---------------------------------------------------------------

@@ -87,19 +87,8 @@ class Kernel:
         self._mmap_cursor = MMAP_BASE
         self._mappings: dict[int, int] = {}  # base -> size
         self.syscall_log: list[int] = []
-        #: Optional enforcement-event tracer, wired by the machine.
-        self.tracer = None
-        #: Optional enforcement metrics (repro.metrics), wired by the
-        #: machine: FilterSyscall verdict counters.
-        self.metrics = None
-        #: Optional sim-time sampling profiler: no instructions retire
-        #: while the kernel runs (time advances via ``clock.charge``),
-        #: so syscall return is where in-kernel samples materialize.
-        self.profiler = None
-        #: Optional request-span recorder, wired by the machine:
-        #: adopts wire trace contexts on socket reads and annotates
-        #: filter verdicts onto the current request's trace.
-        self.spans = None
+        #: Observer bus (repro.obs), wired by the machine.
+        self.obs = None
         #: Optional FaultInjector consulted at every kernel entry.
         self.inject = None
         #: Which goroutine last used each fd (fd -> gid); drives
@@ -182,24 +171,16 @@ class Kernel:
         page table with kernel privileges (PKRU does not constrain the
         kernel's copy_from_user path).
         """
-        tracer = self.tracer
-        profiler = self.profiler
-        if tracer is None and profiler is None:
+        obs = self.obs
+        if obs is None:
             return self._syscall(nr, args, ctx, pkru)
-        span = None
-        if tracer is not None:
-            span = tracer.begin("syscall", f"sys:{sc.syscall_name(nr)}",
-                                nr=nr, pkru=pkru)
+        obs.on_syscall_begin(nr, pkru)
+        ret = None
         try:
             ret = self._syscall(nr, args, ctx, pkru)
-            if span is not None:
-                span.args["ret"] = ret
             return ret
         finally:
-            if span is not None:
-                tracer.end(span)
-            if profiler is not None:
-                profiler.drain_kernel(nr)
+            obs.on_syscall_end(nr, ret)
 
     def _syscall(self, nr: int, args: tuple[int, ...],
                  ctx: TranslationContext | None, pkru: int) -> int:
@@ -209,18 +190,9 @@ class Kernel:
         if self.inject is not None:
             forced = self.inject.on_syscall(nr)
             if forced is not None:
-                if self.tracer is not None:
-                    self.tracer.instant("filter", "filter:inject",
-                                        mechanism="injector", nr=nr,
+                if self.obs is not None:
+                    self.obs.on_verdict("injector", "inject", nr,
                                         errno=-forced)
-                if self.metrics is not None:
-                    self.metrics.verdicts.inc(
-                        mechanism="injector", verdict="errno",
-                        category=sc.CATEGORY_OF.get(nr, "other"))
-                if self.spans is not None:
-                    self.spans.annotate_filter(
-                        "inject", sc.CATEGORY_OF.get(nr, "other"),
-                        "injector")
                 return forced
         if self.seccomp_filter is not None:
             filt = self.seccomp_filter
@@ -243,51 +215,24 @@ class Kernel:
             self.clock.charge(
                 COSTS.SECCOMP_FIXED + COSTS.SECCOMP_BPF_INSN * executed)
             action = ret & 0xFFFF0000
-            tracer = self.tracer
-            if self.metrics is not None:
-                verdict = ("kill" if action == SECCOMP_RET_KILL else
-                           "errno" if action == SECCOMP_RET_ERRNO else
-                           "allow")
-                self.metrics.verdicts.inc(
-                    mechanism="seccomp-bpf", verdict=verdict,
-                    category=sc.CATEGORY_OF.get(nr, "other"))
+            obs = self.obs
             if action == SECCOMP_RET_KILL:
-                if tracer is not None:
-                    tracer.instant("filter", "filter:deny",
-                                   mechanism="seccomp-bpf", nr=nr,
-                                   pkru=pkru, verdict="kill",
+                if obs is not None:
+                    obs.on_verdict("seccomp-bpf", "kill", nr, pkru=pkru,
                                    bpf_insns=executed)
-                if self.spans is not None:
-                    self.spans.annotate_filter(
-                        "kill", sc.CATEGORY_OF.get(nr, "other"),
-                        "seccomp-bpf")
                 raise SyscallFault(
                     f"seccomp killed {sc.syscall_name(nr)} "
                     f"(pkru={pkru:#010x})", nr)
             if action == SECCOMP_RET_ERRNO:
-                if tracer is not None:
-                    tracer.instant("filter", "filter:deny",
-                                   mechanism="seccomp-bpf", nr=nr,
-                                   pkru=pkru, verdict="errno",
+                if obs is not None:
+                    obs.on_verdict("seccomp-bpf", "errno", nr, pkru=pkru,
                                    errno=ret & 0xFFFF, bpf_insns=executed)
-                if self.spans is not None:
-                    self.spans.annotate_filter(
-                        "deny", sc.CATEGORY_OF.get(nr, "other"),
-                        "seccomp-bpf")
                 return -(ret & 0xFFFF)
             if action != SECCOMP_RET_ALLOW:  # pragma: no cover
                 raise KernelError(f"unsupported seccomp action {ret:#x}")
-            if tracer is not None:
-                tracer.instant("filter", "filter:allow",
-                               mechanism="seccomp-bpf", nr=nr,
-                               pkru=pkru, verdict="allow",
+            if obs is not None:
+                obs.on_verdict("seccomp-bpf", "allow", nr, pkru=pkru,
                                bpf_insns=executed)
-            if self.spans is not None:
-                # Allows are ring-only breadcrumbs (cardinality: one
-                # annotation per *denied* syscall, not per syscall).
-                self.spans.annotate_filter(
-                    "allow", sc.CATEGORY_OF.get(nr, "other"),
-                    "seccomp-bpf")
         handler = self._handlers.get(nr)
         if handler is None:
             return -errno.ENOSYS
@@ -631,10 +576,8 @@ class Kernel:
             COSTS.SYSCALL_SERVICE_MIN + COSTS.NET_BYTE * len(result))
         if result:
             self._copy_out(ctx, buf, result)
-            if self.spans is not None:
-                # The server consumed request bytes: adopt the wire's
-                # trace context onto the reading goroutine.
-                self.spans.on_sock_read(sock.endpoint)
+            if self.obs is not None:
+                self.obs.on_sock_read(sock.endpoint)
         return len(result)
 
     def _sys_sendto(self, ctx, args) -> int:

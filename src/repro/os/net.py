@@ -89,11 +89,10 @@ class Endpoint:
             return -errno.ECONNRESET
         self.peer.rx.extend(data)
         network = self.conn.network
-        if network.spans is not None:
-            # Request-span propagation: stamp the sender's trace
-            # context onto the receiving end (before delivery, which
-            # may run a host-side recorder synchronously).
-            network.spans.on_endpoint_send(self)
+        if network.obs is not None:
+            # Before delivery, which may run a host-side recorder
+            # synchronously.
+            network.obs.on_wire_send(self)
         network._delivered(self.peer)
         return len(data)
 
@@ -173,14 +172,9 @@ class Network:
         self._service_endpoints: dict[int, Service] = {}
         self.waker: Callable[[tuple], None] | None = None
         self.connections_log: list[tuple[int, int]] = []
-        #: Backpressure instrumentation, wired by the machine when
-        #: metrics are enabled: ``on_backlog(port, depth)`` after every
-        #: accept-queue depth change, ``on_refused(port)`` per
-        #: connection refused because the queue was full.
-        self.on_backlog: Callable[[int, int], None] | None = None
-        self.on_refused: Callable[[int], None] | None = None
-        #: Optional request-span recorder, wired by the machine.
-        self.spans = None
+        #: Observer bus (repro.obs), wired by the machine: wire sends,
+        #: accept-queue depth changes and refusals.
+        self.obs = None
 
     # -- host-side wiring -------------------------------------------------
 
@@ -210,8 +204,8 @@ class Network:
             self._wake_watchers(endpoint.watchers)
 
     def _backlog_changed(self, listener: Listener) -> None:
-        if self.on_backlog is not None:
-            self.on_backlog(listener.port, len(listener.pending))
+        if self.obs is not None:
+            self.obs.on_accept_queue(listener.port, len(listener.pending))
 
     # -- kernel-facing operations ------------------------------------------
 
@@ -251,8 +245,8 @@ class Network:
         listener = self._listeners.get(port)
         if listener is not None and ip == LOCALHOST:
             if len(listener.pending) >= listener.backlog:
-                if self.on_refused is not None:
-                    self.on_refused(port)
+                if self.obs is not None:
+                    self.obs.on_refused(port)
                 return -errno.ECONNREFUSED
             conn = Connection(self, ip, port)
             listener.pending.append(conn)
@@ -283,8 +277,8 @@ class Network:
             conn = listener.pending.pop()
             conn.server.close()
             shed += 1
-            if self.on_refused is not None:
-                self.on_refused(listener.port)
+            if self.obs is not None:
+                self.obs.on_refused(listener.port)
         if shed:
             self._backlog_changed(listener)
         return shed

@@ -24,6 +24,9 @@ the next drain site:
   so boundary time lands in the env that was running.
 * **finish** — the machine drains any tail at end of run.
 
+Kernel-exit and env-switch drains are observer-bus events
+(:mod:`repro.obs`); the retire drain reads ``interp.profiler`` directly.
+
 Each drain uses ``while next_due <= now: count; next_due += period`` —
 integer-free float stepping that is deterministic across runs and
 independent of *when* drains happen (only the attribution of a point
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+from repro.obs import Observer
 from repro.os.syscalls import syscall_name
 
 #: Default sampling period: 1 µs of simulated time.  Table 2 macro runs
@@ -53,7 +57,7 @@ DEFAULT_PERIOD_NS = 1000.0
 TRUSTED_ENV = "trusted"
 
 
-class Profiler:
+class Profiler(Observer):
     """Sim-time sampling profiler (see module docstring)."""
 
     def __init__(self, clock, period_ns: float = DEFAULT_PERIOD_NS,
@@ -136,11 +140,23 @@ class Profiler:
 
     def set_env(self, name: str) -> None:
         """Drain pending points into the env that accrued them, then
-        switch attribution (called at the same sites as the tracer's
-        ``set_env``: Prolog, Epilog, Execute, unwind-on-fault)."""
+        switch attribution (Prolog, Epilog, Execute, unwind-on-fault)."""
         if self.next_due <= self.clock.now_ns:
             self._drain(self._last_pkg, "")
         self.env = name
+
+    def on_prolog(self, current, target):
+        self.set_env(target.name)
+
+    def on_epilog_end(self, goroutine, left=None):
+        self.set_env(goroutine.env.name)
+
+    on_execute_end = on_epilog_end
+
+    on_unwind = set_env
+
+    def on_syscall_end(self, nr, ret):
+        self.drain_kernel(nr)
 
     def finish(self) -> None:
         """Drain the tail at end of run."""

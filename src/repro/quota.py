@@ -132,11 +132,8 @@ class QuotaTable:
         self.fds_used: dict[str, int] = {}
         #: Overruns observed, in order: (enclosure, resource).
         self.exceeded: list[tuple[str, str]] = []
-        #: Optional callback ``(enclosure, resource) -> None`` — the
-        #: machine wires the ``quota_exceeded_total`` metric here.
-        self.on_exceeded = None
-        #: Optional enforcement-event tracer (quota instants).
-        self.tracer = None
+        #: Observer bus (repro.obs), machine-wired: overruns.
+        self.obs = None
 
     # -- lookup ---------------------------------------------------------------
 
@@ -147,11 +144,8 @@ class QuotaTable:
     def _exceed(self, name: str, resource: str, limit: int, used: int,
                 env_id: int | None = None, pkg: str = "") -> None:
         self.exceeded.append((name, resource))
-        if self.on_exceeded is not None:
-            self.on_exceeded(name, resource)
-        if self.tracer is not None:
-            self.tracer.instant("quota", f"quota:{resource}", env=name,
-                                resource=resource, limit=limit, used=used)
+        if self.obs is not None:
+            self.obs.on_quota_exceeded(name, resource, limit, used)
         raise QuotaFault(
             f"enclosure {name!r} exceeded its {resource} quota "
             f"({used} > {limit})", resource=resource, limit=limit,

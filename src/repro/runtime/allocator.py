@@ -72,10 +72,9 @@ class Allocator:
     #: Optional per-enclosure quota table (machine-wired); ``None``
     #: keeps every span grab quota-free and bit-identical.
     quota: object | None = None
-    #: Optional enforcement metrics (machine-wired): recycle_package
-    #: reports reclaimed spans/bytes through
-    #: ``allocator_reclaimed_bytes_total{pkg}``.
-    metrics: object | None = None
+    #: Observer bus (repro.obs), machine-wired: recycle_package
+    #: reports the bytes it reclaimed.
+    obs: object | None = None
 
     def alloc(self, pkg: str, size: int) -> int:
         """Allocate ``size`` bytes inside ``pkg``'s arena."""
@@ -145,9 +144,8 @@ class Allocator:
             reclaimed_bytes += span.size
         if self.quota is not None:
             self.quota.release_spans(pkg, count)
-        if self.metrics is not None:
-            self.metrics.allocator_reclaimed_bytes.inc(
-                reclaimed_bytes, pkg=pkg)
+        if self.obs is not None:
+            self.obs.on_reclaimed(pkg, reclaimed_bytes)
         return count
 
     def arena_spans(self, pkg: str) -> list[Span]:

@@ -120,13 +120,8 @@ class Scheduler:
         self.blocked: dict[tuple, list[Goroutine]] = {}
         self.current: Goroutine | None = None
         self.main: Goroutine | None = None
-        #: Optional enforcement-event tracer, wired by the machine.
-        self.tracer = None
-        #: Optional sim-time sampling profiler, wired by the machine;
-        #: Execute re-points its env attribution like the tracer's.
-        self.profiler = None
-        #: Optional request-span recorder, wired by the machine.
-        self.spans = None
+        #: Observer bus (repro.obs), wired by the machine.
+        self.obs = None
         #: Fault policy: "abort" (paper §2.2), "kill-goroutine", or
         #: "quarantine" (kill + trip the enclosure's quarantine breaker).
         self.fault_policy = "abort"
@@ -168,8 +163,8 @@ class Scheduler:
         # outside the machine.  On one core this is the classic queue.
         if self.current is not None:
             goroutine.core = self.current.core
-        if self.spans is not None:
-            self.spans.on_spawn(self.current, goroutine)
+        if self.obs is not None:
+            self.obs.on_spawn(self.current, goroutine)
         goroutine.ready_at = self.cpu.clock.now_ns
         self.cores[goroutine.core].runq.append(goroutine)
         return goroutine
@@ -305,27 +300,15 @@ class Scheduler:
                 # core's own (its private TLB/PKRU).  The Execute hook
                 # below re-applies the environment's restrictions to it.
                 cpu.ctx = core.ctx
-            tracer = self.tracer
-            if tracer is None:
-                cpu.clock.charge(COSTS.SCHED_SWITCH)
-                # Execute hook: resume in the goroutine's own
-                # environment.
-                self.litterbox.execute(cpu, goroutine)
-            else:
-                if self.smp:
-                    tracer.core = core.id
-                span = tracer.begin("switch",
-                                    f"execute:{goroutine.env.name}",
-                                    env=goroutine.env.name,
-                                    goroutine=goroutine.id)
-                cpu.clock.charge(COSTS.SCHED_SWITCH)
-                self.litterbox.execute(cpu, goroutine)
-                tracer.set_env(goroutine.env.name, at=span.t0)
-                tracer.end(span)
-            if self.profiler is not None:
-                self.profiler.set_env(goroutine.env.name)
-            if self.spans is not None and goroutine.trace_ctx is not None:
-                self.spans.on_slice(goroutine, core.id)
+            obs = self.obs
+            if obs is not None:
+                obs.on_execute_begin(goroutine,
+                                     core.id if self.smp else None)
+            cpu.clock.charge(COSTS.SCHED_SWITCH)
+            # Execute hook: resume in the goroutine's own environment.
+            self.litterbox.execute(cpu, goroutine)
+            if obs is not None:
+                obs.on_execute_end(goroutine)
             goroutine.state = "running"
 
             # run_slice counts architectural instructions (2 per
@@ -403,12 +386,9 @@ class Scheduler:
 
         lb = self.litterbox
         fault_env = goroutine.env.name
-        tracer = self.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin("contain", f"contain:{fault_env}",
-                                env=fault_env, goroutine=goroutine.id,
-                                fault=fault.kind)
+        obs = self.obs
+        if obs is not None:
+            obs.on_contain_begin(goroutine, fault_env, fault)
         # 1. Unwind nested Prolog frames back to the goroutine's base
         #    environment (Epilog-on-fault).
         depth = lb.unwind_on_fault(cpu, goroutine)
@@ -419,8 +399,6 @@ class Scheduler:
         #    is the quarantine *working*, not a fresh violation.
         if not isinstance(fault, QuarantinedFault):
             lb.note_contained_fault(fault)
-        if lb.metrics is not None:
-            lb.metrics.contained.inc(env=fault_env, kind=fault.kind)
         # 4. The kernel reclaims the dead goroutine's fds and wake keys.
         reclaimed = self.reclaim(goroutine.id) if self.reclaim else 0
         goroutine.state = "done"
@@ -428,13 +406,8 @@ class Scheduler:
         goroutine.activation = None
         lb.release_stacks(goroutine)
         self.contained.append(fault)
-        if self.spans is not None:
-            self.spans.on_contained_fault(goroutine, fault.kind,
-                                          goroutine.core)
-        if span is not None:
-            span.args.update(detail=fault.detail, unwound=depth,
-                             reclaimed_fds=reclaimed)
-            tracer.end(span)
+        if obs is not None:
+            obs.on_contained(goroutine, fault_env, fault, depth, reclaimed)
 
         if goroutine.restarts < self.restart_limit:
             fresh = self.spawn(goroutine.entry, goroutine.args,
@@ -445,10 +418,8 @@ class Scheduler:
             fresh.trace_ctx = None
             if goroutine is self.main:
                 self.main = fresh
-            if tracer is not None:
-                tracer.instant("contain", "contain:restart",
-                               env=fault_env, goroutine=fresh.id,
-                               generation=fresh.restarts)
+            if obs is not None:
+                obs.on_restart(fault_env, fresh)
             return None
         if goroutine is self.main and stop_when_main_exits:
             return RunResult("killed", 1, fault)

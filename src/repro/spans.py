@@ -24,9 +24,11 @@ never from a wall clock — and follows the request end to end:
   sub-spans, and syscall-filter verdicts and Transfers attach as span
   annotations with ``core`` attribution.
 
-The recorder is a pure observer: hooks never advance the
-:class:`SimClock`, and with spans disabled every hook site is a single
-``is None`` attribute test — simulated ns, traces, metrics, and
+The :class:`SpanRecorder` subscribes to the observer bus
+(:mod:`repro.obs`); the load generator calls its client-lifecycle
+methods directly.  It is a pure observer: it never advances the
+:class:`SimClock`, and with spans disabled every emission site is a
+single ``is None`` test — simulated ns, traces, metrics, and
 response bytes are bit-identical with spans on or off (the PR 5
 bit-identity suite enforces this).
 
@@ -51,17 +53,22 @@ Production mechanisms
 Export is Chrome trace-event JSON (:func:`span_trace` /
 :func:`write_span_trace`), one process lane per load level and one
 thread lane per kept trace, validated strictly by
-:func:`validate_span_trace` in the same spirit as
-``trace.validate_chrome_trace``.
+:func:`validate_span_trace` on top of ``trace.validate_chrome_trace``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from collections import deque
 
-from repro.trace import TraceFormatError, validate_chrome_trace
+from repro.obs import Observer
+from repro.os.syscalls import CATEGORY_OF
+from repro.trace import (
+    TraceFormatError,
+    chrome_document,
+    load_chrome_json,
+    validate_chrome_trace,
+    write_chrome_json,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -161,25 +168,22 @@ class _TraceRecord:
         self.handler = None     # open server.handle span, if any
 
 
-class SpanRecorder:
+class SpanRecorder(Observer):
     """Collects request-scoped spans against one machine's SimClock.
 
-    Wired by :class:`~repro.machine.Machine` onto every propagation
-    point (``scheduler.spans``, ``channels.spans``, ``kernel.spans``,
-    ``net.spans``, ``litterbox.spans``); each hook site guards with a
-    single ``is None`` test, so the disabled path is one attribute
-    load.  No hook ever touches the clock.
+    Subscribed to the observer bus by :class:`~repro.machine.Machine`
+    once it is assembled: ``scheduler`` gives the current goroutine and
+    core.  No handler ever touches the clock.
     """
 
-    def __init__(self, clock, seed: int = 0, sample: float = 1.0,
-                 slo_ns: float = 1_000_000.0, cores: int = 1):
+    def __init__(self, clock, scheduler, seed: int = 0, sample: float = 1.0,
+                 slo_ns: float = 1_000_000.0):
         self.clock = clock
+        self.scheduler = scheduler
         self.seed = seed
         self.sample = sample
         self.slo_ns = slo_ns
         self.ring = RING_DEPTH
-        self.scheduler = None       # wired by Machine
-        self.net = None             # wired by Machine
         #: Set by the host-side load generator around its ``send`` so
         #: the wire hook attributes the bytes to the *new* request, not
         #: to whatever guest goroutine happens to be current (the pump
@@ -189,26 +193,20 @@ class SpanRecorder:
         self._wire: dict[int, deque] = {}   # id(rx endpoint) -> FIFO
         self._chan: dict[int, deque] = {}   # channel handle -> ctx FIFO
         self._encl: dict[int, list] = {}    # id(goroutine) -> open spans
-        self.rings = [deque(maxlen=RING_DEPTH)
-                      for _ in range(max(1, cores))]
+        self.rings = [deque(maxlen=RING_DEPTH) for _ in scheduler.cores]
         self.fault_dumps: list[dict] = []
 
     # -- context helpers -----------------------------------------------------
 
     def _current_goroutine(self):
-        sched = self.scheduler
-        return sched.current if sched is not None else None
+        return self.scheduler.current
 
     def _current_ctx(self):
         cur = self._current_goroutine()
         return cur.trace_ctx if cur is not None else None
 
     def _core(self) -> int:
-        sched = self.scheduler
-        if sched is None:
-            return 0
-        core = sched.current_core  # a SchedCore; cores[0] when idle
-        return core.id if core is not None else 0
+        return self.scheduler.current_core.id  # cores[0] when idle
 
     def _ring_event(self, core: int, kind: str, trace_id: int | None,
                     detail: str) -> None:
@@ -270,7 +268,7 @@ class SpanRecorder:
 
     # -- wire propagation (net.py) -------------------------------------------
 
-    def on_endpoint_send(self, endpoint) -> None:
+    def on_wire_send(self, endpoint) -> None:
         """Bytes left an endpoint: stamp the sender's context onto the
         receiving end's shadow FIFO.  Responses to host-side service
         endpoints (the load generator's recorders) are skipped — their
@@ -281,8 +279,7 @@ class SpanRecorder:
         if ctx is None:
             return
         peer = endpoint.peer
-        net = self.net
-        if net is not None and id(peer) in net._service_endpoints:
+        if id(peer) in endpoint.conn.network._service_endpoints:
             return
         fifo = self._wire.get(id(peer))
         if fifo is None:
@@ -335,10 +332,13 @@ class SpanRecorder:
         if parent is not None and parent.trace_ctx is not None:
             child.trace_ctx = parent.trace_ctx
 
-    def on_slice(self, goroutine, core: int) -> None:
-        """A scheduler slice ran on ``core`` for a traced goroutine:
+    def on_execute_end(self, goroutine) -> None:
+        """A scheduler slice starts for ``goroutine``: if it is traced,
         core-set attribution plus a flight-recorder breadcrumb."""
         ctx = goroutine.trace_ctx
+        if ctx is None:
+            return
+        core = self._core()
         record = self.traces.get(ctx.trace_id)
         if record is not None:
             record.cores.add(core)
@@ -373,33 +373,36 @@ class SpanRecorder:
 
     # -- enforcement attribution (litterbox + kernel) ------------------------
 
-    def on_prolog(self, goroutine, env_name: str) -> None:
+    def on_prolog_end(self, goroutine, entered) -> None:
+        """Open the ``enclosure:<env>`` sub-span once the switch is paid."""
         ctx = goroutine.trace_ctx
-        if ctx is None:
+        if ctx is None or entered is None:
             return
         core = self._core()
-        span = {"name": f"enclosure:{env_name}", "start": self.clock.now_ns,
-                "end": None, "core": core}
+        span = {"name": f"enclosure:{entered.name}",
+                "start": self.clock.now_ns, "end": None, "core": core}
         self._encl.setdefault(id(goroutine), []).append((ctx, span))
-        self._ring_event(core, "prolog", ctx.trace_id, env_name)
+        self._ring_event(core, "prolog", ctx.trace_id, entered.name)
 
-    def on_epilog(self, goroutine, env_name: str) -> None:
+    def on_epilog_end(self, goroutine, left) -> None:
         stack = self._encl.get(id(goroutine))
-        if not stack:
+        if not stack or left is None:
             return
         ctx, span = stack.pop()
         span["end"] = self.clock.now_ns
         record = self.traces.get(ctx.trace_id)
         if record is not None:
             record.spans.append(span)
-        self._ring_event(self._core(), "epilog", ctx.trace_id, env_name)
+        self._ring_event(self._core(), "epilog", ctx.trace_id, left.name)
 
-    def annotate_filter(self, verdict: str, category: str,
-                        mechanism: str) -> None:
+    def on_verdict(self, mechanism, verdict, nr, env=None, **detail) -> None:
         """Cardinality rule: only *abnormal* verdicts (deny / kill /
         inject) become span annotations — an allow per syscall would
         dominate every export — but all verdicts feed the per-core
         flight-recorder ring."""
+        if verdict == "errno":
+            verdict = "deny"
+        category = CATEGORY_OF.get(nr, "other")
         ctx = self._current_ctx()
         core = self._core()
         if ctx is not None and verdict != "allow":
@@ -413,7 +416,9 @@ class SpanRecorder:
                          ctx.trace_id if ctx is not None else None,
                          category)
 
-    def on_transfer(self, pkg: str, size: int) -> None:
+    def on_transfer_end(self, pkg: str, size: int, moved: bool) -> None:
+        if not moved:
+            return
         ctx = self._current_ctx()
         core = self._core()
         if ctx is not None:
@@ -427,10 +432,12 @@ class SpanRecorder:
 
     # -- fault flight recorder -----------------------------------------------
 
-    def on_contained_fault(self, goroutine, kind: str, core: int) -> None:
+    def on_contained(self, goroutine, env, fault, unwound,
+                     reclaimed) -> None:
         """A fault was contained: mark the victim's trace, close its
         dangling enclosure sub-spans, and snapshot the faulting core's
         ring — the black box that ships with the quarantine."""
+        kind, core = fault.kind, goroutine.core
         ctx = goroutine.trace_ctx
         now = self.clock.now_ns
         stack = self._encl.pop(id(goroutine), None)
@@ -560,24 +567,14 @@ def span_trace(recorders: list[tuple[str, SpanRecorder]]) -> dict:
                     "ts": ts / 1000.0, "s": "t",
                     "pid": pid, "tid": tid, "args": args,
                 })
-    return {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "tool": "repro-spans",
-            "clock": "simulated-ns",
-            "sampling": samplings,
-        },
-    }
+    return chrome_document(metadata + events, "repro-spans",
+                           sampling=samplings)
 
 
 def write_span_trace(path, recorders: list[tuple[str, SpanRecorder]]) -> int:
     """Serialize :func:`span_trace` to ``path``; returns the number of
     trace events written (metadata included)."""
-    document = span_trace(recorders)
-    pathlib.Path(path).write_text(
-        json.dumps(document, indent=1, sort_keys=True) + "\n")
-    return len(document["traceEvents"])
+    return write_chrome_json(path, span_trace(recorders))
 
 
 def validate_span_trace(source) -> int:
@@ -590,10 +587,7 @@ def validate_span_trace(source) -> int:
     ``outcome``, and sorted ``cores``/``flags`` lists; the document
     declares its sampling summary.  Returns the event count.
     """
-    if isinstance(source, (str, pathlib.Path)):
-        document = json.loads(pathlib.Path(source).read_text())
-    else:
-        document = source
+    document = load_chrome_json(source)
     count = validate_chrome_trace(document)
     sampling = document.get("otherData", {}).get("sampling")
     if not isinstance(sampling, dict):

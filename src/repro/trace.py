@@ -2,12 +2,13 @@
 
 The paper's evaluation (§6, Tables 1–2) is about *where* enclosure
 overhead goes — switches vs. transfers vs. syscall filtering vs. VM
-exits.  This module makes that observable instead of asserted: every
-enforcement point (``Prolog``/``Epilog`` switches, ``FilterSyscall``
-decisions, ``Transfer`` operations, ``Execute`` scheduler hand-offs,
-VM exits, MPK/page-fault violations) emits a :class:`TraceEvent`
-carrying a simulated-nanosecond timestamp and enclosure/package
-attribution.
+exits.  This module makes that observable instead of asserted: the
+:class:`Tracer` subscribes to the observer bus (:mod:`repro.obs`) and
+records every enforcement point (``Prolog``/``Epilog`` switches,
+``FilterSyscall`` decisions, ``Transfer`` operations, ``Execute``
+scheduler hand-offs, VM exits, MPK/page-fault violations) as a
+:class:`TraceEvent` carrying a simulated-nanosecond timestamp and
+enclosure/package attribution.
 
 Attribution model
 -----------------
@@ -29,9 +30,8 @@ Prolog (the enclosure pays its own entry) and to the environment being
 start to Epilog end — exactly the window Table 1's call benchmark
 measures.
 
-Costs: with tracing disabled every hook site reduces to one ``is None``
-attribute test (the machine leaves ``tracer`` as ``None``); no event
-objects are built and no simulated time is ever charged by the tracer
+Costs: with nothing attached every emission site reduces to one
+``is None`` test; no simulated time is ever charged by the tracer
 itself, so simulated-ns outputs are bit-identical either way.
 
 Exports
@@ -43,6 +43,9 @@ Exports
 * :meth:`Tracer.describe` — the ``--trace`` text report;
 * :meth:`Tracer.chrome_trace` — Chrome trace-event JSON (one thread
   lane per environment; loadable in Perfetto / ``chrome://tracing``);
+* :func:`chrome_document`, :func:`write_chrome_json` and
+  :func:`load_chrome_json` — the Chrome trace-event envelope, writer and
+  loader, shared with :mod:`repro.spans`;
 * :func:`validate_chrome_trace` — the strict schema check used by the
   tests and the CI trace smoke step.
 """
@@ -54,6 +57,8 @@ import pathlib
 from dataclasses import dataclass, field
 
 from repro.hw.clock import SimClock
+from repro.obs import Observer
+from repro.os.syscalls import syscall_name
 
 #: Categories an event may carry; also the category axis of the
 #: per-environment breakdown (``violation`` events are zero-duration).
@@ -93,29 +98,15 @@ class TraceEvent:
         return self.name.split(":", 1)[0]
 
 
-class _Span(object):
-    """Mutable token for an open enforcement span."""
-
-    __slots__ = ("cat", "name", "t0", "env", "pkg", "args", "outermost")
-
-    def __init__(self, cat: str, name: str, t0: float, env: str,
-                 pkg: str, args: dict, outermost: bool):
-        self.cat = cat
-        self.name = name
-        self.t0 = t0
-        self.env = env
-        self.pkg = pkg
-        self.args = args
-        self.outermost = outermost
-
-
-class Tracer:
+class Tracer(Observer):
     """Collects enforcement events against one machine's ``SimClock``."""
 
     def __init__(self, clock: SimClock, initial_env: str = "trusted"):
         self.clock = clock
         self.events: list[TraceEvent] = []
-        self._open: list[_Span] = []
+        #: Open spans, innermost last: hooks close their spans in
+        #: ``finally`` blocks, so spans nest strictly.
+        self._open: list[TraceEvent] = []
         self._initial_env = initial_env
         self._env = initial_env
         self._env_since = clock.now_ns
@@ -127,10 +118,6 @@ class Tracer:
         self.core: int | None = None
 
     # -- environment timeline ------------------------------------------------
-
-    @property
-    def current_env(self) -> str:
-        return self._env
 
     def set_env(self, name: str, at: float | None = None) -> None:
         """Mark that the CPU entered environment ``name``.
@@ -148,39 +135,26 @@ class Tracer:
     # -- spans ---------------------------------------------------------------
 
     def begin(self, cat: str, name: str, env: str | None = None,
-              pkg: str = "", **args) -> _Span:
+              pkg: str = "", **args) -> TraceEvent:
         """Open an enforcement span at the current simulated instant."""
         if self.core is not None:
             args.setdefault("core", self.core)
-        span = _Span(cat, name, self.clock.now_ns,
-                     self._env if env is None else env,
-                     pkg, args, outermost=not self._open)
+        span = TraceEvent(name, cat, "X", self.clock.now_ns, 0.0,
+                          self._env if env is None else env, pkg, args)
         self._open.append(span)
         return span
 
-    def end(self, span: _Span) -> TraceEvent:
-        """Close ``span``, record its event, and accumulate its duration
-        into the per-environment category totals iff it is outermost."""
-        if self._open and self._open[-1] is span:
-            self._open.pop()
-        else:  # tolerate mismatched ends on fault-unwind paths
-            try:
-                self._open.remove(span)
-            except ValueError:
-                pass
-        dur = self.clock.now_ns - span.t0
-        if span.outermost:
+    def end(self) -> TraceEvent:
+        """Close the innermost open span, record it, and accumulate its
+        duration into the per-environment category totals iff it is
+        outermost."""
+        span = self._open.pop()
+        span.dur = self.clock.now_ns - span.ts
+        if not self._open:
             key = (span.env, span.cat)
-            self._cat_ns[key] = self._cat_ns.get(key, 0.0) + dur
-        event = TraceEvent(span.name, span.cat, "X", span.t0, dur,
-                           span.env, span.pkg, span.args)
-        self.events.append(event)
-        return event
-
-    def note(self, **args) -> None:
-        """Attach key/values to the innermost open span (if any)."""
-        if self._open:
-            self._open[-1].args.update(args)
+            self._cat_ns[key] = self._cat_ns.get(key, 0.0) + span.dur
+        self.events.append(span)
+        return span
 
     # -- point events --------------------------------------------------------
 
@@ -207,6 +181,113 @@ class Tracer:
         event = TraceEvent(name, cat, "X", t0, dur, use_env, pkg, args)
         self.events.append(event)
         return event
+
+    # -- observer events (repro.obs) -------------------------------------------
+
+    def _end(self, *facts) -> None:
+        self.end()
+
+    on_prolog_end = on_transfer_end = _end
+
+    def on_prolog_begin(self, call_site, backend):
+        self.begin("switch", "prolog", call_site=call_site, backend=backend)
+
+    def on_prolog(self, current, target):
+        # The enclosure pays its own entry: attribute the switch span —
+        # and the timeline from its start — to the target.
+        span = self._open[-1]
+        span.name = f"prolog:{target.name}"
+        span.env = target.name
+        span.args["from"] = current.name
+        self.set_env(target.name, at=span.ts)
+
+    def on_epilog_begin(self, env, call_site, backend):
+        # The exit switch still belongs to the enclosure being left.
+        self.begin("switch", f"epilog:{env}", env=env, call_site=call_site,
+                   backend=backend)
+
+    def on_epilog_end(self, goroutine, left):
+        if left is not None:
+            self._open[-1].args["to"] = goroutine.env.name
+        self.end()
+        self.set_env(goroutine.env.name)
+
+    def on_execute_begin(self, goroutine, core):
+        if core is not None:
+            self.core = core
+        env = goroutine.env.name
+        self.begin("switch", f"execute:{env}", env=env,
+                   goroutine=goroutine.id)
+
+    def on_execute_end(self, goroutine):
+        self.set_env(goroutine.env.name, at=self._open[-1].ts)
+        self.end()
+
+    def on_retag(self, env):
+        self.instant("transfer", f"retag:{env}", env=env, mechanism="libmpk")
+
+    def on_verdict(self, mechanism, verdict, nr, env=None, **detail):
+        name = verdict if verdict in ("allow", "inject") else "deny"
+        if verdict != "inject":
+            detail["verdict"] = verdict
+        self.instant("filter", f"filter:{name}", env=env,
+                     mechanism=mechanism, nr=nr, **detail)
+
+    def on_syscall_begin(self, nr, pkru):
+        self.begin("syscall", f"sys:{syscall_name(nr)}", nr=nr, pkru=pkru)
+
+    def on_guest_syscall_begin(self, nr):
+        self.begin("syscall", f"guest-sys:{syscall_name(nr)}", nr=nr)
+
+    def on_syscall_end(self, nr, ret):
+        if ret is not None:
+            self._open[-1].args["ret"] = ret
+        self.end()
+
+    on_guest_syscall_end = on_syscall_end
+
+    def on_transfer_begin(self, pkg, base, size, backend):
+        self.begin("transfer", f"transfer:{pkg}", pkg=pkg, base=base,
+                   size=size, backend=backend)
+
+    def on_vm_exit(self, reason, t0, cost, exits):
+        self.complete("vm_exit", f"vm_exit:{reason}", t0, cost,
+                      total_exits=exits)
+
+    def on_shootdown(self, name, t0, cost, ipis):
+        self.complete("shootdown", name, t0, cost, ipis=ipis)
+
+    def on_violation(self, kind, vaddr, detail, **extra):
+        self.instant("violation", f"violation:{kind}", vaddr=vaddr,
+                     detail=detail, **extra)
+
+    def on_contain_begin(self, goroutine, env, fault):
+        self.begin("contain", f"contain:{env}", env=env,
+                   goroutine=goroutine.id, fault=fault.kind)
+
+    def on_contained(self, goroutine, env, fault, unwound, reclaimed):
+        self._open[-1].args.update(detail=fault.detail, unwound=unwound,
+                                   reclaimed_fds=reclaimed)
+        self.end()
+
+    def on_quarantine(self, env, fault, faults):
+        self.instant("contain", "contain:quarantine", env=env,
+                     fault=str(fault), fault_kind=fault.kind, faults=faults)
+
+    def on_revive(self, env):
+        self.instant("contain", "contain:revive", env=env)
+
+    def on_restart(self, env, goroutine):
+        self.instant("contain", "contain:restart", env=env,
+                     goroutine=goroutine.id, generation=goroutine.restarts)
+
+    def on_quota_exceeded(self, env, resource, limit, used):
+        self.instant("quota", f"quota:{resource}", env=env,
+                     resource=resource, limit=limit, used=used)
+
+    def on_abort(self, fault):
+        self.instant("violation", "violation:abort", fault=str(fault),
+                     fault_kind=getattr(fault, "kind", ""))
 
     # -- queries -------------------------------------------------------------
 
@@ -339,23 +420,39 @@ class Tracer:
         for env, tid in sorted(tids.items(), key=lambda item: item[1]):
             metadata.append({"name": "thread_name", "ph": "M", "pid": 1,
                              "tid": tid, "args": {"name": f"env:{env}"}})
-        return {
-            "traceEvents": metadata + trace_events,
-            "displayTimeUnit": "ns",
-            "otherData": {
-                "tool": "repro",
-                "clock": "simulated-ns",
-                "sim_total_ns": self.clock.now_ns,
-            },
-        }
+        return chrome_document(metadata + trace_events, "repro",
+                               sim_total_ns=self.clock.now_ns)
 
     def write_chrome_trace(self, path: str | pathlib.Path) -> int:
         """Serialize :meth:`chrome_trace` to ``path``; returns the
         number of trace events written (metadata included)."""
-        document = self.chrome_trace()
-        pathlib.Path(path).write_text(
-            json.dumps(document, indent=1, sort_keys=True) + "\n")
-        return len(document["traceEvents"])
+        return write_chrome_json(path, self.chrome_trace())
+
+
+def chrome_document(events: list[dict], tool: str, **other) -> dict:
+    """The JSON Object Format envelope of a simulated-ns trace."""
+    return {"traceEvents": events, "displayTimeUnit": "ns",
+            "otherData": {"tool": tool, "clock": "simulated-ns", **other}}
+
+
+def write_chrome_json(path: str | pathlib.Path, document: dict) -> int:
+    """Write a Chrome trace-event document byte-deterministically;
+    returns the number of trace events written (metadata included)."""
+    pathlib.Path(path).write_text(
+        json.dumps(document, indent=1, sort_keys=True) + "\n")
+    return len(document["traceEvents"])
+
+
+def load_chrome_json(source) -> object:
+    """``source`` as a parsed document: a path is read and parsed
+    (:class:`TraceFormatError` if it is not JSON), anything else is
+    returned as given."""
+    if not isinstance(source, (str, pathlib.Path)):
+        return source
+    try:
+        return json.loads(pathlib.Path(source).read_text())
+    except json.JSONDecodeError as err:
+        raise TraceFormatError(f"not JSON: {err}") from None
 
 
 def validate_chrome_trace(source) -> int:
@@ -367,13 +464,7 @@ def validate_chrome_trace(source) -> int:
     per event, the phase-specific required fields — the invariants
     Perfetto's importer relies on.
     """
-    if isinstance(source, (str, pathlib.Path)):
-        try:
-            document = json.loads(pathlib.Path(source).read_text())
-        except json.JSONDecodeError as err:
-            raise TraceFormatError(f"not JSON: {err}") from None
-    else:
-        document = source
+    document = load_chrome_json(source)
     if not isinstance(document, dict):
         raise TraceFormatError("top level must be a JSON object")
     events = document.get("traceEvents")

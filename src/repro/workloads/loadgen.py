@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from repro.errors import ConfigError
 from repro.machine import MachineConfig
 from repro.os.net import LOCALHOST
 from repro.workloads import asynchttp
@@ -50,8 +52,15 @@ REQUEST_KEEPALIVE = (b"GET /index.html HTTP/1.1\r\n"
 
 # -- arrival processes --------------------------------------------------------
 
+def _check_rate(rate_rps: float) -> None:
+    if not 0.0 < rate_rps < float("inf"):
+        raise ConfigError(
+            f"offered load must be a positive req/s rate, got {rate_rps}")
+
+
 def poisson_arrivals(rate_rps: float, count: int, seed: int) -> list[float]:
     """``count`` arrival times (sim-ns) with exponential inter-arrivals."""
+    _check_rate(rate_rps)
     rng = random.Random(seed)
     t = 0.0
     out = []
@@ -66,6 +75,7 @@ def bursty_arrivals(rate_rps: float, count: int, seed: int,
     """On/off-modulated Poisson: the same average ``rate_rps``, but all
     arrivals land in the first ``duty`` fraction of each ``cycle_ns``
     window at ``rate/duty`` intensity — production-shaped bursts."""
+    _check_rate(rate_rps)
     rng = random.Random(seed)
     burst_rate = rate_rps / duty
     window = cycle_ns * duty
@@ -88,20 +98,24 @@ ARRIVAL_PROCESSES = {
 
 # -- connection slots ---------------------------------------------------------
 
+class _Arrival(NamedTuple):
+    """One scheduled request, queued on a slot until it is sent."""
+
+    due: float              # scheduled arrival (sim ns)
+    ctx: object             # trace context, ``None`` when spans are off
+    request: bytes          # the request bytes to send
+    tenant: str | None      # the tenant it is for (tenant study only)
+
+
 class _Slot:
     """One keep-alive connection plus its client-side FIFO of arrivals."""
 
-    __slots__ = ("conn", "queue", "ctxq", "inflight_arrival",
-                 "inflight_ctx", "rxbuf", "port")
+    __slots__ = ("conn", "queue", "inflight", "rxbuf", "port")
 
     def __init__(self, port: int = asynchttp.PORT) -> None:
         self.conn = None
-        self.queue: list[float] = []       # scheduled arrival times, FIFO
-        #: Trace contexts in lockstep with ``queue`` (``None`` entries
-        #: when spans are off, so pops never need a guard).
-        self.ctxq: list = []
-        self.inflight_arrival: float | None = None
-        self.inflight_ctx = None
+        self.queue: list[_Arrival] = []
+        self.inflight: _Arrival | None = None
         self.rxbuf = bytearray()
         self.port = port
 
@@ -222,10 +236,10 @@ class OpenLoopLoadGen:
     # -- response accounting (runs synchronously at delivery) ----------------
 
     def _complete(self, slot: _Slot, status: int, server_closes: bool) -> None:
-        latency = self.clock.now_ns - slot.inflight_arrival
-        slot.inflight_arrival = None
-        ctx = slot.inflight_ctx
-        slot.inflight_ctx = None
+        arrival = slot.inflight
+        slot.inflight = None
+        latency = self.clock.now_ns - arrival.due
+        ctx = arrival.ctx
         if status == 200:
             self.ok += 1
             outcome = "ok"
@@ -247,6 +261,7 @@ class OpenLoopLoadGen:
         else:
             self.reset += 1
             outcome = "reset"
+        self._account(arrival, outcome, latency)
         spans = self.machine.spans
         if spans is not None and ctx is not None:
             spans.complete_request(ctx, status, outcome)
@@ -256,7 +271,7 @@ class OpenLoopLoadGen:
 
     def _drain_slot(self, slot: _Slot) -> None:
         """Parse complete responses out of the slot's receive buffer."""
-        while slot.inflight_arrival is not None:
+        while slot.inflight is not None:
             buf = slot.rxbuf
             head_end = buf.find(b"\r\n\r\n")
             if head_end < 0:
@@ -275,7 +290,7 @@ class OpenLoopLoadGen:
             self._complete(slot, status, server_closes=closes)
 
     def _slot_eof(self, slot: _Slot) -> None:
-        if slot.inflight_arrival is not None:
+        if slot.inflight is not None:
             # Died mid-request with no complete response buffered.
             self._complete(slot, -1, server_closes=True)
         else:
@@ -298,43 +313,46 @@ class OpenLoopLoadGen:
 
     # -- request dispatch ----------------------------------------------------
 
+    def _arrival(self, index: int, due_at: float, ctx) -> _Arrival:
+        """The queue entry of scheduled arrival ``index``."""
+        return _Arrival(due_at, ctx, REQUEST_KEEPALIVE, None)
+
+    def _account(self, arrival: _Arrival, outcome: str,
+                 latency: float) -> None:
+        """Per-arrival accounting beyond the totals (tenant study)."""
+
     def _pump_slot(self, slot: _Slot) -> None:
         """Start the next queued request, reconnecting as needed."""
         spans = self.machine.spans
-        while slot.inflight_arrival is None and slot.queue:
+        while slot.inflight is None and slot.queue:
             if slot.conn is None:
                 conn = self.net.connect(LOCALHOST, slot.port)
                 if isinstance(conn, int):
                     # Kernel accept queue full: instant refusal.
-                    slot.queue.pop(0)
-                    ctx = slot.ctxq.pop(0)
-                    if spans is not None and ctx is not None:
-                        spans.mark_refused(ctx)
+                    arrival = slot.queue.pop(0)
+                    if spans is not None and arrival.ctx is not None:
+                        spans.mark_refused(arrival.ctx)
                     self.refused += 1
+                    self._account(arrival, "refused", 0.0)
                     continue
                 slot.conn = conn
                 self.net._service_endpoints[id(conn.client)] = \
                     _Recorder(self, slot)
-            slot.inflight_arrival = slot.queue.pop(0)
-            slot.inflight_ctx = slot.ctxq.pop(0)
+            slot.inflight = arrival = slot.queue.pop(0)
             if spans is not None:
                 # The pump often runs synchronously inside the server's
                 # response write, where ``scheduler.current`` is still
                 # the server goroutine: pin the outgoing context so the
                 # wire hook attributes these bytes to the new request.
-                spans.outgoing_ctx = slot.inflight_ctx
-                sent = slot.conn.client.send(REQUEST_KEEPALIVE)
+                spans.outgoing_ctx = arrival.ctx
+                sent = slot.conn.client.send(arrival.request)
                 spans.outgoing_ctx = None
             else:
-                sent = slot.conn.client.send(REQUEST_KEEPALIVE)
+                sent = slot.conn.client.send(arrival.request)
             if sent < 0:
                 # Connection died between responses: retry on a new one.
-                arrival = slot.inflight_arrival
-                ctx = slot.inflight_ctx
-                slot.inflight_arrival = None
-                slot.inflight_ctx = None
+                slot.inflight = None
                 slot.queue.insert(0, arrival)
-                slot.ctxq.insert(0, ctx)
                 self._drop_conn(slot)
 
     def _resume(self) -> None:
@@ -366,11 +384,10 @@ class OpenLoopLoadGen:
                 # still measured from ``due_at`` — queueing counts.)
                 self.clock.charge(due_at - self.clock.now_ns)
             slot = self.slots[next_idx % len(self.slots)]
-            slot.queue.append(due_at)
             spans = self.machine.spans
-            slot.ctxq.append(
-                spans.client_arrival(next_idx, due_at)
-                if spans is not None else None)
+            ctx = (spans.client_arrival(next_idx, due_at)
+                   if spans is not None else None)
+            slot.queue.append(self._arrival(next_idx, due_at, ctx))
             self._pump_slot(slot)
             self._resume()
         # Drain: every arrival dispatched; let in-flight work finish.

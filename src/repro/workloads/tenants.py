@@ -35,15 +35,15 @@ covered by committed sim-ns baselines and stay bit-identical.
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
 from repro.golite import compile_program
 from repro.image.linker import link
 from repro.machine import Machine, MachineConfig
-from repro.os.net import LOCALHOST
 from repro.workloads.httpserver import ERROR_RESPONSE
 from repro.workloads.loadgen import (
     ARRIVAL_PROCESSES,
     OpenLoopLoadGen,
-    _Recorder,
+    _Arrival,
 )
 
 PORT = 8083
@@ -284,9 +284,14 @@ def assign_profiles(count: int, faulty_frac: float = 0.10,
                     memhog_frac: float = 0.05) -> dict[str, str]:
     """Deterministic tenant -> profile map: the misbehaving tenants are
     spread evenly through the id space (no seams at round numbers)."""
+    if count < 1:
+        raise ConfigError(f"tenants must be >= 1, got {count}")
     n_faulty = round(count * faulty_frac)
     n_cpu = round(count * cpuhog_frac)
     n_mem = round(count * memhog_frac)
+    if min(n_faulty, n_cpu, n_mem) < 0 or n_faulty + n_cpu + n_mem > count:
+        raise ConfigError(f"cannot place {n_faulty} faulty, {n_cpu} cpuhog "
+                          f"and {n_mem} memhog tenants among {count}")
     profiles = {tenant_name(i): "healthy" for i in range(count)}
     taken: set[int] = set()
 
@@ -493,12 +498,11 @@ class TenantLoadGen(OpenLoopLoadGen):
     """Open-loop generator that spreads arrivals round-robin over the
     tenant roster and accounts outcomes per tenant.
 
-    Inherits the base slot/recorder machinery; the extra state lives in
-    parallel FIFOs keyed by slot index (arrival ``i`` goes to slot
-    ``i % pool`` and tenant ``i % len(tenants)``, both deterministic,
-    so the tenant queues can be precomputed).  A 500 — the kernel's
-    reclaim notice for a request whose handler goroutine was killed —
-    is a *contained tenant fault*, counted as ``failed``.
+    Inherits the base slot machinery and pump: arrival ``i`` is for
+    tenant ``i % len(tenants)``, whose name rides in the arrival's queue
+    entry next to its request bytes.  A 500 — the kernel's reclaim
+    notice for a request whose handler goroutine was killed — is a
+    *contained tenant fault*, counted as ``failed``.
     """
 
     def __init__(self, machine: Machine, arrivals: list[float], pool: int,
@@ -507,86 +511,30 @@ class TenantLoadGen(OpenLoopLoadGen):
         super().__init__(machine, arrivals, pool, port=port)
         self.manager = manager
         self.failed = 0
+        self.tenant_names = list(tenant_names)
         self.per_tenant: dict[str, dict] = {
             name: {"ok": 0, "failed": 0, "shed": 0, "refused": 0,
                    "reset": 0, "latencies": []}
             for name in tenant_names}
-        self._slot_index = {id(slot): i
-                            for i, slot in enumerate(self.slots)}
-        self._tenant_q: list[list[str]] = [[] for _ in self.slots]
-        for i in range(len(arrivals)):
-            self._tenant_q[i % len(self.slots)].append(
-                tenant_names[i % len(tenant_names)])
-        self._inflight_tid: dict[int, str] = {}
 
-    def _request_for(self, name: str) -> bytes:
-        tid = int(name[1:])
-        return (f"GET /t{tid:03d} HTTP/1.1\r\n"
-                f"Host: tenants.local\r\n"
-                f"User-Agent: openloop/1.0 (tenant-study)\r\n\r\n"
-                ).encode()
+    def _arrival(self, index: int, due_at: float, ctx) -> _Arrival:
+        name = self.tenant_names[index % len(self.tenant_names)]
+        request = (f"GET /t{int(name[1:]):03d} HTTP/1.1\r\n"
+                   f"Host: tenants.local\r\n"
+                   f"User-Agent: openloop/1.0 (tenant-study)\r\n\r\n")
+        return _Arrival(due_at, ctx, request.encode(), name)
 
-    # -- per-tenant accounting (then defer to the base bookkeeping) ----------
-
-    def _complete(self, slot, status: int, server_closes: bool) -> None:
-        index = self._slot_index[id(slot)]
-        name = self._inflight_tid.pop(index, None)
-        if name is not None:
-            record = self.per_tenant[name]
-            latency = self.clock.now_ns - slot.inflight_arrival
-            if status == 200:
-                record["ok"] += 1
-                record["latencies"].append(latency)
-                metrics = self.machine.metrics
-                if metrics is not None:
-                    metrics.tenant_latency.observe(latency, tenant=name)
-            elif status == 503:
-                record["shed"] += 1
-            elif status == 500:
-                record["failed"] += 1
-                self.failed += 1
-            else:
-                record["reset"] += 1
-        super()._complete(slot, status, server_closes)
-
-    def _pump_slot(self, slot) -> None:
-        index = self._slot_index[id(slot)]
-        tenant_q = self._tenant_q[index]
-        spans = self.machine.spans
-        while slot.inflight_arrival is None and slot.queue:
-            if slot.conn is None:
-                conn = self.net.connect(LOCALHOST, slot.port)
-                if isinstance(conn, int):
-                    slot.queue.pop(0)
-                    ctx = slot.ctxq.pop(0)
-                    if spans is not None and ctx is not None:
-                        spans.mark_refused(ctx)
-                    name = tenant_q.pop(0)
-                    self.refused += 1
-                    self.per_tenant[name]["refused"] += 1
-                    continue
-                slot.conn = conn
-                self.net._service_endpoints[id(conn.client)] = \
-                    _Recorder(self, slot)
-            slot.inflight_arrival = slot.queue.pop(0)
-            slot.inflight_ctx = slot.ctxq.pop(0)
-            name = tenant_q.pop(0)
-            self._inflight_tid[index] = name
-            if spans is not None:
-                spans.outgoing_ctx = slot.inflight_ctx
-                sent = slot.conn.client.send(self._request_for(name))
-                spans.outgoing_ctx = None
-            else:
-                sent = slot.conn.client.send(self._request_for(name))
-            if sent < 0:
-                arrival = slot.inflight_arrival
-                ctx = slot.inflight_ctx
-                slot.inflight_arrival = None
-                slot.inflight_ctx = None
-                slot.queue.insert(0, arrival)
-                slot.ctxq.insert(0, ctx)
-                tenant_q.insert(0, self._inflight_tid.pop(index))
-                self._drop_conn(slot)
+    def _account(self, arrival: _Arrival, outcome: str,
+                 latency: float) -> None:
+        record = self.per_tenant[arrival.tenant]
+        record[outcome] += 1
+        if outcome == "ok":
+            record["latencies"].append(latency)
+            metrics = self.machine.metrics
+            if metrics is not None:
+                metrics.tenant_latency.observe(latency, tenant=arrival.tenant)
+        elif outcome == "failed":
+            self.failed += 1
 
     def _resume(self) -> None:
         super()._resume()

@@ -59,6 +59,29 @@ class TestRun:
         assert "Traceback" not in err
 
 
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["macro", "--profile-period", "0"],
+        ["loadtest", "--backends", "mpk", "--offered", "abc"],
+        ["loadtest", "--backends", "mpk", "--offered", "0"],
+        ["loadtest", "--backends", "mpk", "--offered", "-100"],
+        ["loadtest", "--backends", "mpk", "--offered", "1000",
+         "--span-sample", "-0.5"],
+        ["loadtest", "--backends", "mpk", "--offered", "1000",
+         "--span-sample", "2"],
+        ["tenants", "--tenants", "0"],
+        ["tenants", "--tenants", "10", "--rate", "0"],
+        ["tenants", "--tenants", "10", "--faulty-frac", "2"],
+    ], ids=["profile-period-0", "offered-abc", "offered-0", "offered-neg",
+            "span-sample-neg", "span-sample-2", "tenants-0", "rate-0",
+            "faulty-frac-2"])
+    def test_out_of_range_input_is_a_named_error(self, capsys, argv):
+        assert main(argv + ["--requests", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert "Traceback" not in err
+
+
 class TestLayoutAndViews:
     def test_layout(self, golite_files, capsys):
         assert main(["layout", *golite_files]) == 0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.golite import build_program
 from repro.machine import Machine, MachineConfig
+from repro.obs import Observer
 from repro.os import LOCALHOST, Network, errno
 from repro.workloads import asynchttp, loadgen
 
@@ -63,6 +64,20 @@ class TestErrnoFidelity:
         assert conn.client.recv(64) == b""
 
 
+class QueueEvents(Observer):
+    """Records a network's accept-queue events."""
+
+    def __init__(self):
+        self.refused = []
+        self.depths = []
+
+    def on_refused(self, port):
+        self.refused.append(port)
+
+    def on_accept_queue(self, port, depth):
+        self.depths.append((port, depth))
+
+
 class TestAcceptQueue:
     def test_pending_is_a_deque(self):
         net = Network()
@@ -70,14 +85,13 @@ class TestAcceptQueue:
         assert isinstance(listener.pending, deque)
 
     def test_backlog_overflow_refused(self):
-        refused = []
         net = Network()
-        net.on_refused = refused.append
+        net.obs = events = QueueEvents()
         listener = net.bind_listen(7002, 2)
         assert not isinstance(net.connect(LOCALHOST, 7002), int)
         assert not isinstance(net.connect(LOCALHOST, 7002), int)
         assert net.connect(LOCALHOST, 7002) == -errno.ECONNREFUSED
-        assert refused == [7002]
+        assert events.refused == [7002]
         assert len(listener.pending) == 2
 
     def test_client_close_before_accept(self):
@@ -114,9 +128,8 @@ class TestAcceptQueue:
         assert net.connect(LOCALHOST, 7005) in listener.pending
 
     def test_shrinking_backlog_sheds_newest(self):
-        refused = []
         net = Network()
-        net.on_refused = refused.append
+        net.obs = events = QueueEvents()
         listener = net.bind_listen(7006, 8)
         conns = [net.connect(LOCALHOST, 7006) for _ in range(5)]
         listener.backlog = 2
@@ -125,18 +138,17 @@ class TestAcceptQueue:
         # Oldest two survive; the newest three were reset.
         assert all(not c.server.closed for c in conns[:2])
         assert all(c.server.closed for c in conns[2:])
-        assert refused == [7006, 7006, 7006]
+        assert events.refused == [7006, 7006, 7006]
 
     def test_backlog_gauge_tracks_depth(self):
-        depths = []
         net = Network()
-        net.on_backlog = lambda port, depth: depths.append((port, depth))
+        net.obs = events = QueueEvents()
         listener = net.bind_listen(7007, 4)
         net.connect(LOCALHOST, 7007)
         net.connect(LOCALHOST, 7007)
         net.accept(listener)
         net.unbind(7007)
-        assert depths == [(7007, 1), (7007, 2), (7007, 1), (7007, 0)]
+        assert events.depths == [(7007, 1), (7007, 2), (7007, 1), (7007, 0)]
 
 
 POLL_PROBE = """

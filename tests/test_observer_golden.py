@@ -384,7 +384,7 @@ GOLDEN: dict[str, dict[str, str]] = {
 
 @pytest.fixture(scope="module")
 def results(tmp_path_factory):
-    """``run -> digests(run)``, each run made once per session."""
+    """``run -> digests(run)``, each run made at most once."""
     cache: dict[str, tuple[dict[str, str], set]] = {}
 
     def get(run: str) -> tuple[dict[str, str], set]:

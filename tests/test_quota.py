@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ConfigError, QuotaFault
 from repro.machine import MachineConfig
+from repro.obs import Observer
 from repro.quota import QuotaSpec, QuotaTable, parse_quota_spec
 from tests.golite_helpers import run_golite
 
@@ -125,13 +126,19 @@ class TestQuotaTable:
             table.charge_steps(env, 600)
 
     def test_exceeded_log_and_callback(self):
+        class Overruns(Observer):
+            def __init__(self):
+                self.seen = []
+
+            def on_quota_exceeded(self, env, resource, limit, used):
+                self.seen.append((env, resource, limit, used))
+
         table = QuotaTable("t_1:steps=1")
-        seen = []
-        table.on_exceeded = lambda env, res: seen.append((env, res))
+        table.obs = Overruns()
         with pytest.raises(QuotaFault):
             table.charge_steps(_Env("t_1"), 5)
         assert table.exceeded == [("t_1", "steps")]
-        assert seen == [("t_1", "steps")]
+        assert table.obs.seen == [("t_1", "steps", 1, 5)]
 
 
 SPIN_APP = """

@@ -215,6 +215,13 @@ class TestExport:
         with pytest.raises(TraceFormatError):
             validate_span_trace(document)
 
+    def test_validator_rejects_non_json_file(self, tmp_path):
+        from repro.trace import TraceFormatError
+        path = tmp_path / "spans.json"
+        path.write_text('{"traceEvents": [')
+        with pytest.raises(TraceFormatError, match="not JSON"):
+            validate_span_trace(path)
+
     def test_multi_level_export_one_lane_each(self, tmp_path):
         r1 = _level(spans=True, requests=10)
         r2 = _level(spans=True, requests=10, seed=6)

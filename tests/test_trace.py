@@ -221,9 +221,10 @@ class TestDisabledTracer:
     def test_hooks_are_skipped_when_disabled(self):
         machine = Machine(build_image(), MachineConfig(backend="mpk"))
         machine.run()
+        assert machine.tracer is None
         for obj in (machine, machine.mmu, machine.kernel,
                     machine.litterbox, machine.scheduler):
-            assert obj.tracer is None
+            assert obj.obs is None
 
 
 class TestChromeExport:
@@ -323,9 +324,9 @@ class TestTracerUnit:
         clock.now_ns += 100.0
         inner = tracer.begin("syscall", "sys:pkey_mprotect")
         clock.now_ns += 50.0
-        tracer.end(inner)
+        assert tracer.end() is inner
         clock.now_ns += 25.0
-        tracer.end(outer)
+        assert tracer.end() is outer
         summary = tracer.summary()["trusted"]
         assert summary["transfer_ns"] == pytest.approx(175.0)
         # The nested syscall span is an event but not double counted.
@@ -342,11 +343,3 @@ class TestTracerUnit:
         summary = tracer.summary()
         assert summary["trusted"]["total_ns"] == pytest.approx(400.0)
         assert summary["encl"]["total_ns"] == pytest.approx(1100.0)
-
-    def test_note_attaches_to_innermost_span(self):
-        from repro.hw.clock import SimClock
-        tracer = Tracer(SimClock())
-        span = tracer.begin("syscall", "sys:write")
-        tracer.note(ret=7)
-        tracer.end(span)
-        assert tracer.events[0].args["ret"] == 7
