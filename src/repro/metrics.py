@@ -38,7 +38,7 @@ from repro.obs import Observer
 from repro.os.syscalls import CATEGORY_OF
 
 
-class MetricsFormatError(Exception):
+class MetricsFormatError(ValueError):
     """The exposition text violates the Prometheus text format."""
 
 

@@ -40,7 +40,8 @@ Exports
 * :meth:`Tracer.summary` — per-environment sim-time breakdown
   (switch/syscall/transfer/compute shares) for benchmarks to *measure*
   the Table 1/2 shape claims;
-* :meth:`Tracer.describe` — the ``--trace`` text report;
+* :meth:`Tracer.describe` and :func:`describe_trace` — the text
+  breakdown ``repro report`` prints;
 * :meth:`Tracer.chrome_trace` — Chrome trace-event JSON (one thread
   lane per environment; loadable in Perfetto / ``chrome://tracing``);
 * :func:`chrome_document`, :func:`write_chrome_json` and
@@ -354,31 +355,8 @@ class Tracer(Observer):
         return out
 
     def describe(self) -> list[str]:
-        """Human-readable per-environment breakdown for ``--trace``."""
-
-        def pct(part: float, whole: float) -> str:
-            return f"{100.0 * part / whole:.1f}%" if whole else "0.0%"
-
-        lines = [f"trace: {len(self.events)} enforcement events, "
-                 f"{self.clock.now_ns / 1e6:.3f} ms simulated"]
-        for env, row in self.summary().items():
-            counts = row["counts"]
-            total = row["total_ns"]
-            denied = sum(1 for e in self.select(cat="filter", env=env)
-                         if e.name == "filter:deny")
-            lines.append(
-                f"  {env}: total {total / 1e6:.3f} ms | "
-                f"switch {pct(row['switch_ns'], total)} "
-                f"(n={counts.get('prolog', 0) + counts.get('epilog', 0)}) "
-                f"syscall {pct(row['syscall_ns'], total)} "
-                f"(denied={denied}) "
-                f"transfer {pct(row['transfer_ns'], total)} "
-                f"(n={counts.get('transfer', 0)}) "
-                f"vm-exits={counts.get('vm_exit', 0)} "
-                f"violations={counts.get('violation', 0)} "
-                f"contained={counts.get('contain', 0)} "
-                f"compute {pct(row['compute_ns'], total)}")
-        return lines
+        """Human-readable per-environment breakdown (``repro report``)."""
+        return describe_trace(self.chrome_trace(), self.summary())
 
     # -- Chrome trace-event export -------------------------------------------
 
@@ -427,6 +405,44 @@ class Tracer(Observer):
         """Serialize :meth:`chrome_trace` to ``path``; returns the
         number of trace events written (metadata included)."""
         return write_chrome_json(path, self.chrome_trace())
+
+
+def describe_trace(document: dict, summary: dict) -> list[str]:
+    """The per-environment breakdown of a tracer's Chrome ``document``
+    and its :meth:`Tracer.summary`, as text: what ``repro report`` prints
+    for a bundle's ``trace.json`` and ``trace-summary.json``."""
+
+    def pct(part: float, whole: float) -> str:
+        return f"{100.0 * part / whole:.1f}%" if whole else "0.0%"
+
+    events = document["traceEvents"]
+    lanes = {event["tid"]: event["args"]["name"].removeprefix("env:")
+             for event in events if event["name"] == "thread_name"}
+    denied: dict[str, int] = {}
+    for event in events:
+        if event["name"] == "filter:deny":
+            env = lanes[event["tid"]]
+            denied[env] = denied.get(env, 0) + 1
+    recorded = sum(1 for event in events if event["ph"] != "M")
+    sim_ns = document["otherData"]["sim_total_ns"]
+    lines = [f"trace: {recorded} enforcement events, "
+             f"{sim_ns / 1e6:.3f} ms simulated"]
+    for env, row in summary.items():
+        counts = row["counts"]
+        total = row["total_ns"]
+        lines.append(
+            f"  {env}: total {total / 1e6:.3f} ms | "
+            f"switch {pct(row['switch_ns'], total)} "
+            f"(n={counts.get('prolog', 0) + counts.get('epilog', 0)}) "
+            f"syscall {pct(row['syscall_ns'], total)} "
+            f"(denied={denied.get(env, 0)}) "
+            f"transfer {pct(row['transfer_ns'], total)} "
+            f"(n={counts.get('transfer', 0)}) "
+            f"vm-exits={counts.get('vm_exit', 0)} "
+            f"violations={counts.get('violation', 0)} "
+            f"contained={counts.get('contain', 0)} "
+            f"compute {pct(row['compute_ns'], total)}")
+    return lines
 
 
 def chrome_document(events: list[dict], tool: str, **other) -> dict:
