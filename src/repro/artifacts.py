@@ -85,7 +85,7 @@ def write(dest, machines: list[tuple[str, object]], report=None,
         write_json(out / "stats.json", stats(machine))
 
 
-# -- reading --------------------------------------------------------------------
+# -- reading ------------------------------------------------------------------
 
 class Checked(NamedTuple):
     """One artifact of a bundle, checked."""

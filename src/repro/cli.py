@@ -8,15 +8,19 @@ Commands:
 * ``views FILE...`` — print every enclosure's computed memory view;
 * ``py FILE... [--mode M]`` — run Pylite modules (the last file is the
   main module; others are importable by their stem names);
+* ``macro``, ``loadtest``, ``tenants`` — drive the HTTP workloads
+  (containment smoke, open-loop capacity sweep, multi-tenant study);
 * ``micro`` — print the Table 1 microbenchmark row for this build;
-* ``report FILE...`` — validate/summarize ``--metrics`` expositions and
-  ``--profile`` folded stacks.
+* ``report DIR`` — check and summarize an artifact bundle.
 
-``run`` and ``macro`` share the observability flags: ``--metrics``,
-``--profile``/``--profile-period``, ``--stats-json``,
-``--trace-summary``, and ``--jit-stats`` (all off by default; none
-charges simulated time), plus ``--no-jit`` to force pure
-interpretation (simulated values are bit-identical either way).
+``run``, ``macro``, ``loadtest`` and ``tenants`` take ``--artifacts
+DIR``: it turns on the observers the command can attach (the tracer,
+metrics and the profiler on ``run`` and ``macro``; request spans on
+``loadtest`` and ``tenants``, whose metrics are always on) and writes
+everything they and the command produce to DIR (see
+:mod:`repro.artifacts`).  No observer charges simulated time.  ``run``
+and ``macro`` also take ``--no-jit`` to force pure interpretation
+(simulated values are bit-identical either way).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import pathlib
 import sys
 
+from repro import artifacts
 from repro.errors import ConfigError, SimError
 from repro.golite import build_program
 from repro.machine import Machine, MachineConfig
@@ -34,60 +39,17 @@ def _read_sources(paths: list[str]) -> list[str]:
     return [pathlib.Path(p).read_text() for p in paths]
 
 
-def _write_text(dest: str, text: str) -> None:
-    """Write ``text`` to a path, or to stdout when ``dest`` is ``-``."""
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        pathlib.Path(dest).write_text(text)
-
-
-def _emit_observability(machine: Machine, args: argparse.Namespace) -> None:
-    """Shared ``--metrics/--profile/--trace-summary/--stats-json``
-    output for the run and macro commands."""
-    import json
-
-    if getattr(args, "metrics", None) is not None:
-        _write_text(args.metrics, machine.metrics_registry.render_text())
-        if args.metrics != "-":
-            print(f"-- wrote metrics exposition to {args.metrics}",
-                  file=sys.stderr)
-    if getattr(args, "profile", None) is not None:
-        profiler = machine.profiler
-        count = profiler.write_folded(args.profile)
-        print(f"-- wrote {count} samples to {args.profile} "
-              f"(period {profiler.period_ns:g} sim-ns)", file=sys.stderr)
-        for line in profiler.top_table().splitlines():
-            print(f"--   {line}", file=sys.stderr)
-    if getattr(args, "trace_summary", None) is not None:
-        pathlib.Path(args.trace_summary).write_text(
-            json.dumps(machine.tracer.summary(), indent=1, sort_keys=True))
-        print(f"-- wrote trace summary to {args.trace_summary}",
-              file=sys.stderr)
-    if getattr(args, "stats_json", None) is not None:
-        clock = machine.clock
-        snapshot = {
-            "sim_ns": clock.now_ns,
-            "counters": {name: clock.count(name)
-                         for name in ("switches", "transfers",
-                                      "syscalls", "vm_exits")},
-            "perf": machine.perf.snapshot(),
-        }
-        _write_text(args.stats_json,
-                    json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
-        if args.stats_json != "-":
-            print(f"-- wrote perf counters to {args.stats_json}",
-                  file=sys.stderr)
-    if getattr(args, "jit_stats", False):
-        print(f"-- {machine.perf.describe_jit()}", file=sys.stderr)
+def _write_artifacts(dest: str, machines: list, **outputs) -> None:
+    artifacts.write(dest, machines, **outputs)
+    print(f"-- wrote artifacts to {dest}", file=sys.stderr)
 
 
 def _print_stats(machine: Machine) -> None:
-    clock = machine.clock
-    print(f"-- simulated time: {clock.now_ns / 1e6:.3f} ms",
+    stats = artifacts.stats(machine)
+    print(f"-- simulated time: {stats['sim_ns'] / 1e6:.3f} ms",
           file=sys.stderr)
-    for counter in ("switches", "transfers", "syscalls", "vm_exits"):
-        print(f"--   {counter}: {clock.count(counter)}", file=sys.stderr)
+    for counter, value in stats["counters"].items():
+        print(f"--   {counter}: {value}", file=sys.stderr)
     print("-- interpreter perf counters (wall-clock observability):",
           file=sys.stderr)
     for line in machine.perf.describe():
@@ -96,12 +58,10 @@ def _print_stats(machine: Machine) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     image = build_program(_read_sources(args.files))
+    observed = args.artifacts is not None
     machine = Machine(image, MachineConfig(
         backend=args.backend,
-        trace=args.trace is not None or args.trace_summary is not None,
-        metrics=args.metrics is not None,
-        profile=args.profile is not None,
-        profile_period_ns=args.profile_period,
+        trace=observed, metrics=observed, profile=observed,
         fault_policy=args.fault_policy,
         inject=args.inject,
         inject_seed=args.seed,
@@ -124,13 +84,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         for entry in contained:
             print(f"--   contained {entry['kind']}: {entry['detail']} "
                   f"[{entry['origin']}]", file=sys.stderr)
-    if args.trace is not None:
-        count = machine.tracer.write_chrome_trace(args.trace)
-        for line in machine.tracer.describe():
-            print(f"-- {line}", file=sys.stderr)
-        print(f"-- wrote {count} trace events to {args.trace}",
-              file=sys.stderr)
-    _emit_observability(machine, args)
+    if observed:
+        _write_artifacts(args.artifacts, [(args.backend, machine)])
     if args.stats:
         _print_stats(machine)
     return 0 if result.status in ("exited", "halted", "idle") else 1
@@ -181,22 +136,18 @@ def cmd_macro(args: argparse.Namespace) -> int:
     violation (answering poisoned requests with a 500) while clean
     responses stay identical.
     """
-    import json
-
     from repro.workloads.httpserver import run_http_server
 
+    observed = args.artifacts is not None
     config = MachineConfig(backend=args.backend,
-                           trace=args.trace_summary is not None,
-                           metrics=args.metrics is not None,
-                           profile=args.profile is not None,
-                           profile_period_ns=args.profile_period,
+                           trace=observed, metrics=observed,
+                           profile=observed,
                            fault_policy=args.fault_policy,
                            inject=args.inject,
                            inject_seed=args.seed,
                            quarantine_threshold=args.quarantine_threshold,
                            jit=not args.no_jit)
-    driver = run_http_server(args.backend, config=config,
-                             metrics=args.metrics is not None)
+    driver = run_http_server(args.backend, config=config, metrics=observed)
     machine = driver.machine
     ok = errors = other = 0
     reference: bytes | None = None
@@ -213,7 +164,7 @@ def cmd_macro(args: argparse.Namespace) -> int:
             errors += 1
         else:
             other += 1
-    if args.metrics is not None:
+    if observed:
         # End-to-end check: the simulated server itself must answer
         # GET /metrics with a valid exposition (the scrape is not
         # recorded, so the latency histogram count stays == --requests).
@@ -244,13 +195,12 @@ def cmd_macro(args: argparse.Namespace) -> int:
         "sim_ns": machine.clock.now_ns,
         **report,
     }
-    if args.report:
-        pathlib.Path(args.report).write_text(
-            json.dumps(summary, indent=2, default=str))
     print(f"-- macro[{args.backend}]: {ok} ok, {errors} errors, "
           f"{contained} contained faults "
           f"(policy={config.fault_policy})", file=sys.stderr)
-    _emit_observability(machine, args)
+    if observed:
+        _write_artifacts(args.artifacts, [(args.backend, machine)],
+                         report=summary)
     if args.stats:
         _print_stats(machine)
     if diverged:
@@ -276,8 +226,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     goodput-vs-offered-load capacity table with p50/p99/p999 tail
     latency; deterministic for a fixed ``--seed``.
     """
-    import json
-
     from repro.workloads import loadgen
 
     try:
@@ -287,7 +235,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                           f"got {args.offered!r}") from None
     policies = {"on": ["quarantine"], "off": ["abort"],
                 "both": ["abort", "quarantine"]}[args.containment]
-    spans_on = args.spans is not None or args.flight is not None
     results = []
     for backend in args.backends.split(","):
         for policy in policies:
@@ -296,51 +243,25 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 seed=args.seed, process=args.process, pool=args.pool,
                 maxconns=args.maxconns, backlog=args.backlog,
                 fault_policy=policy, cores=args.cores,
-                spans=spans_on, span_sample=args.span_sample,
-                inject=args.inject)
+                spans=args.artifacts is not None,
+                span_sample=args.span_sample, inject=args.inject,
+                slo_ms=args.slo_ms)
             results.extend(sweep)
-            slo_ns = args.slo_ms * 1e6
-            capacity = loadgen.capacity_at_slo(sweep, slo_ns)
+            capacity = loadgen.capacity_at_slo(sweep, args.slo_ms * 1e6)
             print(f"-- loadtest[{backend}/{policy}]: capacity at "
                   f"p99<{args.slo_ms:g}ms = {capacity:.0f} req/s "
                   f"(cores={args.cores})",
                   file=sys.stderr)
     table = loadgen.format_table(results, slo_ms=args.slo_ms)
-    if args.table:
-        pathlib.Path(args.table).write_text(table + "\n")
-        print(f"-- wrote capacity table to {args.table}", file=sys.stderr)
-    else:
-        print(table)
-    if args.report:
+    print(table)
+    if args.artifacts is not None:
         # Same slo_ms as the table, so the JSON and markdown verdicts
         # agree field-for-field.
-        doc = [r.to_dict(args.slo_ms) for r in results]
-        pathlib.Path(args.report).write_text(
-            json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"-- wrote loadtest report to {args.report}", file=sys.stderr)
-    recorders = [(f"{r.backend}/{r.policy}/{r.offered_rps:g}", r.spans)
-                 for r in results if r.spans is not None]
-    if args.spans is not None and recorders:
-        from repro.spans import write_span_trace
-        count = write_span_trace(args.spans, recorders)
-        print(f"-- wrote {count} span events to {args.spans}",
-              file=sys.stderr)
-    if args.flight is not None and recorders:
-        flight = {label: rec.flight_recorder()
-                  for label, rec in recorders}
-        pathlib.Path(args.flight).write_text(
-            json.dumps(flight, indent=1, sort_keys=True) + "\n")
-        print(f"-- wrote flight-recorder dumps to {args.flight}",
-              file=sys.stderr)
-    if args.exemplars is not None:
-        registry = next((r.registry for r in reversed(results)
-                         if r.registry is not None), None)
-        if registry is not None:
-            _write_text(args.exemplars,
-                        registry.render_text(exemplars=True))
-            if args.exemplars != "-":
-                print(f"-- wrote exemplar exposition to {args.exemplars}",
-                      file=sys.stderr)
+        _write_artifacts(
+            args.artifacts,
+            [(f"{r.backend}/{r.policy}/{r.offered_rps:g}", r.machine)
+             for r in results],
+            report=[r.to_dict(args.slo_ms) for r in results], table=table)
     # Sanity gate for CI: every request must be accounted for, and at
     # least one level per backend must reach the server's saturation
     # regime (goodput below offered) so the curve actually bends.
@@ -363,16 +284,13 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     containment gates (all misbehaving tenants quarantined/evicted, no
     healthy tenant harmed, healthy p99 within 2x of baseline).
     """
-    import json
-
     from repro.workloads import tenants as tenants_mod
 
     results = []
-    recorders = []
+    machines = []
     status = 0
     for backend in args.backends.split(","):
-        spans_out = [] if args.spans is not None else None
-        report = tenants_mod.run_tenants_study(
+        report, legs = tenants_mod.tenants_study(
             backend, tenants=args.tenants, requests=args.requests,
             offered_rps=args.rate, seed=args.seed, process=args.process,
             pool=args.pool,
@@ -383,12 +301,10 @@ def cmd_tenants(args: argparse.Namespace) -> int:
             cpuhog_frac=args.cpuhog_frac,
             memhog_frac=args.memhog_frac,
             cores=args.cores,
-            spans=args.spans is not None,
-            span_sample=args.span_sample,
-            spans_out=spans_out)
-        if spans_out:
-            recorders.extend((f"{backend}/{label}", recorder)
-                             for label, recorder in spans_out)
+            spans=args.artifacts is not None,
+            span_sample=args.span_sample)
+        machines.extend((f"{backend}/{leg}", machine)
+                        for leg, machine in legs)
         results.append(report)
         print(tenants_mod.format_report(report))
         print()
@@ -403,53 +319,23 @@ def cmd_tenants(args: argparse.Namespace) -> int:
                     print(f"repro: tenants gate failed on {backend}: "
                           f"{name}", file=sys.stderr)
             status = 1
-    if args.report:
-        pathlib.Path(args.report).write_text(
-            json.dumps(results, indent=1, sort_keys=True) + "\n")
-        print(f"-- wrote tenants report to {args.report}", file=sys.stderr)
-    if args.spans is not None and recorders:
-        from repro.spans import write_span_trace
-        count = write_span_trace(args.spans, recorders)
-        print(f"-- wrote {count} span events to {args.spans}",
-              file=sys.stderr)
+    if args.artifacts is not None:
+        _write_artifacts(args.artifacts, machines, report=results)
     return status
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Summarize observability artifacts: Prometheus expositions are
-    validated and totalled; folded profiles get a perf-top table."""
-    from repro import profiler as prof
-    from repro.metrics import MetricsFormatError, validate_exposition
-
+    """Check every artifact of a bundle with its validator and print
+    its summary; exit 1 if any fails, naming it."""
     status = 0
-    for path in args.files:
-        text = pathlib.Path(path).read_text()
+    for path, lines, error in artifacts.read(args.dir, top=args.top):
+        if error is not None:
+            print(f"repro: {path}: {error}", file=sys.stderr)
+            status = 1
+            continue
         print(f"== {path}")
-        stripped = text.lstrip()
-        if stripped.startswith("#"):
-            try:
-                samples = validate_exposition(text)
-            except MetricsFormatError as err:
-                print(f"repro: invalid exposition: {err}", file=sys.stderr)
-                status = 1
-                continue
-            families = sorted(
-                (line.split()[2], line.split()[3])
-                for line in text.splitlines()
-                if line.startswith("# TYPE "))
-            print(f"valid exposition: {samples} samples, "
-                  f"{len(families)} families")
-            for name, typename in families:
-                print(f"  {name} ({typename})")
-        else:
-            try:
-                stacks = prof.parse_folded(text)
-            except ValueError as err:
-                print(f"repro: invalid folded profile: {err}",
-                      file=sys.stderr)
-                status = 1
-                continue
-            print(prof.top_table(stacks, n=args.top))
+        for line in lines:
+            print(line)
     return status
 
 
@@ -474,30 +360,20 @@ def cmd_micro(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_artifacts_arg(parser: argparse.ArgumentParser,
+                       observers: str) -> None:
+    parser.add_argument("--artifacts", metavar="DIR", default=None,
+                        help=f"turn on {observers} and write every "
+                             f"output to DIR ('repro report DIR' "
+                             f"checks it)")
+
+
 def _add_observability_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metrics", metavar="OUT|-", default=None,
-                        help="enable the metrics registry and write the "
-                             "Prometheus text exposition (- for stdout)")
-    parser.add_argument("--profile", metavar="OUT.folded", default=None,
-                        help="enable the sim-time sampling profiler and "
-                             "write collapsed stacks (top table on stderr)")
-    parser.add_argument("--profile-period", type=float, default=1000.0,
-                        metavar="NS",
-                        help="profiler sampling period in simulated ns "
-                             "(default: 1000)")
-    parser.add_argument("--stats-json", metavar="OUT|-", default=None,
-                        help="write sim time, clock counters, and the "
-                             "interpreter perf snapshot as JSON")
-    parser.add_argument("--trace-summary", metavar="OUT.json", default=None,
-                        help="enable the tracer and write its per-env "
-                             "summary as JSON")
+    _add_artifacts_arg(parser, "the tracer, metrics and the profiler")
     parser.add_argument("--no-jit", action="store_true",
                         help="disable the tracing JIT (pure "
                              "interpretation; simulated values are "
                              "bit-identical either way)")
-    parser.add_argument("--jit-stats", action="store_true",
-                        help="print the JIT summary (traces compiled, "
-                             "coverage, deopts) on stderr")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -511,9 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--backend", default="mpk",
                        choices=["baseline", "mpk", "vtx", "lwc"])
     p_run.add_argument("--stats", action="store_true")
-    p_run.add_argument("--trace", metavar="OUT.json", default=None,
-                       help="enable the enforcement-event tracer and "
-                            "write a Chrome trace-event JSON file")
     p_run.add_argument("--fault-policy", default="abort",
                        choices=["abort", "kill-goroutine", "quarantine"],
                        help="what a fault inside an enclosure does")
@@ -541,8 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     p_macro.add_argument("--expect-contained", type=int, default=0,
                          help="fail unless at least this many faults "
                               "were contained")
-    p_macro.add_argument("--report", metavar="OUT.json", default=None,
-                         help="write the containment report as JSON")
     p_macro.add_argument("--stats", action="store_true")
     _add_observability_args(p_macro)
     p_macro.set_defaults(func=cmd_macro)
@@ -570,7 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     p_loadtest.add_argument("--backlog", type=int, default=64,
                             help="kernel accept-queue bound")
     p_loadtest.add_argument("--slo-ms", type=float, default=1.0,
-                            help="p99 SLO for the capacity figure (ms)")
+                            help="p99 SLO for the capacity figure (ms); "
+                                 "request spans slower than it are "
+                                 "flagged")
     p_loadtest.add_argument("--cores", type=int, default=1,
                             help="simulated cores (one server worker "
                                  "and listener port per core)")
@@ -578,14 +451,7 @@ def main(argv: list[str] | None = None) -> int:
                             choices=["on", "off", "both"],
                             help="fault policy under load: on=quarantine, "
                                  "off=abort")
-    p_loadtest.add_argument("--table", metavar="OUT.md", default=None,
-                            help="write the markdown capacity table")
-    p_loadtest.add_argument("--report", metavar="OUT.json", default=None,
-                            help="write per-level results as JSON")
-    p_loadtest.add_argument("--spans", metavar="OUT.json", default=None,
-                            help="enable request-scoped tracing and write "
-                                 "the span export (Chrome trace-event "
-                                 "JSON, one lane per level)")
+    _add_artifacts_arg(p_loadtest, "request spans")
     p_loadtest.add_argument("--span-sample", type=float, default=1.0,
                             metavar="FRAC",
                             help="tail-sampling keep fraction for healthy "
@@ -593,13 +459,6 @@ def main(argv: list[str] | None = None) -> int:
     p_loadtest.add_argument("--inject", metavar="SPEC", default=None,
                             help="fault-injection spec for the serving "
                                  "machine (see 'run --inject')")
-    p_loadtest.add_argument("--flight", metavar="OUT.json", default=None,
-                            help="enable spans and write the per-level "
-                                 "flight-recorder dumps (black boxes of "
-                                 "contained faults)")
-    p_loadtest.add_argument("--exemplars", metavar="OUT|-", default=None,
-                            help="write the last level's exposition with "
-                                 "trace-id exemplars on latency buckets")
     p_loadtest.set_defaults(func=cmd_loadtest)
 
     p_tenants = sub.add_parser(
@@ -637,11 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     p_tenants.add_argument("--check-gates", action="store_true",
                            help="exit nonzero unless every containment "
                                 "gate passes")
-    p_tenants.add_argument("--report", metavar="OUT.json", default=None,
-                           help="write the study reports as JSON")
-    p_tenants.add_argument("--spans", metavar="OUT.json", default=None,
-                           help="enable request-scoped tracing on both "
-                                "legs and write the span export")
+    _add_artifacts_arg(p_tenants, "request spans on both legs")
     p_tenants.add_argument("--span-sample", type=float, default=1.0,
                            metavar="FRAC",
                            help="tail-sampling keep fraction for healthy "
@@ -649,9 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     p_tenants.set_defaults(func=cmd_tenants)
 
     p_report = sub.add_parser(
-        "report", help="summarize --metrics/--profile artifacts")
-    p_report.add_argument("files", nargs="+",
-                          help="Prometheus exposition or folded-stack files")
+        "report", help="check and summarize an --artifacts bundle")
+    p_report.add_argument("dir", metavar="DIR",
+                          help="the bundle's directory")
     p_report.add_argument("--top", type=int, default=12,
                           help="stacks to show for folded profiles")
     p_report.set_defaults(func=cmd_report)

@@ -163,6 +163,7 @@ class PerfStats:
     # -- reporting ---------------------------------------------------------
 
     def as_dict(self) -> dict:
+        """JSON-ready counters (``stats.json`` in an artifact bundle)."""
         return {
             "runs": self.runs,
             "tlb_hits": self.tlb_hits,
@@ -187,14 +188,8 @@ class PerfStats:
             "ops": self.expanded_ops(),
         }
 
-    def snapshot(self) -> dict:
-        """JSON-ready counter snapshot (``--stats-json``; CI diffs
-        these between runs).  Alias of :meth:`as_dict` under the name
-        the tooling expects."""
-        return self.as_dict()
-
     def describe_jit(self) -> str:
-        """One-line JIT summary (``--stats`` and ``--jit-stats``)."""
+        """One-line JIT summary (a ``--stats`` line)."""
         insns = self.instructions
         share = (self.jit_insns / insns) if insns else 0.0
         deopts = ", ".join(f"{reason}:{count}" for reason, count

@@ -122,18 +122,20 @@ class TraceContext:
 
     @classmethod
     def parse_traceparent(cls, text: str) -> "TraceContext | None":
+        """The context of a W3C ``traceparent`` header; ``None`` for
+        anything the spec forbids."""
         parts = text.split("-")
         if len(parts) != 4 or parts[0] != "00":
             return None
-        tid, sid = parts[1], parts[2]
-        if len(tid) != 32 or len(sid) != 16:
+        tid, sid, flags = parts[1:]
+        if len(tid) != 32 or len(sid) != 16 or len(flags) != 2:
             return None
-        if not (set(tid) <= _HEX32 and set(sid) <= _HEX32):
+        if not set(tid + sid + flags) <= _HEX32:
             return None
-        trace_id = int(tid, 16)
-        if trace_id == 0:
+        trace_id, span_id = int(tid, 16), int(sid, 16)
+        if trace_id == 0 or span_id == 0:
             return None
-        return cls(trace_id, int(sid, 16))
+        return cls(trace_id, span_id)
 
     def __repr__(self) -> str:
         return f"TraceContext({self.to_traceparent()})"

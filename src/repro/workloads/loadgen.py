@@ -175,12 +175,9 @@ class LoadResult:
     p99_ns: float = 0.0
     p999_ns: float = 0.0
     latencies_ns: list[float] = field(default_factory=list)
-    #: The serving machine's span recorder (``None`` unless the level
-    #: ran with spans); not serialized — the CLI exports it separately.
-    spans: object = field(default=None, repr=False)
-    #: The serving machine's metrics registry, for exemplar-annotated
-    #: expositions; not serialized.
-    registry: object = field(default=None, repr=False)
+    #: The serving machine, whose observers the CLI writes to the
+    #: level's artifact directory; not serialized.
+    machine: object = field(default=None, repr=False)
 
     def slo_met(self, slo_ms: float = DEFAULT_SLO_MS) -> bool:
         """The table's "p99<SLO" verdict — the single source of truth,
@@ -432,21 +429,24 @@ def run_level(backend: str, offered_rps: float, requests: int, seed: int,
               config: MachineConfig | None = None,
               cores: int = 1, spans: bool = False,
               span_sample: float = 1.0,
-              inject: str | None = None) -> LoadResult:
+              inject: str | None = None,
+              slo_ms: float = DEFAULT_SLO_MS) -> LoadResult:
     """One offered-load level on a fresh machine.
 
     ``cores > 1`` boots an SMP machine with one server worker (its own
     listener on ``PORT + i``) per core and spreads the connection pool
     across the workers' ports.  ``spans`` arms the request-span
-    recorder (trace ids derive from ``seed``); ``inject`` forwards a
-    fault-injection spec so the flight recorder has faults to dump."""
+    recorder (trace ids derive from ``seed``), which flags a trace
+    slower than ``slo_ms``; ``inject`` forwards a fault-injection spec
+    so the flight recorder has faults to dump."""
     arrivals = ARRIVAL_PROCESSES[process](offered_rps, requests, seed)
     workers = max(1, cores)
     if config is None:
         config = MachineConfig(backend=backend, metrics=True,
                                fault_policy=fault_policy, cores=cores,
                                inject=inject, spans=spans,
-                               span_seed=seed, span_sample=span_sample)
+                               span_seed=seed, span_sample=span_sample,
+                               span_slo_ns=slo_ms * 1e6)
     machine = asynchttp.run_async_server(
         backend, config=config, maxconns=maxconns, backlog=backlog,
         workers=workers)
@@ -458,8 +458,7 @@ def run_level(backend: str, offered_rps: float, requests: int, seed: int,
     result.policy = fault_policy
     result.contained = len(machine.containment_report()["contained"])
     result.cores = machine.config.cores
-    result.spans = machine.spans
-    result.registry = machine.metrics_registry
+    result.machine = machine
     return result
 
 

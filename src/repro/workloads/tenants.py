@@ -594,28 +594,33 @@ def _run_leg(backend: str, profiles: dict[str, str], arrivals: list[float],
     return machine, gen, manager
 
 
-def run_tenants_study(backend: str, tenants: int = 100,
-                      requests: int = 4000, offered_rps: float = 10_000.0,
-                      seed: int = 1, process: str = "poisson",
-                      pool: int = 8, quotas: str = DEFAULT_QUOTAS,
-                      revive_limit: int = 1,
-                      faulty_frac: float = 0.10,
-                      cpuhog_frac: float = 0.02,
-                      memhog_frac: float = 0.03,
-                      maxconns: int = DEFAULT_MAXCONNS,
-                      backlog: int = DEFAULT_BACKLOG,
-                      profiles: dict[str, str] | None = None,
-                      cores: int = 1, spans: bool = False,
-                      span_sample: float = 1.0,
-                      spans_out: list | None = None) -> dict:
+def run_tenants_study(*args, **kwargs) -> dict:
+    """The report of :func:`tenants_study`."""
+    return tenants_study(*args, **kwargs)[0]
+
+
+def tenants_study(backend: str, tenants: int = 100,
+                  requests: int = 4000, offered_rps: float = 10_000.0,
+                  seed: int = 1, process: str = "poisson",
+                  pool: int = 8, quotas: str = DEFAULT_QUOTAS,
+                  revive_limit: int = 1,
+                  faulty_frac: float = 0.10,
+                  cpuhog_frac: float = 0.02,
+                  memhog_frac: float = 0.03,
+                  maxconns: int = DEFAULT_MAXCONNS,
+                  backlog: int = DEFAULT_BACKLOG,
+                  profiles: dict[str, str] | None = None,
+                  cores: int = 1, spans: bool = False,
+                  span_sample: float = 1.0,
+                  ) -> tuple[dict, list[tuple[str, Machine]]]:
     """Containment-under-load: a no-injection all-healthy baseline leg,
     then the mixed-roster leg with injected faults and quotas, at the
     same offered load.  Returns a deterministic report (the CI smoke
-    runs it twice and diffs the JSON byte-for-byte).
+    runs it twice and diffs the bundles byte-for-byte) and the legs'
+    ``(label, machine)`` pairs, ``baseline`` then ``study``.
 
-    ``spans`` arms the request-span recorder on both legs;
-    ``spans_out``, when a list, receives the ``(label, recorder)``
-    pairs for export (the JSON report itself never changes shape).
+    ``spans`` arms the request-span recorder on both legs (the report
+    itself never changes shape).
     """
     if profiles is None:
         profiles = assign_profiles(tenants, faulty_frac, cpuhog_frac,
@@ -645,9 +650,6 @@ def run_tenants_study(backend: str, tenants: int = 100,
         quotas=quotas, revive_limit=revive_limit, maxconns=maxconns,
         backlog=backlog, virtualize_keys=virtualize, cores=cores,
         spans=spans, span_seed=seed, span_sample=span_sample)
-    if spans_out is not None and base_machine.spans is not None:
-        spans_out.append(("baseline", base_machine.spans))
-        spans_out.append(("study", machine.spans))
     study = _healthy_latency_summary(gen, healthy)
     study.update(ok=gen.ok, failed=gen.failed, shed=gen.shed,
                  refused=gen.refused, reset=gen.reset)
@@ -691,7 +693,7 @@ def run_tenants_study(backend: str, tenants: int = 100,
         "injected": (report.get("injector", {}).get("total_fired", 0)
                      if "injector" in report else 0),
         "gates": gates,
-    }
+    }, [("baseline", base_machine), ("study", machine)]
 
 
 def format_report(report: dict) -> str:

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -61,7 +63,6 @@ class TestRun:
 
 class TestOutOfRangeInputs:
     @pytest.mark.parametrize("argv", [
-        ["macro", "--profile-period", "0"],
         ["loadtest", "--backends", "mpk", "--offered", "abc"],
         ["loadtest", "--backends", "mpk", "--offered", "0"],
         ["loadtest", "--backends", "mpk", "--offered", "-100"],
@@ -72,7 +73,7 @@ class TestOutOfRangeInputs:
         ["tenants", "--tenants", "0"],
         ["tenants", "--tenants", "10", "--rate", "0"],
         ["tenants", "--tenants", "10", "--faulty-frac", "2"],
-    ], ids=["profile-period-0", "offered-abc", "offered-0", "offered-neg",
+    ], ids=["offered-abc", "offered-0", "offered-neg",
             "span-sample-neg", "span-sample-2", "tenants-0", "rate-0",
             "faulty-frac-2"])
     def test_out_of_range_input_is_a_named_error(self, capsys, argv):
@@ -138,18 +139,16 @@ class TestContainmentFlags:
         assert "denied-entry" in err
 
     def test_macro_smoke_with_injection(self, tmp_path, capsys):
-        report = tmp_path / "containment.json"
         code = main(["macro", "--backend", "mpk", "--requests", "12",
                      "--fault-policy", "quarantine",
                      "--quarantine-threshold", "1000",
                      "--inject", "pkey@main_1:every=3", "--seed", "7",
                      "--expect-contained", "3",
-                     "--report", str(report)])
+                     "--artifacts", str(tmp_path)])
         assert code == 0
         err = capsys.readouterr().err
         assert "contained faults" in err
-        import json
-        data = json.loads(report.read_text())
+        data = json.loads((tmp_path / "report.json").read_text())
         assert data["ok"] + data["errors"] == 12
         assert len(data["contained"]) >= 3
         assert data["injector"]["seed"] == 7
@@ -160,3 +159,87 @@ class TestContainmentFlags:
                      "--expect-contained", "1"])
         assert code == 1
         assert "expected" in capsys.readouterr().err
+
+
+def _bundle(root) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+MACHINE_FILES = ("containment.json", "stats.json")
+TRACED_FILES = ("trace.json", "trace-summary.json", "metrics.prom",
+                "profile.folded", *MACHINE_FILES)
+SPANNED_FILES = ("metrics.prom", "flight.json", *MACHINE_FILES)
+
+#: Smoke-scale commands and the bundle each writes.
+SMOKES = {
+    "macro": (["macro", "--requests", "4", "--fault-policy", "quarantine",
+               "--inject", "pkey@main_1:every=2", "--seed", "7"],
+              {"report.json", *(f"mpk/{f}" for f in TRACED_FILES)}),
+    "loadtest": (["loadtest", "--backends", "mpk", "--offered", "10000",
+                  "--requests", "20", "--seed", "7", "--containment", "on",
+                  "--inject", "pkey@main_1:every=5"],
+                 {"report.json", "table.md", "spans.json",
+                  *(f"mpk/quarantine/10000/{f}" for f in SPANNED_FILES)}),
+    "tenants": (["tenants", "--tenants", "6", "--requests", "30",
+                 "--faulty-frac", "0.2", "--cpuhog-frac", "0",
+                 "--memhog-frac", "0"],
+                {"report.json", "spans.json",
+                 *(f"mpk/{leg}/{f}" for leg in ("baseline", "study")
+                   for f in SPANNED_FILES)}),
+}
+
+
+class TestArtifacts:
+    """``--artifacts DIR`` writes one bundle; ``report DIR`` checks it."""
+
+    def _run(self, golite_files, dest):
+        assert main(["run", *golite_files, "--backend", "mpk",
+                     "--artifacts", str(dest)]) == 0
+        return dest
+
+    def test_run_bundle_reports_clean(self, golite_files, tmp_path, capsys):
+        dest = self._run(golite_files, tmp_path / "run")
+        assert set(_bundle(dest)) == {f"mpk/{f}" for f in TRACED_FILES}
+        capsys.readouterr()
+        assert main(["report", str(dest)]) == 0
+        out = capsys.readouterr().out
+        assert "== mpk/trace.json\ntrace: " in out
+        assert "valid exposition" in out and "(total)" in out
+
+    @pytest.mark.parametrize("command", sorted(SMOKES))
+    def test_smoke_bundle_reports_clean(self, tmp_path, capsys, command):
+        argv, files = SMOKES[command]
+        assert main(argv + ["--artifacts", str(tmp_path)]) == 0
+        assert set(_bundle(tmp_path)) == files
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\n== ") + 1 == len(files)
+
+    def test_bundle_is_deterministic(self, tmp_path):
+        argv, _ = SMOKES["loadtest"]
+        for run in ("a", "b"):
+            assert main(argv + ["--artifacts", str(tmp_path / run)]) == 0
+        assert _bundle(tmp_path / "a") == _bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("name, damage", [
+        ("metrics.prom", lambda text: text[:len(text) // 2]),
+        ("trace.json", lambda text: "not json"),
+    ], ids=["truncated-metrics", "non-json-trace"])
+    def test_damaged_file_is_named(self, golite_files, tmp_path, capsys,
+                                   name, damage):
+        dest = self._run(golite_files, tmp_path)
+        path = dest / "mpk" / name
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert main(["report", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: mpk/{name}: ")
+        assert err.count("repro: ") == 1
+
+    def test_empty_dir_is_a_named_error(self, tmp_path, capsys):
+        # A missing DIR is TestRun::test_missing_input_is_a_named_error.
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"repro: {tmp_path}: no artifacts\n"

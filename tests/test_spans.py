@@ -69,6 +69,8 @@ class TestTraceContext:
         "00-" + "0" * 32 + "-" + "0" * 16 + "-01",       # all-zero trace id
         "00-" + "g" * 32 + "-" + "0" * 16 + "-01",       # non-hex
         "00-" + "0" * 31 + "1-" + "0" * 15 + "-01",      # short span id
+        "00-" + "0" * 31 + "1-" + "0" * 16 + "-01",      # all-zero parent id
+        "00-" + "0" * 31 + "1-" + "0" * 15 + "1-zz",     # non-hex flags
     ])
     def test_parse_rejects_malformed(self, bad):
         assert TraceContext.parse_traceparent(bad) is None
@@ -92,7 +94,7 @@ class TestPropagation:
     def test_request_span_tree_is_complete(self):
         result = _level(spans=True)
         assert result.ok == result.requests
-        kept, summary = result.spans.sampled_records()
+        kept, summary = result.machine.spans.sampled_records()
         assert summary["total"] == result.requests
         assert len(kept) == result.requests
         for record in kept:
@@ -110,7 +112,7 @@ class TestPropagation:
 
     def test_trace_ids_match_seed_derivation(self):
         result = _level(spans=True, seed=9)
-        kept, _ = result.spans.sampled_records()
+        kept, _ = result.machine.spans.sampled_records()
         for record in kept:
             expected = TraceContext.derive(9, record.index)
             assert record.trace_id == expected.trace_id
@@ -146,7 +148,7 @@ class TestBitIdentity:
 class TestTailSampling:
     def test_healthy_fraction_is_exact(self):
         result = _level(spans=True, span_sample=0.25)
-        kept, summary = result.spans.sampled_records()
+        kept, summary = result.machine.spans.sampled_records()
         assert summary["flagged"] == 0
         assert summary["healthy"] == result.requests
         assert summary["healthy_kept"] == int(0.25 * result.requests)
@@ -154,8 +156,8 @@ class TestTailSampling:
 
     def test_lowest_hashes_win_deterministically(self):
         result = _level(spans=True, span_sample=0.2)
-        kept, _ = result.spans.sampled_records()
-        all_records = list(result.spans.traces.values())
+        kept, _ = result.machine.spans.sampled_records()
+        all_records = list(result.machine.spans.traces.values())
         ranked = sorted(all_records,
                         key=lambda r: (sample_hash(r.trace_id), r.index))
         expected = sorted(ranked[:int(0.2 * len(all_records))],
@@ -170,7 +172,7 @@ class TestTailSampling:
         result = _level(spans=True, span_sample=0.0,
                         fault_policy="quarantine",
                         inject="pkey@main_1:every=10")
-        recorder = result.spans
+        recorder = result.machine.spans
         kept, summary = recorder.sampled_records()
         assert summary["healthy_kept"] == 0
         flagged = [r for r in recorder.traces.values()
@@ -178,11 +180,23 @@ class TestTailSampling:
         assert len(kept) == len(flagged) == summary["flagged"]
         assert any("faulted" in r.flags for r in kept)
 
+    def test_level_slo_sets_the_span_slo(self):
+        """A loadtest level's SLO is the recorder's: past saturation
+        the default 1 ms flags traces, a 1 s SLO flags none."""
+        flags = {}
+        for slo_ms in (loadgen.DEFAULT_SLO_MS, 1000.0):
+            result = _level(spans=True, offered_rps=60_000.0,
+                            requests=120, seed=7, slo_ms=slo_ms)
+            flags[slo_ms] = [record.flags for record
+                             in result.machine.spans.traces.values()]
+        assert any("slo" in f for f in flags[loadgen.DEFAULT_SLO_MS])
+        assert not any("slo" in f for f in flags[1000.0])
+
     def test_slo_breach_is_flagged(self):
         config = MachineConfig(backend="mpk", metrics=True, spans=True,
                                span_seed=5, span_slo_ns=1.0)
         result = _level(config=config)
-        kept, summary = result.spans.sampled_records()
+        kept, summary = result.machine.spans.sampled_records()
         # A 1ns SLO: every completed request exceeds it.
         assert summary["flagged"] == summary["total"]
         assert all("slo" in r.flags for r in kept)
@@ -197,7 +211,7 @@ class TestExport:
             result = _level(spans=True, span_sample=0.5, cores=4,
                             requests=60)
             path = tmp_path / f"spans-{run}.json"
-            write_span_trace(path, [("mpk/20k", result.spans)])
+            write_span_trace(path, [("mpk/20k", result.machine.spans)])
             validate_span_trace(path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
@@ -205,7 +219,7 @@ class TestExport:
     def test_validator_rejects_missing_trace_id(self, tmp_path):
         result = _level(spans=True, requests=10)
         path = tmp_path / "spans.json"
-        write_span_trace(path, [("lvl", result.spans)])
+        write_span_trace(path, [("lvl", result.machine.spans)])
         document = json.loads(path.read_text())
         for event in document["traceEvents"]:
             if event["ph"] != "M":
@@ -226,7 +240,8 @@ class TestExport:
         r1 = _level(spans=True, requests=10)
         r2 = _level(spans=True, requests=10, seed=6)
         path = tmp_path / "spans.json"
-        write_span_trace(path, [("one", r1.spans), ("two", r2.spans)])
+        write_span_trace(path, [("one", r1.machine.spans),
+                                ("two", r2.machine.spans)])
         document = json.loads(path.read_text())
         names = {event["args"]["name"]
                  for event in document["traceEvents"]
@@ -277,7 +292,8 @@ class TestFilterVerdicts:
     @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
     def test_verdicts_reach_the_flight_recorder_under_load(self, backend):
         result = loadgen.run_level(backend, 10_000.0, 30, 7, spans=True)
-        kinds = [e["kind"] for ring in result.spans.rings for e in ring]
+        kinds = [e["kind"] for ring in result.machine.spans.rings
+                 for e in ring]
         assert any(kind.startswith("filter:") for kind in kinds)
 
 
@@ -345,14 +361,14 @@ class TestHistogramExemplars:
 
     def test_loadgen_attaches_trace_exemplars(self):
         result = _level(spans=True, requests=20)
-        text = result.registry.render_text(exemplars=True)
+        text = result.machine.metrics_registry.render_text(exemplars=True)
         exemplar_lines = [line for line in text.splitlines()
                           if "# {trace_id=" in line]
         assert exemplar_lines
         validate_exposition(text)
         # Every exemplar names a real minted trace.
         kept_ids = {f"{r.trace_id:032x}"
-                    for r in result.spans.traces.values()}
+                    for r in result.machine.spans.traces.values()}
         for line in exemplar_lines:
             trace_id = line.split('trace_id="')[1].split('"')[0]
             assert trace_id in kept_ids
@@ -412,12 +428,10 @@ class TestTenantSpans:
                       seed=2, faulty_frac=0.2, cpuhog_frac=0.0,
                       memhog_frac=0.0)
         plain = tenants_mod.run_tenants_study("mpk", **kwargs)
-        spans_out: list = []
-        traced = tenants_mod.run_tenants_study(
-            "mpk", spans=True, spans_out=spans_out, **kwargs)
+        traced, legs = tenants_mod.tenants_study("mpk", spans=True, **kwargs)
         assert json.dumps(plain, sort_keys=True) == \
             json.dumps(traced, sort_keys=True)
-        assert [label for label, _ in spans_out] == ["baseline", "study"]
-        study_recorder = dict(spans_out)["study"]
+        assert [label for label, _ in legs] == ["baseline", "study"]
+        study_recorder = dict(legs)["study"].spans
         kept, _ = study_recorder.sampled_records()
         assert any("faulted" in record.flags for record in kept)
