@@ -500,8 +500,9 @@ class EnforcementMetrics(Observer):
         if left is not None:
             self.switches.inc(env=goroutine.env.name, kind="epilog")
 
-    def on_execute_end(self, goroutine):
-        self.switches.inc(env=goroutine.env.name, kind="execute")
+    def on_execute_end(self, goroutine, resumed):
+        if resumed:
+            self.switches.inc(env=goroutine.env.name, kind="execute")
 
     def on_unwind(self, env):
         self.switches.inc(env=env, kind="unwind")

@@ -16,7 +16,9 @@ class Observer:
     Events fire where subscribers read the simulated clock, which none
     of them advances.  A ``*_begin`` event opens an enforcement window;
     its ``*_end`` fires in a ``finally`` with the hook's result, ``None``
-    (or false) if the hook raised.  ``env`` is an environment name;
+    (or false) if the hook raised: Execute's ``resumed`` is false when
+    the goroutine's enclosure was quarantined while it was parked in
+    it, and the resume was refused.  ``env`` is an environment name;
     ``current``, ``target``, ``entered`` and ``left`` are environments.
     ``core`` is ``None`` on a one-core machine.  A ``verdict`` is
     ``allow``, ``kill``, ``errno`` or ``inject`` (an injected error).
@@ -30,7 +32,7 @@ class Observer:
     def on_epilog_begin(self, env, call_site, backend): pass
     def on_epilog_end(self, goroutine, left): pass
     def on_execute_begin(self, goroutine, core): pass
-    def on_execute_end(self, goroutine): pass
+    def on_execute_end(self, goroutine, resumed): pass
     def on_unwind(self, env): pass
     def on_retag(self, env): pass
 

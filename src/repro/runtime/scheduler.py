@@ -304,11 +304,16 @@ class Scheduler:
             if obs is not None:
                 obs.on_execute_begin(goroutine,
                                      core.id if self.smp else None)
-            cpu.clock.charge(COSTS.SCHED_SWITCH)
-            # Execute hook: resume in the goroutine's own environment.
-            self.litterbox.execute(cpu, goroutine)
-            if obs is not None:
-                obs.on_execute_end(goroutine)
+            resumed = False
+            try:
+                cpu.clock.charge(COSTS.SCHED_SWITCH)
+                # Execute hook: resume in the goroutine's own
+                # environment (refused if it was since quarantined).
+                self.litterbox.execute(cpu, goroutine)
+                resumed = True
+            finally:
+                if obs is not None:
+                    obs.on_execute_end(goroutine, resumed)
             goroutine.state = "running"
 
             # run_slice counts architectural instructions (2 per

@@ -334,11 +334,11 @@ class SpanRecorder(Observer):
         if parent is not None and parent.trace_ctx is not None:
             child.trace_ctx = parent.trace_ctx
 
-    def on_execute_end(self, goroutine) -> None:
+    def on_execute_end(self, goroutine, resumed) -> None:
         """A scheduler slice starts for ``goroutine``: if it is traced,
         core-set attribution plus a flight-recorder breadcrumb."""
         ctx = goroutine.trace_ctx
-        if ctx is None:
+        if ctx is None or not resumed:
             return
         core = self._core()
         record = self.traces.get(ctx.trace_id)

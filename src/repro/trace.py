@@ -220,7 +220,7 @@ class Tracer(Observer):
         self.begin("switch", f"execute:{env}", env=env,
                    goroutine=goroutine.id)
 
-    def on_execute_end(self, goroutine):
+    def on_execute_end(self, goroutine, resumed):
         self.set_env(goroutine.env.name, at=self._open[-1].ts)
         self.end()
 

@@ -9,7 +9,8 @@ leave every digest alone.  Each run attaches all four observers at once.
 
 The runs cover each enforcement point the observers hear from: the
 Fig. 1 program on every enforcing backend, the hand-assembled Fig. 1
-attacks under supervised restart, the HTTP macro under ``pkey`` +
+attacks under supervised restart, a goroutine whose resume into a
+since-quarantined enclosure is refused, the HTTP macro under ``pkey`` +
 ``sysdeny`` injection with quarantine (JIT on and off), CI's 4-core
 span-smoke loadtest and its injected 1-core flight-recorder run, and a
 reduced tenants leg (quotas, revival, eviction, MPK key
@@ -36,6 +37,7 @@ from repro.workloads import asynchttp, loadgen, tenants
 from repro.workloads.httpserver import run_http_server
 
 from tests.fig1 import build_image
+from tests.test_trace import QUARANTINED_RESUME_SRC, SECRETS_SRC
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OBSERVERS = dict(trace=True, metrics=True, profile=True, spans=True)
@@ -71,6 +73,15 @@ def _fig1_attacks(backend: str) -> list[Machine]:
         machine.run()
         machines.append(machine)
     return machines
+
+
+def _quarantined_resume(backend: str) -> list[Machine]:
+    machine = Machine(
+        build_program([QUARANTINED_RESUME_SRC, SECRETS_SRC]),
+        MachineConfig(backend=backend, fault_policy="quarantine",
+                      **OBSERVERS))
+    machine.run()
+    return [machine]
 
 
 def _macro(backend: str, jit: bool) -> list[Machine]:
@@ -131,6 +142,8 @@ def _tenants() -> list[Machine]:
 RUNS = {
     **{f"fig1/{b}": (lambda b=b: _fig1(b)) for b in BACKENDS},
     **{f"fig1-attacks/{b}": (lambda b=b: _fig1_attacks(b))
+       for b in BACKENDS},
+    **{f"quarantined-resume/{b}": (lambda b=b: _quarantined_resume(b))
        for b in BACKENDS},
     **{f"macro/{b}/{'jit' if jit else 'nojit'}":
        (lambda b=b, jit=jit: _macro(b, jit))
@@ -358,6 +371,39 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/profile.folded': '565b7d8cf42df196366f2829b0a87edd',
         '0/trace-summary.json': 'ddd0a2c1ecb82c95479d63875cefddb8',
         '0/trace.json': 'c94727c6ce9ca66fd54779dc8bb71886',
+        'spans.json': '016201a9cc2b352f61b8a723627eb343',
+    },
+    'quarantined-resume/lwc': {
+        '0/containment.json': '53276089ab6da0c893763aaa2b966ba0',
+        '0/describe': '07cdfdf9f9a2e47f53a711587a59c53f',
+        '0/flight.json': '0430433bcd4f343621707b79ad060d08',
+        '0/metrics': '32b4310f919ee6b21e44e1560f3c00ae',
+        '0/metrics.prom': '32b4310f919ee6b21e44e1560f3c00ae',
+        '0/profile.folded': '55e24681a28291e4ffe282cc9460bd8e',
+        '0/trace-summary.json': '888d01d9f7a15fb002d3681d43b805d4',
+        '0/trace.json': 'd6ebf9f202c50764a06fb1b1b03f1fa8',
+        'spans.json': '016201a9cc2b352f61b8a723627eb343',
+    },
+    'quarantined-resume/mpk': {
+        '0/containment.json': 'f56eac76e2054c3cfad8722d58e4a583',
+        '0/describe': 'e613703634239886f6a26639c1ee0d32',
+        '0/flight.json': 'c9c7f1c92c0cc854519a0305ea7da6ca',
+        '0/metrics': '4329b9c3cd89b5e91599935b3e45c94b',
+        '0/metrics.prom': '4329b9c3cd89b5e91599935b3e45c94b',
+        '0/profile.folded': 'ba77d2a8231bd3e50dc8a0365dabe3d7',
+        '0/trace-summary.json': '5323cb2ed81a32609d2a7b79bdc81ba9',
+        '0/trace.json': 'd9e09d3036bf483e3b582c4c816c4664',
+        'spans.json': '016201a9cc2b352f61b8a723627eb343',
+    },
+    'quarantined-resume/vtx': {
+        '0/containment.json': 'fdfd54874372964d3bf34e822c02aff9',
+        '0/describe': 'aa084dec4faa100078c8ae04ef9214c8',
+        '0/flight.json': '8babeca4474faaca1586f6df4ee03b5d',
+        '0/metrics': '8b987b4cd44dcc89bb3185e05cdc3975',
+        '0/metrics.prom': '8b987b4cd44dcc89bb3185e05cdc3975',
+        '0/profile.folded': '8f5632523ba96dafcb2958aba6986c61',
+        '0/trace-summary.json': '8127b248ef7a895be55bebd0cb2c7687',
+        '0/trace.json': 'ca8de048c07ea0af35cbd8561ec08c33',
         'spans.json': '016201a9cc2b352f61b8a723627eb343',
     },
     'tenants': {

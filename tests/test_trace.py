@@ -36,6 +36,46 @@ MULTI_CALL_SRC = (
 
 LIB_SRC = "package lib\n\nfunc Triple(x int) int { return 3*x }\n"
 
+SECRETS_SRC = "package secretz\n\nvar Value int = 777\n"
+
+#: Two workers share one closure.  Worker 0 parks on ``c`` inside it;
+#: worker 1 reads ``secretz.Value``, faults and trips the quarantine;
+#: main's send then wakes worker 0, whose resume into the quarantined
+#: enclosure is refused.
+QUARANTINED_RESUME_SRC = """
+package main
+
+import "secretz"
+
+var out int
+
+func worker(f func(chan int, int) int, c chan int, mode int) {
+    out = f(c, mode)
+}
+
+func signal(sig chan int) {
+    sig <- 1
+}
+
+func main() {
+    c := make(chan int)
+    sig := make(chan int)
+    f := with "secretz:U, none" func(c chan int, mode int) int {
+        if mode == 0 {
+            return <-c
+        }
+        return secretz.Value
+    }
+    go worker(f, c, 0)
+    go worker(f, c, 1)
+    go signal(sig)
+    <-sig
+    c <- 5
+    go signal(sig)
+    <-sig
+}
+"""
+
 
 class TestSwitchEvents:
     @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
@@ -192,6 +232,27 @@ class TestAttribution:
         window = (epilog.ts + epilog.dur) - prolog.ts
         assert tracer.summary()["rcl"]["total_ns"] == \
             pytest.approx(window, rel=1e-9)
+
+    @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
+    def test_refused_resume_closes_its_execute_span(self, backend):
+        """A resume into a since-quarantined enclosure raises inside
+        Execute: its span still closes, so the containment that follows
+        is outermost and counts toward the enclosure's contain_ns."""
+        machine, result = run_golite(
+            QUARANTINED_RESUME_SRC, SECRETS_SRC,
+            config=MachineConfig(backend=backend, trace=True,
+                                 fault_policy="quarantine"))
+        assert result.status == "exited", machine.fault
+        kinds = [fault.kind for fault in machine.scheduler.contained]
+        assert kinds[1:] == ["denied-entry"]
+        tracer = machine.tracer
+        assert tracer._open == []
+        assert "execute:main_1" in {event.name for event in tracer.events}
+        contains = [event for event in tracer.select(kind="contain")
+                    if event.ph == "X"]
+        assert len(contains) == 2
+        assert tracer.summary()["main_1"]["contain_ns"] == \
+            sum(event.dur for event in contains)
 
     def test_describe_reports_every_environment(self):
         machine, result = run_traced("mpk")
