@@ -29,16 +29,17 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import NamedTuple
 
 from repro import profiler as prof
 from repro.errors import ConfigError
 from repro.metrics import validate_exposition
-from repro.spans import validate_span_trace, write_span_trace
-from repro.trace import describe_trace, load_chrome_json, validate_chrome_trace
-
-#: The clock counters ``stats.json`` and ``--stats`` report.
-COUNTERS = ("switches", "transfers", "syscalls", "vm_exits")
+from repro.spans import span_trace, validate_span_trace
+from repro.trace import (
+    describe_trace,
+    load_chrome_json,
+    validate_chrome_trace,
+    write_chrome_json,
+)
 
 
 def write_json(path: pathlib.Path, value) -> None:
@@ -50,7 +51,8 @@ def stats(machine) -> dict:
     """Simulated time, clock counters and interpreter perf counters."""
     clock = machine.clock
     return {"sim_ns": clock.now_ns,
-            "counters": {name: clock.count(name) for name in COUNTERS},
+            "counters": {name: clock.count(name) for name in
+                         ("switches", "transfers", "syscalls", "vm_exits")},
             "perf": machine.perf.as_dict()}
 
 
@@ -67,18 +69,19 @@ def write(dest, machines: list[tuple[str, object]], report=None,
     recorders = [(label, machine.spans) for label, machine in machines
                  if machine.spans is not None]
     if recorders:
-        write_span_trace(dest / "spans.json", recorders)
+        write_chrome_json(dest / "spans.json", span_trace(recorders))
     for label, machine in machines:
         out = dest / label
         out.mkdir(parents=True, exist_ok=True)
         if machine.tracer is not None:
-            machine.tracer.write_chrome_trace(out / "trace.json")
+            write_chrome_json(out / "trace.json",
+                              machine.tracer.chrome_trace())
             write_json(out / "trace-summary.json", machine.tracer.summary())
         if machine.metrics_registry is not None:
             (out / "metrics.prom").write_text(
                 machine.metrics_registry.render_text(exemplars=True))
         if machine.profiler is not None:
-            machine.profiler.write_folded(out / "profile.folded")
+            (out / "profile.folded").write_text(machine.profiler.folded())
         if machine.spans is not None:
             write_json(out / "flight.json", machine.spans.flight_recorder())
         write_json(out / "containment.json", machine.containment_report())
@@ -86,14 +89,6 @@ def write(dest, machines: list[tuple[str, object]], report=None,
 
 
 # -- reading ------------------------------------------------------------------
-
-class Checked(NamedTuple):
-    """One artifact of a bundle, checked."""
-
-    path: str               # relative to the bundle, '/'-separated
-    lines: list[str]        # its summary, when it passed its check
-    error: str | None       # why it failed its check
-
 
 def _trace(path: pathlib.Path, top: int) -> list[str]:
     document = load_chrome_json(path)
@@ -117,8 +112,7 @@ def _metrics(path: pathlib.Path, top: int) -> list[str]:
 
 
 def _profile(path: pathlib.Path, top: int) -> list[str]:
-    text = path.read_text()
-    return prof.top_table(prof.parse_folded(text) if text else {},
+    return prof.top_table(prof.parse_folded(path.read_text()),
                           n=top).splitlines()
 
 
@@ -145,12 +139,12 @@ CHECKS = {
 }
 
 
-def read(root, top: int = 12) -> list[Checked]:
-    """Check every artifact under ``root``, in path order.
-
-    ``OSError`` if ``root`` cannot be listed; :class:`ConfigError` if it
-    holds no artifact.  A file that fails its check is returned with
-    the error, so one bad file does not hide the others.
+def read(root, top: int = 12) -> list[tuple[str, list[str], str | None]]:
+    """Check every artifact under ``root``, in path order: ``(path
+    relative to root, summary lines, None)`` for a file that passes its
+    check, ``(path, [], error)`` for one that fails, so one bad file
+    does not hide the others.  ``OSError`` if ``root`` cannot be
+    listed; :class:`ConfigError` if it holds no artifact.
     """
     root = pathlib.Path(root)
     next(root.iterdir(), None)  # the OSError of a missing or unreadable DIR
@@ -161,11 +155,11 @@ def read(root, top: int = 12) -> list[Checked]:
             continue
         name = path.relative_to(root).as_posix()
         try:
-            checked.append(Checked(name, check(path, top), None))
+            checked.append((name, check(path, top), None))
         except (OSError, ValueError, LookupError, TypeError) as err:
             # The bundle is outside input: a malformed file is reported
             # by name, never as a traceback.
-            checked.append(Checked(name, [], str(err)))
+            checked.append((name, [], str(err)))
     if not checked:
         raise ConfigError(f"{root}: no artifacts")
     return checked

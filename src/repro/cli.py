@@ -14,13 +14,10 @@ Commands:
 * ``report DIR`` — check and summarize an artifact bundle.
 
 ``run``, ``macro``, ``loadtest`` and ``tenants`` take ``--artifacts
-DIR``: it turns on the observers the command can attach (the tracer,
-metrics and the profiler on ``run`` and ``macro``; request spans on
-``loadtest`` and ``tenants``, whose metrics are always on) and writes
-everything they and the command produce to DIR (see
-:mod:`repro.artifacts`).  No observer charges simulated time.  ``run``
-and ``macro`` also take ``--no-jit`` to force pure interpretation
-(simulated values are bit-identical either way).
+DIR``: it turns on the observers the command can attach and writes all
+they and the command produce to DIR (:mod:`repro.artifacts`); no
+observer charges simulated time.  ``run`` and ``macro`` also take
+``--no-jit`` (pure interpretation; simulated values are bit-identical).
 """
 
 from __future__ import annotations

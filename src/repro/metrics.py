@@ -576,20 +576,15 @@ def _parse_num(text: str) -> float:
     return float(text)
 
 
-def validate_exposition(source) -> int:
+def validate_exposition(text: str) -> int:
     """Strictly validate Prometheus text exposition 0.0.4.
 
-    ``source`` is a path or raw exposition text.  Returns the number of
-    sample lines; raises :class:`MetricsFormatError` on any violation
+    Returns the number of sample lines of exposition ``text``; raises
+    :class:`MetricsFormatError` on any violation
     (unknown type, sample without HELP/TYPE, duplicate series,
     malformed line, or an inconsistent histogram: non-monotonic or
     missing ``+Inf`` buckets, ``_count`` != the ``+Inf`` bucket).
     """
-    if "\n" in source or source.startswith("#"):
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
     if text and not text.endswith("\n"):
         raise MetricsFormatError("exposition must end with a newline")
 

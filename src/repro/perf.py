@@ -188,23 +188,18 @@ class PerfStats:
             "ops": self.expanded_ops(),
         }
 
-    def describe_jit(self) -> str:
-        """One-line JIT summary (a ``--stats`` line)."""
+    def describe(self, top: int = 8) -> list[str]:
+        """Human-readable counter lines for ``--stats`` output."""
         insns = self.instructions
         share = (self.jit_insns / insns) if insns else 0.0
         deopts = ", ".join(f"{reason}:{count}" for reason, count
                            in sorted(self.jit_deopts.items())) or "none"
-        line = (f"jit: {self.jit_traces_compiled} traces compiled, "
-                f"{self.jit_trace_executions} executions covering "
-                f"{self.jit_insns} instructions ({100 * share:.1f}%), "
-                f"deopts {deopts}")
+        jit = (f"jit: {self.jit_traces_compiled} traces compiled, "
+               f"{self.jit_trace_executions} executions covering "
+               f"{self.jit_insns} instructions ({100 * share:.1f}%), "
+               f"deopts {deopts}")
         if self.jit_flushes:
-            line += f", {self.jit_flushes} cache flushes"
-        return line
-
-    def describe(self, top: int = 8) -> list[str]:
-        """Human-readable counter lines for ``--stats`` output."""
-        insns = self.instructions
+            jit += f", {self.jit_flushes} cache flushes"
         lines = [
             f"tlb: {self.tlb_hits} hits / {self.tlb_misses} misses "
             f"({100 * self.tlb_hit_rate:.1f}% hit rate), "
@@ -220,7 +215,7 @@ class PerfStats:
             f"{self.verdict_misses} misses",
             f"fused: {self.fused_instructions} of {insns} instructions "
             f"retired through superinstructions",
-            self.describe_jit(),
+            jit,
         ]
         if insns:
             hot = ", ".join(f"{name}:{count}"

@@ -180,12 +180,6 @@ class Profiler(Observer):
             for key, count in self.samples.items())
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def write_folded(self, path: str) -> int:
-        text = self.folded()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return sum(self.samples.values())
-
     def total_samples(self) -> int:
         return sum(self.samples.values())
 
@@ -217,23 +211,11 @@ class Profiler(Observer):
             "pkgs": {pkg: pkgs[pkg] for pkg in sorted(pkgs)},
         }
 
-    def top_table(self, n: int = 12) -> str:
-        return top_table(self.samples_by_stack(), n)
 
-    def samples_by_stack(self) -> dict[str, int]:
-        return {self._frames(key): count
-                for key, count in self.samples.items()}
+# -- report helpers (`repro report`) ------------------------------------------
 
-
-# -- report helpers (shared with `repro report`) ------------------------------
-
-def parse_folded(source: str) -> dict[str, int]:
-    """Parse collapsed-stack text (path or raw) into {stack: count}."""
-    if "\n" in source or (" " in source and ";" in source):
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+def parse_folded(text: str) -> dict[str, int]:
+    """Parse collapsed-stack text into {stack: count}."""
     stacks: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():

@@ -50,8 +50,8 @@ Production mechanisms
   ``containment_report()["flight_recorder"]`` — every quarantine
   carries its own black-box recording.
 
-Export is Chrome trace-event JSON (:func:`span_trace` /
-:func:`write_span_trace`), one process lane per load level and one
+Export is Chrome trace-event JSON (:func:`span_trace`, written by
+``trace.write_chrome_json``), one process lane per load level and one
 thread lane per kept trace, validated strictly by
 :func:`validate_span_trace` on top of ``trace.validate_chrome_trace``.
 """
@@ -67,7 +67,6 @@ from repro.trace import (
     chrome_document,
     load_chrome_json,
     validate_chrome_trace,
-    write_chrome_json,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -571,12 +570,6 @@ def span_trace(recorders: list[tuple[str, SpanRecorder]]) -> dict:
                 })
     return chrome_document(metadata + events, "repro-spans",
                            sampling=samplings)
-
-
-def write_span_trace(path, recorders: list[tuple[str, SpanRecorder]]) -> int:
-    """Serialize :func:`span_trace` to ``path``; returns the number of
-    trace events written (metadata included)."""
-    return write_chrome_json(path, span_trace(recorders))
 
 
 def validate_span_trace(source) -> int:

@@ -40,8 +40,8 @@ Exports
 * :meth:`Tracer.summary` — per-environment sim-time breakdown
   (switch/syscall/transfer/compute shares) for benchmarks to *measure*
   the Table 1/2 shape claims;
-* :meth:`Tracer.describe` and :func:`describe_trace` — the text
-  breakdown ``repro report`` prints;
+* :func:`describe_trace` — the text breakdown of an export and its
+  summary that ``repro report`` prints;
 * :meth:`Tracer.chrome_trace` — Chrome trace-event JSON (one thread
   lane per environment; loadable in Perfetto / ``chrome://tracing``);
 * :func:`chrome_document`, :func:`write_chrome_json` and
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.hw.clock import SimClock
@@ -354,10 +355,6 @@ class Tracer(Observer):
                 out[env]["shootdown_ns"] = cats["shootdown"]
         return out
 
-    def describe(self) -> list[str]:
-        """Human-readable per-environment breakdown (``repro report``)."""
-        return describe_trace(self.chrome_trace(), self.summary())
-
     # -- Chrome trace-event export -------------------------------------------
 
     def chrome_trace(self) -> dict:
@@ -401,11 +398,6 @@ class Tracer(Observer):
         return chrome_document(metadata + trace_events, "repro",
                                sim_total_ns=self.clock.now_ns)
 
-    def write_chrome_trace(self, path: str | pathlib.Path) -> int:
-        """Serialize :meth:`chrome_trace` to ``path``; returns the
-        number of trace events written (metadata included)."""
-        return write_chrome_json(path, self.chrome_trace())
-
 
 def describe_trace(document: dict, summary: dict) -> list[str]:
     """The per-environment breakdown of a tracer's Chrome ``document``
@@ -418,11 +410,8 @@ def describe_trace(document: dict, summary: dict) -> list[str]:
     events = document["traceEvents"]
     lanes = {event["tid"]: event["args"]["name"].removeprefix("env:")
              for event in events if event["name"] == "thread_name"}
-    denied: dict[str, int] = {}
-    for event in events:
-        if event["name"] == "filter:deny":
-            env = lanes[event["tid"]]
-            denied[env] = denied.get(env, 0) + 1
+    denied = Counter(lanes[event["tid"]] for event in events
+                     if event["name"] == "filter:deny")
     recorded = sum(1 for event in events if event["ph"] != "M")
     sim_ns = document["otherData"]["sim_total_ns"]
     lines = [f"trace: {recorded} enforcement events, "
@@ -435,7 +424,7 @@ def describe_trace(document: dict, summary: dict) -> list[str]:
             f"switch {pct(row['switch_ns'], total)} "
             f"(n={counts.get('prolog', 0) + counts.get('epilog', 0)}) "
             f"syscall {pct(row['syscall_ns'], total)} "
-            f"(denied={denied.get(env, 0)}) "
+            f"(denied={denied[env]}) "
             f"transfer {pct(row['transfer_ns'], total)} "
             f"(n={counts.get('transfer', 0)}) "
             f"vm-exits={counts.get('vm_exit', 0)} "

@@ -175,10 +175,10 @@ def digests(run: str, tmp: pathlib.Path) -> tuple[dict[str, str], set]:
     found = {path.relative_to(tmp).as_posix(): _sha(path.read_bytes())
              for path in tmp.rglob("*")
              if path.is_file() and path.name != "stats.json"}
-    for entry in artifacts.read(tmp):
-        label, _, name = entry.path.rpartition("/")
+    for path, lines, _ in artifacts.read(tmp):
+        label, _, name = path.rpartition("/")
         if name == "trace.json":
-            found[f"{label}/describe"] = _sha("\n".join(entry.lines))
+            found[f"{label}/describe"] = _sha("\n".join(lines))
     for label, machine in labelled:
         found[f"{label}/metrics"] = _sha(
             machine.metrics_registry.render_text())

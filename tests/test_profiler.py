@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.machine import MachineConfig
 from repro.profiler import Profiler, parse_folded, top_table
 from repro.workloads.bild import run_bild
@@ -162,3 +163,8 @@ class TestWorkloadAttribution:
         # Same sim timeline, so the counts relate by the period ratio.
         assert fine.total_samples() == \
             pytest.approx(4 * coarse.total_samples(), rel=0.05)
+
+    def test_non_positive_period_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="profile period"):
+            run_bild("mpk", config=MachineConfig(
+                backend="mpk", profile=True, profile_period_ns=0.0))

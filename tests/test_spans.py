@@ -33,9 +33,10 @@ from repro.metrics import (
 from repro.spans import (
     TraceContext,
     sample_hash,
+    span_trace,
     validate_span_trace,
-    write_span_trace,
 )
+from repro.trace import write_chrome_json
 from repro.workloads import asynchttp, loadgen
 
 from tests.fig1 import build_image
@@ -211,7 +212,8 @@ class TestExport:
             result = _level(spans=True, span_sample=0.5, cores=4,
                             requests=60)
             path = tmp_path / f"spans-{run}.json"
-            write_span_trace(path, [("mpk/20k", result.machine.spans)])
+            write_chrome_json(
+                path, span_trace([("mpk/20k", result.machine.spans)]))
             validate_span_trace(path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
@@ -219,7 +221,7 @@ class TestExport:
     def test_validator_rejects_missing_trace_id(self, tmp_path):
         result = _level(spans=True, requests=10)
         path = tmp_path / "spans.json"
-        write_span_trace(path, [("lvl", result.machine.spans)])
+        write_chrome_json(path, span_trace([("lvl", result.machine.spans)]))
         document = json.loads(path.read_text())
         for event in document["traceEvents"]:
             if event["ph"] != "M":
@@ -240,8 +242,8 @@ class TestExport:
         r1 = _level(spans=True, requests=10)
         r2 = _level(spans=True, requests=10, seed=6)
         path = tmp_path / "spans.json"
-        write_span_trace(path, [("one", r1.machine.spans),
-                                ("two", r2.machine.spans)])
+        write_chrome_json(path, span_trace([("one", r1.machine.spans),
+                                            ("two", r2.machine.spans)]))
         document = json.loads(path.read_text())
         names = {event["args"]["name"]
                  for event in document["traceEvents"]

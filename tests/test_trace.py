@@ -12,7 +12,13 @@ import json
 import pytest
 
 from repro.machine import Machine, MachineConfig
-from repro.trace import TraceFormatError, Tracer, validate_chrome_trace
+from repro.trace import (
+    TraceFormatError,
+    Tracer,
+    describe_trace,
+    validate_chrome_trace,
+    write_chrome_json,
+)
 
 from tests.fig1 import build_image
 from tests.golite_helpers import run_golite
@@ -256,7 +262,8 @@ class TestAttribution:
 
     def test_describe_reports_every_environment(self):
         machine, result = run_traced("mpk")
-        lines = machine.tracer.describe()
+        lines = describe_trace(machine.tracer.chrome_trace(),
+                               machine.tracer.summary())
         assert lines[0].startswith("trace: ")
         text = "\n".join(lines)
         assert "rcl:" in text and "trusted:" in text
@@ -293,7 +300,7 @@ class TestChromeExport:
         machine, result = run_traced("vtx", body="syscall",
                                      policy="secrets:R, proc")
         out = tmp_path / "trace.json"
-        count = machine.tracer.write_chrome_trace(out)
+        count = write_chrome_json(out, machine.tracer.chrome_trace())
         assert validate_chrome_trace(out) == count
         document = json.loads(out.read_text())
         assert document["displayTimeUnit"] == "ns"
