@@ -1,9 +1,9 @@
 // The Figure 1 application: a sensitive pixel is passed through the
 // untrusted libfx.Invert inside an enclosure that grants no system
-// calls.  Run it (and trace the enforcement events) with:
+// calls.  Run it, tracing the enforcement events into a bundle, with:
 //
 //	python -m repro run examples/golite/libfx.go examples/golite/main.go \
-//	    --backend mpk --trace trace.json
+//	    --backend mpk --artifacts fig1
 package main
 
 import "libfx"
