@@ -154,12 +154,14 @@ def read(root, top: int = 12) -> list[tuple[str, list[str], str | None]]:
         if check is None or not path.is_file():
             continue
         name = path.relative_to(root).as_posix()
+        # The bundle is outside input: a malformed file is reported by
+        # name, never as a traceback.
         try:
             checked.append((name, check(path, top), None))
-        except (OSError, ValueError, LookupError, TypeError) as err:
-            # The bundle is outside input: a malformed file is reported
-            # by name, never as a traceback.
+        except (OSError, ValueError) as err:
             checked.append((name, [], str(err)))
+        except (LookupError, TypeError) as err:
+            checked.append((name, [], f"unexpected structure: {err!r}"))
     if not checked:
         raise ConfigError(f"{root}: no artifacts")
     return checked
