@@ -156,8 +156,6 @@ class Machine:
                 "sim_time_ns",
                 "Simulated nanoseconds elapsed on this machine's clock."
             ).set_function(lambda: self.clock.now_ns)
-            self.metrics_registry.add_collector(
-                lambda: self.metrics.sync_jit(self.perf))
         #: Sim-time sampling profiler (``None`` unless ``config.profile``).
         self.profiler = (Profiler(self.clock, config.profile_period_ns,
                                   backend=config.backend)
@@ -238,10 +236,10 @@ class Machine:
         self.runtime = Runtime(self.mmu, self.allocator, self.scheduler,
                                self.channels, self.pkg_names)
         if self.metrics_registry is not None:
-            # The in-sim /metrics route must not run collectors: the
-            # JIT counters are wall-clock-only, and the response body's
-            # length is charged simulated time — including them would
-            # break jit on/off bit-identity.
+            # The in-sim /metrics route renders mid-slice, so it must
+            # not run collectors: they read state settled only between
+            # slices (the SMP core_time_ns frontiers), and the response
+            # body's length is charged simulated time.
             self.runtime.metrics_renderer = (
                 lambda: self.metrics_registry.render_text(collect=False))
         self.kernel.net.waker = self.scheduler.wake

@@ -314,11 +314,13 @@ class MetricsRegistry:
     def add_collector(self, fn) -> None:
         """Register ``fn`` to run before each exposition render.
 
-        Collectors pull values from sources that update continuously
-        (e.g. the interpreter's JIT counters) so the registry never
-        sits on hot paths.  The in-simulation ``/metrics`` route skips
-        them (``collect=False``): wall-clock-only state must not leak
-        into a simulated response body, whose length is charged."""
+        Collectors pull values that settle only between slices (e.g.
+        the SMP per-core virtual-time frontiers, written back when a
+        core's slice ends), so the registry never sits on hot paths.
+        The in-simulation ``/metrics`` route renders from inside a
+        slice and skips them (``collect=False``): its body, whose
+        length is charged simulated time, must not carry the running
+        core's stale frontier."""
         self._collectors.append(fn)
 
     def _collect(self) -> None:
@@ -456,40 +458,6 @@ class EnforcementMetrics(Observer):
             "Connections refused because the accept queue was full "
             "(kernel-level load shedding), by listener port.",
             ("port",))
-        # JIT observability (wall-clock only; synced from PerfStats by
-        # a render-time collector, never by the interpreter hot loop).
-        self.jit_traces_compiled = registry.counter(
-            "jit_traces_compiled_total",
-            "Trace regions compiled to Python by the interpreter JIT.")
-        self.jit_trace_executions = registry.counter(
-            "jit_trace_executions_total",
-            "Completed executions of compiled traces.")
-        self.jit_deopts = registry.counter(
-            "jit_deopts_total",
-            "Mid-trace deoptimizations back to the interpreter, by "
-            "reason.",
-            ("reason",))
-        self._jit_synced: dict[str, int] = {}
-
-    def sync_jit(self, perf) -> None:
-        """Mirror the interpreter's JIT counters into the exposition.
-
-        Called by the registry's collector hook at render time.
-        Counters only move forward, so the delta since the previous
-        sync is added — repeated scrapes stay monotonic."""
-        synced = self._jit_synced
-
-        def bump(counter, key, value, **labels):
-            delta = value - synced.get(key, 0)
-            if delta > 0:
-                counter.inc(delta, **labels)
-                synced[key] = value
-
-        bump(self.jit_traces_compiled, "compiled", perf.jit_traces_compiled)
-        bump(self.jit_trace_executions, "executions",
-             perf.jit_trace_executions)
-        for reason, count in perf.jit_deopts.items():
-            bump(self.jit_deopts, f"deopt:{reason}", count, reason=reason)
 
     # -- observer events (repro.obs) -------------------------------------------
 

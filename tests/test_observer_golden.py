@@ -191,16 +191,16 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'a0d5bc7b231defbf51cddab2e5a59130',
         '0/describe': '902c86d6a7da81ec25f32d31de7dc577',
         '0/flight.json': 'd7dee624e21061de833e617daf7f5619',
-        '0/metrics': '837455d2adbaacc05b0f00e6b6f669e5',
-        '0/metrics.prom': '837455d2adbaacc05b0f00e6b6f669e5',
+        '0/metrics': '65a40d33a97e7ab768e32107abf35982',
+        '0/metrics.prom': '65a40d33a97e7ab768e32107abf35982',
         '0/profile.folded': 'd786c0045c13ba2dbfeef6efbc1f206c',
         '0/trace-summary.json': '70fde0ee7b07739ad09ef0d60130befc',
         '0/trace.json': 'bbd6b7d4e69f48742763f8537aa9df1c',
         '1/containment.json': '38ca00840a28451346e23d8b1bb2145e',
         '1/describe': '56e909b94e90e24b272e5783a5f47bb7',
         '1/flight.json': '669e199fcf686bd62d3a630d52922259',
-        '1/metrics': '5c593c6be2c5bf368670f7d076964d53',
-        '1/metrics.prom': '5c593c6be2c5bf368670f7d076964d53',
+        '1/metrics': '8ec1f8c8c230a982b38d2125c4cc430f',
+        '1/metrics.prom': '8ec1f8c8c230a982b38d2125c4cc430f',
         '1/profile.folded': 'd786c0045c13ba2dbfeef6efbc1f206c',
         '1/trace-summary.json': '39792d9ac0f9995ff20f17517a44f2d0',
         '1/trace.json': '70e690d3747baa9e2e953b5272af3361',
@@ -210,16 +210,16 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'b85b972774ae2cffff0bd6f25c5b2324',
         '0/describe': '1be173ac744e8ef9abbfad74a5d76225',
         '0/flight.json': 'd8728e60fbe6d1e78bc80e510ea64674',
-        '0/metrics': '916293f67bc4de9451b56a20b806b9bf',
-        '0/metrics.prom': '916293f67bc4de9451b56a20b806b9bf',
+        '0/metrics': '923272914e7462cbc8161b75a1161a7f',
+        '0/metrics.prom': '923272914e7462cbc8161b75a1161a7f',
         '0/profile.folded': 'ecf2bcdcdea4fcf0359472f6ce30e519',
         '0/trace-summary.json': '681e3f6987e4949cf1cc7b4f04518e31',
         '0/trace.json': 'ac28303c3427ecccb26c420dc65dcbe9',
         '1/containment.json': '34927f70fd95c2256ed26fea1401148b',
         '1/describe': '7f3569c7f50fbf8cf1d990c2b8033c6f',
         '1/flight.json': '5320faaa4f3bc50b27ab8336236cccf6',
-        '1/metrics': 'd33334c56f669ec0e07a95f08e03e38c',
-        '1/metrics.prom': 'd33334c56f669ec0e07a95f08e03e38c',
+        '1/metrics': 'f4c745376eb1a58f9c3c2e7b89793035',
+        '1/metrics.prom': 'f4c745376eb1a58f9c3c2e7b89793035',
         '1/profile.folded': 'ecf2bcdcdea4fcf0359472f6ce30e519',
         '1/trace-summary.json': '05eadf92644974e668c9762564534ff2',
         '1/trace.json': '735a4a441d618f0eda523d2c0556c81c',
@@ -229,16 +229,16 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '7f75069d6dee8da26494262a16945ae8',
         '0/describe': 'a7a5cdc9b9a969a5e917741c38e289ed',
         '0/flight.json': '9f682169481404e4409fe5a46f18121f',
-        '0/metrics': 'f9dcd4b8e24f9101120be42abeba882e',
-        '0/metrics.prom': 'f9dcd4b8e24f9101120be42abeba882e',
+        '0/metrics': '027feb3fbd37abab7787f1e3b6aeb3b0',
+        '0/metrics.prom': '027feb3fbd37abab7787f1e3b6aeb3b0',
         '0/profile.folded': '3f3d19d7cb9ff4d86e90392eaebe9634',
         '0/trace-summary.json': '661a738c93db1e0671ad3f97ed436b6b',
         '0/trace.json': 'eb8ff31b4668248092a77244062e6320',
         '1/containment.json': 'f5ffc543e88c11ea9542c15064f5e82b',
         '1/describe': '98ca8557ff939edb9e0a9f71dc401d8e',
         '1/flight.json': 'c5e1155b29deeade852399072f7ed56c',
-        '1/metrics': 'd3cb576ea7041918f4bd687ea5623ca1',
-        '1/metrics.prom': 'd3cb576ea7041918f4bd687ea5623ca1',
+        '1/metrics': 'b50be1aab02ad35a1200ae1b570911c4',
+        '1/metrics.prom': 'b50be1aab02ad35a1200ae1b570911c4',
         '1/profile.folded': '300dee4e5bc582bdd06db673247f3601',
         '1/trace-summary.json': '40dfc7e8ecb5a45db5827ddfa0ab80b7',
         '1/trace.json': '4c3d37079ab33bcea7558a71f5cb09e6',
@@ -248,8 +248,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'b6d560fade5eacec5213d473159cad5b',
         '0/describe': '82ac327bfa1e0cd36d3417bfcd3f1e66',
         '0/flight.json': '5320faaa4f3bc50b27ab8336236cccf6',
-        '0/metrics': 'a5f2ca6c7d7efa56ee66cff0c2aa6088',
-        '0/metrics.prom': 'a5f2ca6c7d7efa56ee66cff0c2aa6088',
+        '0/metrics': '8e14aa12c4c52a902b1a80c40b928695',
+        '0/metrics.prom': '8e14aa12c4c52a902b1a80c40b928695',
         '0/profile.folded': '70881853aa10bf23a23e689de568ef7f',
         '0/trace-summary.json': '0d22fbcae9deaa1735fdf6abc3139ad3',
         '0/trace.json': 'e42bda20b5bdb9178d9f41157d683592',
@@ -259,8 +259,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'b6d560fade5eacec5213d473159cad5b',
         '0/describe': 'a29daf3e3de2ec1712a62068a8ef4025',
         '0/flight.json': '5320faaa4f3bc50b27ab8336236cccf6',
-        '0/metrics': '1bbb94fa01acb6dd13106d60c9ecc699',
-        '0/metrics.prom': '1bbb94fa01acb6dd13106d60c9ecc699',
+        '0/metrics': '60f7797e6c31aec3c0d362732ee07dc6',
+        '0/metrics.prom': '60f7797e6c31aec3c0d362732ee07dc6',
         '0/profile.folded': '29bbe08f5f39dfab6d90556aa80101f3',
         '0/trace-summary.json': '48bdd46958b8c7f8be49454ccb6004cb',
         '0/trace.json': '6e5ffa465b964fbc25bedfe924c15f2b',
@@ -270,8 +270,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'b6d560fade5eacec5213d473159cad5b',
         '0/describe': '447a8e19e15c0d99ce88faa69f025b09',
         '0/flight.json': '5320faaa4f3bc50b27ab8336236cccf6',
-        '0/metrics': '436032dc768f43e2002a3868979dc48e',
-        '0/metrics.prom': '436032dc768f43e2002a3868979dc48e',
+        '0/metrics': 'd373f54c02ff149741241bc52b31b1cb',
+        '0/metrics.prom': 'd373f54c02ff149741241bc52b31b1cb',
         '0/profile.folded': 'f5d4e6a567d0fe5b2c11d92977ec0f3d',
         '0/trace-summary.json': '5025a3b051571e063551b36618043736',
         '0/trace.json': '7c1f9ad4ea2df6fd295f85f67316b9c4',
@@ -281,8 +281,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'c551d25e6f6de966a1317f57569f15ad',
         '0/describe': '03e3413d55748b7ababd7c83ec668f45',
         '0/flight.json': '00ee97359918c7b1fd57c50c046bfeb1',
-        '0/metrics': '47676c6c5efee41e9acdb6dc9658a09a',
-        '0/metrics.prom': '47676c6c5efee41e9acdb6dc9658a09a',
+        '0/metrics': '54fd6fc007bcb0aca58a070a5dc0bb28',
+        '0/metrics.prom': '54fd6fc007bcb0aca58a070a5dc0bb28',
         '0/profile.folded': '065b043fd5d05d49fbfdf89cf3c20c51',
         '0/trace-summary.json': '7a696890fb6d28f238101e2341ec5698',
         '0/trace.json': 'b98cc9c44d6df4d7a6e510b142e87d7d',
@@ -292,16 +292,16 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '5305bcf89d89f70b8bade952c3cb514a',
         '0/describe': 'e9f6c486492761f9eb60baed92656f5b',
         '0/flight.json': '5320faaa4f3bc50b27ab8336236cccf6',
-        '0/metrics': '676817d3a627f0224df43d241e559fb8',
-        '0/metrics.prom': 'bc89ccf18db6bcf8a1b67845779cd2fc',
+        '0/metrics': '5542a8ba90b498741dac692849a3562f',
+        '0/metrics.prom': 'a20747fc782a9984a8abdfe2b2d4fd07',
         '0/profile.folded': '16c0464eaca48ed499d9fcad8cefd95f',
         '0/trace-summary.json': '5f4b704ecb4bf7af0e626e2d399fed89',
         '0/trace.json': '7c47e8588305188932afcca6b07f8520',
         '1/containment.json': 'e4c1f937574eb3a70245abf73484d3b3',
         '1/describe': 'b6ae223369adc44ac0201df0b3eebbc0',
         '1/flight.json': '5320faaa4f3bc50b27ab8336236cccf6',
-        '1/metrics': 'e43fae4fb45dea96f0ed7e7f0928ea79',
-        '1/metrics.prom': '1d624fce57ba2ef200f8de74aa3fc9c3',
+        '1/metrics': '9d53e738fc0c4e5dd1f9a534d490ec86',
+        '1/metrics.prom': '9890944179dc162fd04d757b62a7666d',
         '1/profile.folded': 'c6055430d44554aa2288f9413892f865',
         '1/trace-summary.json': 'a5f7fd09458ad08207b81106a3d77b91',
         '1/trace.json': 'fceee2d10efa509201cae9be3ee2bb08',
@@ -311,8 +311,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '5c40097b95a8369c9a79b6edcd7de343',
         '0/describe': '14577b0bfedf2046304e92352602bf8a',
         '0/flight.json': '8fd0b5bbee46b6777c0352aaad0ca33f',
-        '0/metrics': '819cef692a7307ae561e968f779c89de',
-        '0/metrics.prom': '819cef692a7307ae561e968f779c89de',
+        '0/metrics': '06ea464bbe902eba438267b62162a59c',
+        '0/metrics.prom': '06ea464bbe902eba438267b62162a59c',
         '0/profile.folded': 'eb5b8198fe7618787cf49dce49b77d7d',
         '0/trace-summary.json': 'cc8b11929a5f5eb453202b39595c7b31',
         '0/trace.json': '262ce739846150e4f545868b0a5a2227',
@@ -322,8 +322,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '5c40097b95a8369c9a79b6edcd7de343',
         '0/describe': '14577b0bfedf2046304e92352602bf8a',
         '0/flight.json': '8fd0b5bbee46b6777c0352aaad0ca33f',
-        '0/metrics': 'bd3cc3b8800342d5b9f8b43c517604eb',
-        '0/metrics.prom': 'bd3cc3b8800342d5b9f8b43c517604eb',
+        '0/metrics': '06ea464bbe902eba438267b62162a59c',
+        '0/metrics.prom': '06ea464bbe902eba438267b62162a59c',
         '0/profile.folded': 'eb5b8198fe7618787cf49dce49b77d7d',
         '0/trace-summary.json': 'cc8b11929a5f5eb453202b39595c7b31',
         '0/trace.json': '262ce739846150e4f545868b0a5a2227',
@@ -333,8 +333,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'a4fd32091bfa45801047cdceedd5bcf8',
         '0/describe': '8209d963ab432ed06b10840d95634cba',
         '0/flight.json': 'fc22d1896c9e6db45f681aa3da6e2000',
-        '0/metrics': '12ef532b64a12641854988ded41b5459',
-        '0/metrics.prom': '12ef532b64a12641854988ded41b5459',
+        '0/metrics': '90fc3f58338c5a92240a83ee8d7830a0',
+        '0/metrics.prom': '90fc3f58338c5a92240a83ee8d7830a0',
         '0/profile.folded': '3c6e20e4677f835b9509a41b717641e1',
         '0/trace-summary.json': 'a3a8a5222999cfda62368c4145f8f83b',
         '0/trace.json': 'b02b0033e5bafdb9ee041bbc79ba11a0',
@@ -344,8 +344,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'a4fd32091bfa45801047cdceedd5bcf8',
         '0/describe': '8209d963ab432ed06b10840d95634cba',
         '0/flight.json': 'fc22d1896c9e6db45f681aa3da6e2000',
-        '0/metrics': '164f67e432dbb0e9c3510dbec08ac207',
-        '0/metrics.prom': '164f67e432dbb0e9c3510dbec08ac207',
+        '0/metrics': '90fc3f58338c5a92240a83ee8d7830a0',
+        '0/metrics.prom': '90fc3f58338c5a92240a83ee8d7830a0',
         '0/profile.folded': '3c6e20e4677f835b9509a41b717641e1',
         '0/trace-summary.json': 'a3a8a5222999cfda62368c4145f8f83b',
         '0/trace.json': 'b02b0033e5bafdb9ee041bbc79ba11a0',
@@ -355,8 +355,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '7713af4014bfd1560ad487e8deae8ac5',
         '0/describe': 'b3bef6ea7ef56bfd5a4fc1ac38f9650e',
         '0/flight.json': '7afb3bf79943fc9450c71d5bc3215f6c',
-        '0/metrics': '59a51b9f86123edd6b4d7c1519218305',
-        '0/metrics.prom': '59a51b9f86123edd6b4d7c1519218305',
+        '0/metrics': '6e3f3abc3746ed249ee55ed2a10c23e2',
+        '0/metrics.prom': '6e3f3abc3746ed249ee55ed2a10c23e2',
         '0/profile.folded': '565b7d8cf42df196366f2829b0a87edd',
         '0/trace-summary.json': 'ddd0a2c1ecb82c95479d63875cefddb8',
         '0/trace.json': 'c94727c6ce9ca66fd54779dc8bb71886',
@@ -366,8 +366,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '7713af4014bfd1560ad487e8deae8ac5',
         '0/describe': 'b3bef6ea7ef56bfd5a4fc1ac38f9650e',
         '0/flight.json': '7afb3bf79943fc9450c71d5bc3215f6c',
-        '0/metrics': '5bc243e830eac8b907d3d1d0b2c74bd5',
-        '0/metrics.prom': '5bc243e830eac8b907d3d1d0b2c74bd5',
+        '0/metrics': '6e3f3abc3746ed249ee55ed2a10c23e2',
+        '0/metrics.prom': '6e3f3abc3746ed249ee55ed2a10c23e2',
         '0/profile.folded': '565b7d8cf42df196366f2829b0a87edd',
         '0/trace-summary.json': 'ddd0a2c1ecb82c95479d63875cefddb8',
         '0/trace.json': 'c94727c6ce9ca66fd54779dc8bb71886',
@@ -377,8 +377,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '53276089ab6da0c893763aaa2b966ba0',
         '0/describe': '07cdfdf9f9a2e47f53a711587a59c53f',
         '0/flight.json': '0430433bcd4f343621707b79ad060d08',
-        '0/metrics': '32b4310f919ee6b21e44e1560f3c00ae',
-        '0/metrics.prom': '32b4310f919ee6b21e44e1560f3c00ae',
+        '0/metrics': '56140ddc4f0174a625760d9b6bf4a8b6',
+        '0/metrics.prom': '56140ddc4f0174a625760d9b6bf4a8b6',
         '0/profile.folded': '55e24681a28291e4ffe282cc9460bd8e',
         '0/trace-summary.json': '888d01d9f7a15fb002d3681d43b805d4',
         '0/trace.json': 'd6ebf9f202c50764a06fb1b1b03f1fa8',
@@ -388,8 +388,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'f56eac76e2054c3cfad8722d58e4a583',
         '0/describe': 'e613703634239886f6a26639c1ee0d32',
         '0/flight.json': 'c9c7f1c92c0cc854519a0305ea7da6ca',
-        '0/metrics': '4329b9c3cd89b5e91599935b3e45c94b',
-        '0/metrics.prom': '4329b9c3cd89b5e91599935b3e45c94b',
+        '0/metrics': '8ef00548d20c908202b252712cd9e2ab',
+        '0/metrics.prom': '8ef00548d20c908202b252712cd9e2ab',
         '0/profile.folded': 'ba77d2a8231bd3e50dc8a0365dabe3d7',
         '0/trace-summary.json': '5323cb2ed81a32609d2a7b79bdc81ba9',
         '0/trace.json': 'd9e09d3036bf483e3b582c4c816c4664',
@@ -399,8 +399,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': 'fdfd54874372964d3bf34e822c02aff9',
         '0/describe': 'aa084dec4faa100078c8ae04ef9214c8',
         '0/flight.json': '8babeca4474faaca1586f6df4ee03b5d',
-        '0/metrics': '8b987b4cd44dcc89bb3185e05cdc3975',
-        '0/metrics.prom': '8b987b4cd44dcc89bb3185e05cdc3975',
+        '0/metrics': '0adc426239d1c4af4db7acd3cfdc2a33',
+        '0/metrics.prom': '0adc426239d1c4af4db7acd3cfdc2a33',
         '0/profile.folded': '8f5632523ba96dafcb2958aba6986c61',
         '0/trace-summary.json': '8127b248ef7a895be55bebd0cb2c7687',
         '0/trace.json': 'ca8de048c07ea0af35cbd8561ec08c33',
@@ -410,8 +410,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         '0/containment.json': '0b70d8bc72ca1150eed644fd77c88bb0',
         '0/describe': '7b7339d02dc7a86d621d42a3851d3089',
         '0/flight.json': '3a2c3bfe6a0a4e46e5cbf032cbafde6c',
-        '0/metrics': '8eab080ce4f66b91ba5ac8706565c339',
-        '0/metrics.prom': '5fc6dccb8be57fabbaf452d80173eb7d',
+        '0/metrics': 'e9392d68083622f67a9106a50d7f0eb2',
+        '0/metrics.prom': '93552e17fe7bf67bf572120d8e14be65',
         '0/profile.folded': 'ec255972b520f0c3ca6b9eb715decd34',
         '0/trace-summary.json': 'e7f476b039488bb7422829681d56c9c8',
         '0/trace.json': '0566bc708a3d2661db9a83f0d7faa99c',
