@@ -88,8 +88,9 @@ class MMU:
         #: Observer bus (repro.obs), wired by the machine.  Consulted
         #: only on fault paths — never on a successful access.
         self.obs = None
-        #: Optional FaultInjector consulted per checked access (None in
-        #: normal runs, so the hot path pays one predictable branch).
+        #: FaultInjector consulted per checked access while it has a
+        #: fault armed (it attaches and detaches itself); None otherwise,
+        #: so the hot path pays one predictable branch.
         self.inject = None
 
     def _trace_violation(self, kind: str, vaddr: int,

@@ -5,7 +5,10 @@ points — the kernel's system-call entry, LitterBox's Prolog, and the
 MMU's access path — according to a declarative, seeded specification,
 so that the fault-containment layer (``MachineConfig.fault_policy``)
 can be exercised reproducibly: the same spec and seed always produce
-the same injected events at the same simulated instants.
+the same injected events at the same simulated instants.  The MMU hook
+is attached only while an armed fault is pending; with nothing armed,
+consulting it would have no effect, so leaving it off changes no
+simulated value and keeps injected runs on the MMU and JIT fast paths.
 
 Spec grammar
 ------------
@@ -165,11 +168,15 @@ class FaultInjector:
 
     The machine wires ``env_provider`` (a callable returning the name
     of the environment the current goroutine is executing in) and
-    installs the injector on the kernel, LitterBox, and MMU hook
-    points.  All hooks are no-ops in machines built without
-    ``MachineConfig(inject=...)`` — the attributes stay ``None`` and
-    each hook site is one ``is None`` test, so simulated time is
-    bit-identical with injection disabled.
+    ``mmu``, and installs the injector on the kernel and LitterBox hook
+    points.  The MMU hook is attached only while a clause is armed:
+    :meth:`on_prolog` sets ``mmu.inject`` when it arms one, and
+    :meth:`on_access` clears it when the last armed clause fires, so
+    the MMU's TLB fast paths and the JIT's traces run whenever no
+    injected fault is pending.  All hooks are no-ops in machines built
+    without ``MachineConfig(inject=...)`` — the attributes stay
+    ``None`` and each hook site is one ``is None`` test, so simulated
+    time is bit-identical with injection disabled.
     """
 
     def __init__(self, spec: str | list[InjectClause], seed: int = 0):
@@ -180,6 +187,9 @@ class FaultInjector:
         #: Callable returning the current environment name; the machine
         #: wires it to the scheduler's current goroutine.
         self.env_provider = None
+        #: The MMU whose access hook (``mmu.inject``) this injector
+        #: holds while ``_armed`` is non-empty; the machine wires it.
+        self.mmu = None
         #: Armed one-shot faults: (clause, env_id, env_name).
         self._armed: list[tuple[InjectClause, int, str]] = []
 
@@ -239,6 +249,8 @@ class FaultInjector:
                               env_name=env.name, pkg="injected")
                 raise fault
             self._armed.append((clause, env.id, env.name))
+            if self.mmu is not None:
+                self.mmu.inject = self
 
     # -- hook: MMU access path -----------------------------------------------
 
@@ -259,6 +271,8 @@ class FaultInjector:
             if clause.kind in ("pkey", "page") and kind == "x":
                 continue
             del self._armed[index]
+            if not self._armed and self.mmu is not None:
+                self.mmu.inject = None
             if clause.kind == "pkey":
                 fault = PkeyFault(
                     f"injected PKRU violation at {vaddr:#x} in "

@@ -35,8 +35,9 @@ every observable point:
   enter a region when the remaining slice budget or operand-stack
   depth is insufficient, and the trace itself refuses (returns ``0``,
   nothing observable done) when the frame's locals span a page, the
-  fault injector is armed, the TLB can't prevalidate the locals page,
-  or a slice-specialized trace meets a non-stock rtcall handler — plus
+  fault injector is armed (its MMU hook is attached only then), the
+  TLB can't prevalidate the locals page, or a slice-specialized trace
+  meets a non-stock rtcall handler — plus
   a per-call prevalidation of the frame's locals page hoist the
   per-access work.  The trace protocol is ``fn(interp, cpu, left) ->
   int``: ``0`` means an entry guard failed and the interpreter
@@ -567,6 +568,11 @@ def gen_source(region: Region, profiled: bool) -> str:
         emit("    user = ctx.user")
         emit("    pkru = ctx.pkru")
         emit("    tget = ctx.tlb.get")
+    # ``mmu.inject`` is set only while the injector has a fault armed.
+    # Arming happens only in Prolog, an LBCALL, which the region grammar
+    # excludes, and disarming only in an access that then raises; so the
+    # value read at entry (the guard below, the hoisted ``inj``) holds
+    # for the whole trace.
     if uses_locals:
         lo = min(local_offs)
         hi = max(local_offs)

@@ -285,8 +285,8 @@ class Machine:
             injector.env_provider = lambda: (
                 self.scheduler.current.env.name
                 if self.scheduler.current is not None else "trusted")
+            injector.mmu = self.mmu
             self.injector = injector
-            self.mmu.inject = injector
             self.kernel.inject = injector
             self.litterbox.injector = injector
 

@@ -158,6 +158,24 @@ class TestJitBitIdentity:
                     machine.tracer.summary())
         assert snap(True) == snap(False)
 
+    @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
+    def test_traces_cover_the_injected_macro(self, backend):
+        """An injected run stays in compiled traces between faults,
+        and still matches pure interpretation."""
+        def run(jit):
+            driver = run_http_server(backend, config=MachineConfig(
+                backend=backend, jit=jit, fault_policy="quarantine",
+                quarantine_threshold=1000, inject="pkey@main_1:every=5"))
+            responses = [driver.request() for _ in range(12)]
+            return driver.machine, responses
+
+        on, on_responses = run(True)
+        off, off_responses = run(False)
+        assert on.perf.jit_insns / on.perf.instructions >= 0.8
+        assert on.injector.total_fired > 0
+        assert (on.clock.now_ns, on_responses, on.containment_report()) \
+            == (off.clock.now_ns, off_responses, off.containment_report())
+
     def test_jit_engages_on_macro_workloads(self):
         driver = run_http_server("mpk")
         for _ in range(5):

@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, PageFault, PkeyFault, SyscallFault
+from repro.golite import build_program
 from repro.inject import FaultInjector, InjectClause, parse_inject_spec
-from repro.machine import MachineConfig
+from repro.machine import Machine, MachineConfig
 from repro.os import errno
+from repro.workloads import tenants
+from repro.workloads.httpserver import run_http_server
 from tests.golite_helpers import run_golite
 
 SECRETS = """
@@ -179,6 +182,59 @@ class TestAccessHook:
         injector.env_provider = lambda: "main_1"
         with pytest.raises(PkeyFault):
             injector.on_access(0x1000, "r")
+
+
+class TestMMUHook:
+    """The injector holds the MMU's access hook only while a fault is
+    armed, so the rest of an injected run keeps the MMU and JIT fast
+    paths."""
+
+    def test_hook_spans_arming_prolog_to_firing_access(self):
+        machine = Machine(build_program([ENCLOSED_APP]), MachineConfig(
+            backend="mpk", inject="pkey@main_1"))
+        injector = machine.injector
+        assert machine.mmu.inject is None
+        seen = []
+        on_prolog, on_access = injector.on_prolog, injector.on_access
+
+        def prolog(env):
+            on_prolog(env)
+            seen.append(("prolog", machine.mmu.inject))
+
+        def access(vaddr, kind):
+            seen.append(("access", machine.mmu.inject))
+            on_access(vaddr, kind)
+
+        injector.on_prolog, injector.on_access = prolog, access
+        machine.run()
+        assert isinstance(machine.fault, PkeyFault)
+        assert seen[0] == ("prolog", injector)
+        assert all(hook is injector for _, hook in seen)
+        assert machine.mmu.inject is None
+
+    def test_transient_spec_never_attaches_the_hook(self):
+        driver = run_http_server("mpk", config=MachineConfig(
+            backend="mpk", inject="eagain@*:nr=0,every=2"))
+        injector = driver.machine.injector
+        accesses = []
+        injector.on_access = lambda vaddr, kind: accesses.append(vaddr)
+        for _ in range(4):
+            driver.request()
+        assert injector.total_fired >= 2
+        assert accesses == []
+        assert driver.machine.mmu.inject is None
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        _, legs = tenants.tenants_study("mpk", tenants=10, requests=60)
+        return dict(legs)["study"]
+
+    def test_study_leg_ends_detached(self, study):
+        assert study.injector.total_fired > 0
+        assert study.mmu.inject is None
+
+    def test_traces_cover_the_study_leg(self, study):
+        assert study.perf.jit_insns / study.perf.instructions >= 0.5
 
 
 class TestEndToEnd:
