@@ -449,7 +449,9 @@ class Machine:
         entry = (self.image.symbols[entry_symbol]
                  if entry_symbol else self.image.entry)
         self.scheduler.spawn(entry, env=self.litterbox.trusted_env)
-        return self._finish(self.scheduler.run(max_total_steps=max_steps))
+        result = self._finish(self.scheduler.run(max_total_steps=max_steps))
+        result.goroutines = self.scheduler.exit_summary()
+        return result
 
     def resume(self, max_steps: int = 200_000_000) -> RunResult:
         """Continue driving goroutines (servers) after injecting events."""
@@ -470,7 +472,6 @@ class Machine:
             # Contained: the main goroutine died but the machine did not
             # abort; the backend already charged the containment cost.
             self.fault = result.fault
-        result.goroutines = self.scheduler.exit_summary()
         return result
 
     # ------------------------------------------------------------------ tools

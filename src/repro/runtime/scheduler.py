@@ -76,7 +76,9 @@ class RunResult:
     status: str              # exited | halted | faulted | killed | idle
     exit_code: int = 0
     fault: Fault | None = None
-    #: Per-goroutine exit summary (filled in by ``Machine._finish``).
+    #: Per-goroutine exit summary, filled in by ``Machine.run`` only:
+    #: a server driven by ``Machine.resume`` reads it, when needed, from
+    #: ``Machine.containment_report``.
     goroutines: dict | None = None
 
 
