@@ -6,9 +6,7 @@ MMU's access path — according to a declarative, seeded specification,
 so that the fault-containment layer (``MachineConfig.fault_policy``)
 can be exercised reproducibly: the same spec and seed always produce
 the same injected events at the same simulated instants.  The MMU hook
-is attached only while an armed fault is pending; with nothing armed,
-consulting it would have no effect, so leaving it off changes no
-simulated value and keeps injected runs on the MMU and JIT fast paths.
+is attached only while a fault is armed (see :class:`FaultInjector`).
 
 Spec grammar
 ------------
@@ -171,9 +169,10 @@ class FaultInjector:
     ``mmu``, and installs the injector on the kernel and LitterBox hook
     points.  The MMU hook is attached only while a clause is armed:
     :meth:`on_prolog` sets ``mmu.inject`` when it arms one, and
-    :meth:`on_access` clears it when the last armed clause fires, so
-    the MMU's TLB fast paths and the JIT's traces run whenever no
-    injected fault is pending.  All hooks are no-ops in machines built
+    :meth:`on_access` clears it when the last armed clause fires.  With
+    nothing armed the hook would have no effect, so leaving it off
+    changes no simulated value and keeps the MMU's TLB fast paths and
+    the JIT's traces running.  All hooks are no-ops in machines built
     without ``MachineConfig(inject=...)`` — the attributes stay
     ``None`` and each hook site is one ``is None`` test, so simulated
     time is bit-identical with injection disabled.
@@ -262,8 +261,6 @@ class FaultInjector:
         fires on any access, modelling a filtered SYSCALL instruction
         appearing at that point in the adversarial package's stream.
         """
-        if not self._armed:
-            return
         env = self._current_env()
         for index, (clause, env_id, env_name) in enumerate(self._armed):
             if env_name != env:
