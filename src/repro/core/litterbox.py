@@ -63,19 +63,6 @@ class LitterBox:
         self.kernel = kernel
         self.mmu = mmu
         self.clock = clock
-        self.perf = mmu.perf
-        #: Transition-cache master switch (machine-wired).  The memo
-        #: itself records *approved* switch decisions, which depend only
-        #: on static post-Init state (the ``.verif`` list, environment
-        #: views, syscall sets) — so one program-wide dict serves every
-        #: goroutine, including the fresh handler goroutine each HTTP
-        #: request spawns.  The per-goroutine half of a transition (the
-        #: split-stack binding) is memoized separately in
-        #: ``Goroutine.stacks``.  Prolog entries are keyed
-        #: ``(encl_id, from_env_id, call_site) -> target env``; Epilog
-        #: entries ``call_site -> True`` (disjoint key shapes).
-        self.transition_cache_enabled = True
-        self._trans_cache: dict = {}
         self.image: ElfImage | None = None
         self.trusted_env = make_trusted_environment()
         self.envs: dict[int, Environment] = {
@@ -96,8 +83,8 @@ class LitterBox:
         #: by the machine; ``None`` keeps Prolog injection-free.
         self.injector = None
         #: Optional callback invalidating the interpreter's compiled
-        #: JIT traces, wired by the machine; called wherever the other
-        #: fast-path memos are revoked (quarantine trips).
+        #: JIT traces, wired by the machine; quarantine and revival call
+        #: it, and it is the enforcement boundary's only cache flush.
         self.jit_flush = None
         #: Containment policy state (set by the machine from its config).
         self.fault_policy = "abort"
@@ -152,11 +139,6 @@ class LitterBox:
 
     # -------------------------------------------------------------- switches
 
-    def invalidate_transitions(self) -> None:
-        """Drop every memoized transition (quarantine and
-        contained-fault unwind call this)."""
-        self._trans_cache.clear()
-
     def _verify_call_site(self, call_site: int, hook: Hook) -> None:
         """Check the LBCALL site against the `.verif` list (in super)."""
         registered = self.verif.get(call_site)
@@ -173,28 +155,12 @@ class LitterBox:
         entered = None
         try:
             current = goroutine.env
-            target = None
-            cache = self._trans_cache if self.transition_cache_enabled \
-                else None
-            if cache is not None:
-                target = cache.get((encl_id, current.id, call_site))
-            if target is not None:
-                # This exact transition (site, from-env, to-env) was
-                # approved before and no invalidation happened since:
-                # skip the call-site verification and the subset check.
-                # Quarantine is re-checked below on every entry, and a
-                # denied transition is never cached.
-                self.perf.trans_hits += 1
-            else:
-                self._verify_call_site(call_site, Hook.PROLOG)
-                target = self.env(encl_id)
-                if not target.is_subset_of(current):
-                    raise EscalationFault(
-                        f"switch from {current.name!r} to less restrictive "
-                        f"environment {target.name!r}").attribute(current)
-                if cache is not None:
-                    self.perf.trans_misses += 1
-                    cache[(encl_id, current.id, call_site)] = target
+            self._verify_call_site(call_site, Hook.PROLOG)
+            target = self.env(encl_id)
+            if not target.is_subset_of(current):
+                raise EscalationFault(
+                    f"switch from {current.name!r} to less restrictive "
+                    f"environment {target.name!r}").attribute(current)
             if self.quarantined and encl_id in self.quarantined:
                 raise QuarantinedFault(
                     f"enclosure {target.name!r} is quarantined "
@@ -228,15 +194,7 @@ class LitterBox:
                                 self.backend.name)
         left = None
         try:
-            cache = self._trans_cache if self.transition_cache_enabled \
-                else None
-            if cache is not None and call_site in cache:
-                self.perf.trans_hits += 1
-            else:
-                self._verify_call_site(call_site, Hook.EPILOG)
-                if cache is not None:
-                    self.perf.trans_misses += 1
-                    cache[call_site] = True
+            self._verify_call_site(call_site, Hook.EPILOG)
             if not goroutine.env_stack:
                 raise Fault("exec", "Epilog without a matching Prolog")
             previous, fp, sp, stack = goroutine.env_stack.pop()
@@ -270,9 +228,6 @@ class LitterBox:
         Prolog frame, restoring the base environment's stack, frame
         pointer, and hardware restrictions (PKRU / page table) exactly
         as a stack of Epilogs would.  Returns the frames unwound."""
-        # A fault mid-switch may have left memoized transition state
-        # that no longer reflects reality; drop all of it.
-        self.invalidate_transitions()
         depth = len(goroutine.env_stack)
         if depth == 0:
             return 0
@@ -303,16 +258,11 @@ class LitterBox:
         self.quarantined[env_id] = f"{count} contained fault(s), " \
                                    f"last: fault[{fault.kind}]"
         self.backend.quarantine(env)
-        # Revocation must also revoke every fast path: memoized
-        # transitions and seccomp verdicts could otherwise replay
-        # decisions made before the quarantine (the TLB is already
-        # handled: MPK re-checks keys per access, VTX/LWC revoke_all
-        # bumps the table generation).
-        self.invalidate_transitions()
-        self.kernel.flush_verdicts()
-        # Compiled JIT traces are revoked with them: a trace compiled
-        # before the quarantine must never be re-entered under the new
-        # policy (the cache generation bump makes that structural).
+        # Compiled JIT traces are revoked with the environment: a trace
+        # compiled before the quarantine must never be re-entered under
+        # the new policy (the cache generation bump makes that
+        # structural).  The TLB needs nothing here: MPK re-checks keys
+        # per access, and VTX/LWC revoke_all bumps the table generation.
         if self.jit_flush is not None:
             self.jit_flush()
         if self.obs is not None:
@@ -324,10 +274,9 @@ class LitterBox:
         revocation and clears the trip-wire count; returns ``False`` if
         the environment was not quarantined.
 
-        The same fast-path revocations as the quarantine itself apply:
-        memoized transitions, seccomp verdicts, and compiled JIT traces
-        may all encode "env X is quarantined" decisions and must not
-        replay them after the revival.
+        The quarantine's JIT flush applies here too: compiled traces
+        may encode "env X is quarantined" decisions and must not replay
+        them after the revival.
         """
         if env_id not in self.quarantined:
             return False
@@ -337,8 +286,6 @@ class LitterBox:
         del self.quarantined[env_id]
         self.fault_counts[env_id] = 0
         self.backend.unquarantine(env)
-        self.invalidate_transitions()
-        self.kernel.flush_verdicts()
         if self.jit_flush is not None:
             self.jit_flush()
         if self.obs is not None:

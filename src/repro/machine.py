@@ -75,18 +75,14 @@ class MachineConfig:
     #: map.  ``None`` (the default) leaves every metering hook a single
     #: ``is None`` test, keeping sim-ns bit-identical.
     quotas: str | dict | None = None
-    # Wall-clock fast-path kill-switches (PR 4).  All three are
-    # invisible to the cost model; they exist so the bit-identity test
-    # suite can diff each fast path against its slow path.
+    # Wall-clock fast-path kill-switch: invisible to the cost model;
+    # it exists so the bit-identity test suite can diff fusion
+    # against plain dispatch.
     #: Load-time superinstruction peephole in the interpreter.
     fuse_superinstructions: bool = True
-    #: LitterBox per-(goroutine, env) Prolog transition memo.
-    transition_cache: bool = True
-    #: Kernel (pkru, nr) -> seccomp verdict memo.
-    verdict_cache: bool = True
     # Trace-JIT (PR 6): compile hot straight-line regions to generated
-    # Python (see repro/isa/jit.py).  Wall-clock only, like the fast
-    # paths above: every simulated value is bit-identical with the JIT
+    # Python (see repro/isa/jit.py).  Wall-clock only, like fusion
+    # above: every simulated value is bit-identical with the JIT
     # on or off, and jit=False restores pure interpretation exactly.
     jit: bool = True
     # Observability (PR 5).  Both are wall-clock-only like the tracer:
@@ -243,11 +239,6 @@ class Machine:
             self.runtime.metrics_renderer = (
                 lambda: self.metrics_registry.render_text(collect=False))
         self.kernel.net.waker = self.scheduler.wake
-
-        # Fast-path kill-switches (wall-clock only; defaults stay on).
-        self.litterbox.transition_cache_enabled = config.transition_cache
-        if not config.verdict_cache:
-            self.kernel.verdict_cache = None
 
         # Fault containment + injection wiring.
         self.litterbox.fault_policy = config.fault_policy

@@ -59,19 +59,11 @@ class Kernel:
         self.physmem = physmem
         self.mmu = mmu
         self.clock = clock
-        self.perf = mmu.perf
         self.fs = FileSystem()
         self.net = Network()
         self.pkeys = PkeyAllocator()
         self.stdout = bytearray()
         self.seccomp_filter: BpfProgram | None = None
-        #: ``(pkru, nr) -> (ret, executed)`` memo of *allowed* seccomp
-        #: verdicts (wall-clock only: a hit replays the exact tuple the
-        #: BPF interpreter would return, so the simulated charge and the
-        #: trace instant are unchanged).  Denials are never cached, nor
-        #: are syscalls the filter argument-inspects
-        #: (``BpfProgram.arg_checked``).  ``None`` disables the cache.
-        self.verdict_cache: dict[tuple[int, int], tuple[int, int]] | None = {}
         #: The host page table that ``pkey_mprotect`` retags (MPK mode).
         self.host_table: PageTable | None = None
         #: Called after mmap allocates frames so the backend can map the
@@ -153,13 +145,6 @@ class Kernel:
         if self.seccomp_filter is not None:
             raise KernelError("seccomp filter already installed")
         self.seccomp_filter = program
-        self.flush_verdicts()
-
-    def flush_verdicts(self) -> None:
-        """Drop every memoized seccomp verdict (filter install,
-        quarantine)."""
-        if self.verdict_cache is not None:
-            self.verdict_cache.clear()
 
     def syscall(self, nr: int, args: tuple[int, ...],
                 ctx: TranslationContext | None, pkru: int) -> int:
@@ -195,23 +180,8 @@ class Kernel:
                                         errno=-forced)
                 return forced
         if self.seccomp_filter is not None:
-            filt = self.seccomp_filter
-            cache = self.verdict_cache
-            cacheable = cache is not None and nr not in filt.arg_checked
-            verdict = cache.get((pkru, nr)) if cacheable else None
-            if verdict is not None:
-                # Replay the exact (ret, executed) the interpreter would
-                # produce: same simulated charge, same trace instant.
-                ret, executed = verdict
-                self.perf.verdict_hits += 1
-            else:
-                data = encode_seccomp_data(nr, args, pkru)
-                ret, executed = filt.run(data)
-                if cache is not None:
-                    self.perf.verdict_misses += 1
-                if cacheable and (ret & 0xFFFF0000) == SECCOMP_RET_ALLOW:
-                    # Cache the approved decision, never the denied one.
-                    cache[(pkru, nr)] = (ret, executed)
+            ret, executed = self.seccomp_filter.run(
+                encode_seccomp_data(nr, args, pkru))
             self.clock.charge(
                 COSTS.SECCOMP_FIXED + COSTS.SECCOMP_BPF_INSN * executed)
             action = ret & 0xFFFF0000

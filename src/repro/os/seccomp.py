@@ -67,11 +67,6 @@ class BpfProgram:
 
     MAX_INSNS = 4096
 
-    #: Syscall numbers whose verdict depends on argument values (not
-    #: just ``nr`` and ``pkru``); the kernel's verdict cache must never
-    #: memoize these.  Builders that emit argument loads set this.
-    arg_checked: frozenset[int] = frozenset()
-
     def __init__(self, insns: list[BpfInsn]):
         if not insns:
             raise ConfigError("empty BPF program")
@@ -235,6 +230,4 @@ def build_pkru_filter(env_masks: dict[int, frozenset[int]],
     asm.emit(RET_K, SECCOMP_RET_ALLOW)
     asm.label("kill")
     asm.emit(RET_K, SECCOMP_RET_KILL)
-    program = asm.assemble()
-    program.arg_checked = frozenset(rules_by_nr)
-    return program
+    return asm.assemble()

@@ -2,17 +2,15 @@
 
 :class:`PerfStats` counts what the *simulator's* hot path does — TLB
 hits/misses/flushes, fetch fast-path behaviour, per-opcode dispatch
-frequencies, and the PR-4 boundary caches (enclosure-transition memo,
-seccomp verdict memo, superinstruction fusion).  These are observability
-counters for the interpreter itself; they are deliberately disjoint from
-:class:`~repro.hw.clock.SimClock`, whose simulated-nanosecond accounting
-is part of the reproduction's cost model and must not change when the
-interpreter gets faster.
+frequencies, superinstruction fusion and the trace JIT.  These are
+observability counters for the interpreter itself; they are deliberately
+disjoint from :class:`~repro.hw.clock.SimClock`, whose simulated-nanosecond
+accounting is part of the reproduction's cost model and must not change
+when the interpreter gets faster.
 
 One instance is shared per :class:`~repro.machine.Machine` by the MMU
-(translation counters), the interpreter (fetch/dispatch/fusion
-counters), the kernel (verdict cache), and LitterBox (transition
-cache), and surfaced via ``machine.perf``, ``repro run --stats``, and
+(translation counters) and the interpreter (fetch/dispatch/fusion/JIT
+counters), and surfaced via ``machine.perf``, ``repro run --stats``, and
 the per-layer counters of ``perfbench/bench.py``.
 """
 
@@ -45,11 +43,14 @@ class PerfStats:
 
     __slots__ = ("tlb_hits", "tlb_misses", "tlb_flushes",
                  "fetch_slow", "word_fast", "word_slow", "op_counts",
-                 "trans_hits", "trans_misses",
-                 "verdict_hits", "verdict_misses",
                  "jit_traces_compiled", "jit_trace_executions",
                  "jit_insns", "jit_deopts", "jit_flushes",
                  "runs")
+
+    #: Always zero, and read-only: the transition and verdict memos
+    #: these counted are gone, but ``perfbench/bench.py::perf_counters``
+    #: still reads all four.
+    trans_hits = trans_misses = verdict_hits = verdict_misses = 0
 
     def __init__(self) -> None:
         #: How many ``Machine.run()`` drives this instance has counted;
@@ -78,14 +79,6 @@ class PerfStats:
         #: frame route vs. the generic page-by-page loop.
         self.word_fast = 0
         self.word_slow = 0
-        #: Prolog transitions served from the per-goroutine memo vs.
-        #: re-derived from the environment policy (subset check).
-        self.trans_hits = 0
-        self.trans_misses = 0
-        #: Seccomp verdicts replayed from the (pkru, nr) memo vs.
-        #: evaluated by the BPF interpreter.
-        self.verdict_hits = 0
-        self.verdict_misses = 0
         #: Regions compiled to Python this run (cache misses only;
         #: re-entering a warm trace compiles nothing).
         self.jit_traces_compiled = 0
@@ -174,10 +167,6 @@ class PerfStats:
             "word_fast": self.word_fast,
             "word_slow": self.word_slow,
             "word_hit_rate": round(self.word_hit_rate, 4),
-            "trans_hits": self.trans_hits,
-            "trans_misses": self.trans_misses,
-            "verdict_hits": self.verdict_hits,
-            "verdict_misses": self.verdict_misses,
             "fused_instructions": self.fused_instructions,
             "instructions": self.instructions,
             "jit_traces_compiled": self.jit_traces_compiled,
@@ -209,10 +198,6 @@ class PerfStats:
             f"{self.fetch_slow} checked of {insns} instructions",
             f"word access: {self.word_fast} fast / {self.word_slow} generic "
             f"({100 * self.word_hit_rate:.1f}% fast)",
-            f"transition cache: {self.trans_hits} hits / "
-            f"{self.trans_misses} misses",
-            f"verdict cache: {self.verdict_hits} hits / "
-            f"{self.verdict_misses} misses",
             f"fused: {self.fused_instructions} of {insns} instructions "
             f"retired through superinstructions",
             jit,

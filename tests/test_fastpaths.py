@@ -1,14 +1,11 @@
-"""Hot-boundary fast paths: bit-identity, engagement, and invalidation.
+"""Interpreter fast paths: bit-identity, engagement, and invalidation.
 
-Three wall-clock fast paths ride the enclosure hot boundary (see
-INTERNALS.md §11): the LitterBox transition cache (memoized
-Prolog/Epilog approvals), the kernel's seccomp verdict cache, and
-load-time superinstruction fusion in the interpreter.  All three are
-optimizations of the *simulator*, not of the simulated machine, so the
-contract is strict: simulated time, traces, and workload output must be
-bit-identical with each path disabled via its MachineConfig
-kill-switch, and every quarantine/containment event must revoke the
-cached decisions.
+Two wall-clock fast paths have MachineConfig kill-switches: load-time
+superinstruction fusion (INTERNALS.md §11) and the trace JIT (§13).
+Both are optimizations of the *simulator*, not of the simulated
+machine, so the contract is strict: simulated time, traces, and
+workload output must be bit-identical with each path disabled, and no
+decision made before a quarantine may replay past it.
 """
 
 from __future__ import annotations
@@ -18,23 +15,18 @@ import pathlib
 
 import pytest
 
-from repro.errors import Fault, QuarantinedFault, SyscallFault
-from repro.hw.mpk import PKRU_ALLOW_ALL
+from repro.errors import Fault, QuarantinedFault
 from repro.isa import Instr, Op
 from repro.isa.interp import FusedInstr, Interpreter
 from repro.machine import Machine, MachineConfig
-from repro.os import syscalls as sc
-from repro.os.seccomp import ArgRule
 from repro.workloads.bild import build_bild_image, run_bild
 from repro.workloads.fasthttp import run_fasthttp_server
 from repro.workloads.httpserver import run_http_server
 
-from tests.fig1 import build_image
 from tests.golite_helpers import run_golite
 from tests.harness import TEXT_BASE, MiniMachine
 
-KNOBS = ["fuse_superinstructions", "transition_cache", "verdict_cache",
-         "jit"]
+KNOBS = ["fuse_superinstructions", "jit"]
 ENFORCING = ["mpk", "vtx"]
 
 
@@ -209,22 +201,15 @@ class TestJitBitIdentity:
 
 
 class TestEngagement:
-    """The fast paths actually fire on the macro workloads (guards
-    against silently-dead caches that would make the bit-identity tests
+    """Fusion actually fires on the macro workloads (guards against a
+    silently-dead fast path that would make the bit-identity tests
     vacuous)."""
 
-    def test_all_three_paths_fire_on_http(self):
+    def test_fusion_fires_on_http(self):
         driver = run_http_server("mpk")
         for _ in range(5):
             driver.request()
-        perf = driver.machine.perf
-        assert perf.trans_hits > 0
-        assert perf.verdict_hits > 0
-        assert perf.fused_instructions > 0
-        # Hits dominate misses once the per-request goroutines repeat
-        # the same call sites and syscalls.
-        assert perf.trans_hits > perf.trans_misses
-        assert perf.verdict_hits > perf.verdict_misses
+        assert driver.machine.perf.fused_instructions > 0
 
     def test_fusion_covers_most_of_bild(self):
         machine = run_bild("mpk", 16, 16, 1)
@@ -233,12 +218,8 @@ class TestEngagement:
 
     def test_kill_switches_zero_the_counters(self):
         machine = run_bild("mpk", 16, 16, 1, config=MachineConfig(
-            backend="mpk", fuse_superinstructions=False,
-            transition_cache=False, verdict_cache=False))
-        perf = machine.perf
-        assert perf.fused_instructions == 0
-        assert (perf.trans_hits, perf.trans_misses) == (0, 0)
-        assert (perf.verdict_hits, perf.verdict_misses) == (0, 0)
+            backend="mpk", fuse_superinstructions=False))
+        assert machine.perf.fused_instructions == 0
 
     def test_fusion_switch_controls_code_cache(self):
         fused = Machine(build_bild_image(8, 8, 1),
@@ -328,59 +309,6 @@ class TestFusionSemantics:
         assert mm.interp.slice_executed == retired
 
 
-class TestVerdictCacheSafety:
-    def _machine(self, **cfg):
-        return Machine(build_image(), MachineConfig(backend="mpk", **cfg))
-
-    def test_arg_checked_nr_never_cached(self):
-        """A syscall with argument-granular rules (§6.5) must be
-        re-evaluated by the BPF interpreter on every call — its verdict
-        depends on the arguments, which are not part of the cache key."""
-        machine = self._machine(
-            arg_rules=[ArgRule(sc.SYS_CONNECT, 1, (5,))])
-        kernel = machine.kernel
-        assert sc.SYS_CONNECT in kernel.seccomp_filter.arg_checked
-
-        kernel.syscall(sc.SYS_GETPID, (), None, PKRU_ALLOW_ALL)
-        hits = machine.perf.verdict_hits
-        kernel.syscall(sc.SYS_GETPID, (), None, PKRU_ALLOW_ALL)
-        assert machine.perf.verdict_hits == hits + 1  # plain nr replays
-
-        kernel.syscall(sc.SYS_CONNECT, (3, 5, 22), None, PKRU_ALLOW_ALL)
-        hits = machine.perf.verdict_hits
-        kernel.syscall(sc.SYS_CONNECT, (3, 5, 22), None, PKRU_ALLOW_ALL)
-        assert machine.perf.verdict_hits == hits  # arg-checked never does
-        assert all(nr != sc.SYS_CONNECT for _, nr in kernel.verdict_cache)
-
-    def test_denied_verdict_not_cached(self):
-        machine = self._machine()
-        kernel = machine.kernel
-        env = machine.litterbox.env(1)
-        denied_nr = next(nr for nr in (sc.SYS_SOCKET, sc.SYS_GETUID,
-                                       sc.SYS_MKDIR)
-                         if nr not in env.syscalls)
-        with pytest.raises(SyscallFault):
-            kernel.syscall(denied_nr, (), None, env.pkru)
-        assert (env.pkru, denied_nr) not in kernel.verdict_cache
-        # And the denial is re-evaluated (and re-denied) on retry.
-        with pytest.raises(SyscallFault):
-            kernel.syscall(denied_nr, (), None, env.pkru)
-
-    def test_filter_install_flushes(self):
-        machine = self._machine()
-        machine.kernel.verdict_cache[(0, sc.SYS_GETPID)] = (0, 1)
-        machine.kernel.flush_verdicts()
-        assert machine.kernel.verdict_cache == {}
-
-    def test_kill_switch_disables_cache(self):
-        machine = self._machine(verdict_cache=False)
-        assert machine.kernel.verdict_cache is None
-        kernel = machine.kernel
-        kernel.syscall(sc.SYS_GETPID, (), None, PKRU_ALLOW_ALL)
-        kernel.syscall(sc.SYS_GETPID, (), None, PKRU_ALLOW_ALL)
-        assert machine.perf.verdict_hits == 0
-
-
 SECRETS = """
 package secretz
 
@@ -388,10 +316,10 @@ var Value int = 777
 """
 
 #: Both goroutines enter the *same* enclosure through the same call
-#: site.  The first warms the transition cache with a benign call, then
-#: violates on its second call, tripping the quarantine; the second
-#: goroutine's entry must be denied even though the transition was
-#: approved (and memoized) before the breaker tripped.
+#: site.  The first makes a benign call, then violates on its second
+#: call, tripping the quarantine; the second goroutine's entry must be
+#: denied even though the same transition was approved before the
+#: breaker tripped.
 WARM_THEN_VIOLATE = """
 package main
 
@@ -432,36 +360,6 @@ class TestQuarantineInvalidation:
         assert len(lb.quarantined) == 1
         denied = [f for f in machine.scheduler.contained
                   if isinstance(f, QuarantinedFault)]
-        # The second goroutine's (previously approved and memoized)
-        # entry was denied at the boundary.
+        # The second goroutine's (previously approved) entry was denied
+        # at the boundary.
         assert denied and denied[0].kind == "denied-entry"
-        # The warm-up actually used the cache before the trip.
-        assert machine.perf.trans_hits > 0
-
-    def test_trip_clears_transition_and_verdict_caches(self):
-        machine = Machine(build_image(),
-                          MachineConfig(backend="mpk",
-                                        fault_policy="quarantine",
-                                        quarantine_threshold=1))
-        lb = machine.litterbox
-        env = lb.env(1)
-        lb._trans_cache[(env.id, 0, 0x1234)] = env
-        machine.kernel.verdict_cache[(env.pkru, sc.SYS_GETPID)] = (0, 3)
-        fault = Fault("mem", "contained violation")
-        fault.attribute(env)
-        lb.note_contained_fault(fault)
-        assert env.id in lb.quarantined
-        assert lb._trans_cache == {}
-        assert machine.kernel.verdict_cache == {}
-
-    def test_kill_switch_disables_transition_cache(self):
-        machine, result = run_golite(
-            WARM_THEN_VIOLATE, SECRETS,
-            config=MachineConfig(backend="mpk",
-                                 fault_policy="quarantine",
-                                 quarantine_threshold=1,
-                                 transition_cache=False))
-        assert result.status == "exited", machine.fault
-        perf = machine.perf
-        assert (perf.trans_hits, perf.trans_misses) == (0, 0)
-        assert machine.litterbox._trans_cache == {}

@@ -16,7 +16,7 @@ from repro.hw.mpk import PKRU_ALLOW_ALL, make_pkru
 from repro.os import O_CREAT, O_RDONLY, O_WRONLY, errno, ip_of
 from repro.os import syscalls as sc
 from repro.os.kernel import MMAP_BASE, Kernel
-from repro.os.seccomp import build_pkru_filter
+from repro.os.seccomp import ArgRule, build_pkru_filter
 
 T = PKRU_ALLOW_ALL  # trusted PKRU
 
@@ -197,6 +197,23 @@ class TestSeccompIntegration:
         assert fd >= 3
         with pytest.raises(SyscallFault):
             syscall(kernel, ctx, sc.SYS_GETUID, pkru=enc_pkru)
+        # A denial is re-evaluated, and re-denied, on retry.
+        with pytest.raises(SyscallFault):
+            syscall(kernel, ctx, sc.SYS_GETUID, pkru=enc_pkru)
+
+    def test_arg_rule_sees_each_calls_arguments(self, world):
+        """An argument-granular rule (§6.5) is decided per call: an
+        allowed (nr, pkru) pair does not let a later call through with
+        an argument the rule rejects."""
+        kernel, _, ctx = world
+        kernel.load_seccomp(build_pkru_filter(
+            {T: frozenset(sc.ALL_SYSCALLS)},
+            [ArgRule(sc.SYS_CONNECT, 1, (5,))]))
+        for _ in range(2):
+            assert syscall(kernel, ctx, sc.SYS_CONNECT, 99, 5, 80) \
+                == -errno.EBADF
+        with pytest.raises(SyscallFault):
+            syscall(kernel, ctx, sc.SYS_CONNECT, 99, 6, 80)
 
     def test_filter_charges_time(self, world):
         kernel, _, ctx = world
