@@ -165,17 +165,6 @@ class MMU:
                 f"write of {vaddr:#x} denied by PKRU for key {pte.pkey}",
                 addr=vaddr, pkey=pte.pkey)
 
-    def _translate(self, ctx: TranslationContext, vaddr: int,
-                   kind: str) -> tuple[PTE, int]:
-        """Translate one address; raise a fault on any violation.
-
-        ``kind`` is ``'r'``, ``'w'``, or ``'x'``.  Kept as the uncached
-        reference path; checked accesses go through :meth:`_access`.
-        """
-        pte, paddr = self._walk(ctx, vaddr, kind)
-        self._check_pkey(ctx, pte, vaddr, kind)
-        return pte, paddr
-
     def _fill(self, ctx: TranslationContext, vaddr: int,
               kind: str) -> tuple:
         """TLB miss path: walk, then cache the *approved* translation.
