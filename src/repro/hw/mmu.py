@@ -54,7 +54,7 @@ KIND_R, KIND_W, KIND_X = 0, 1, 2
 _KIND_CODE = {"r": KIND_R, "w": KIND_W, "x": KIND_X}
 
 #: Permission bit required for each access kind (module-level so
-#: ``_walk`` doesn't rebuild the mapping per call).
+#: ``_page_walk`` doesn't rebuild the mapping per call).
 _NEEDED_PERM = {"r": Perm.R, "w": Perm.W, "x": Perm.X}
 
 
@@ -100,8 +100,8 @@ class MMU:
 
     # -- translation ----------------------------------------------------
 
-    def _walk(self, ctx: TranslationContext, vaddr: int,
-              kind: str) -> tuple[PTE, int]:
+    def _page_walk(self, ctx: TranslationContext, vaddr: int,
+                   kind: str) -> tuple[PTE, int]:
         """Full page-table (and EPT) walk; raises on any violation
         *except* protection keys, which are per-access (see module
         docstring) and checked by the callers.
@@ -176,7 +176,7 @@ class MMU:
         legal to cache under MPK semantics.
         """
         self.perf.tlb_misses += 1
-        pte, paddr = self._walk(ctx, vaddr, kind)
+        pte, paddr = self._page_walk(ctx, vaddr, kind)
         frame = self.physmem.frame(paddr >> PAGE_SHIFT)
         table = ctx.page_table
         ept = ctx.ept

@@ -86,6 +86,9 @@ class ElfImage:
     entry: int
     #: function address -> resolved instructions, for the interpreter.
     code_registry: dict[int, list[Instr]] = field(default_factory=dict)
+    #: The JIT's regions and traces for this image's code, shared by
+    #: every machine built from it (see :class:`repro.isa.jit.JitCompiler`).
+    jit_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def section_named(self, name: str) -> LoadSection:
         for load in self.sections:

@@ -39,7 +39,7 @@ from repro.hw.cpu import CPU
 from repro.hw.mmu import MMU, wrap64
 from repro.hw.pages import PAGE_SHIFT
 from repro.isa.instr import Instr
-from repro.isa.jit import JitCompiler
+from repro.isa.jit import GUARDS, JitCompiler
 from repro.isa.opcodes import (
     DISPATCH_SLOTS,
     FUSED_BASE,
@@ -153,8 +153,8 @@ class Interpreter:
             code[pc0] = FusedInstr(slot, a, b, dispatch[a.op], dispatch[b.op])
             index += 2
         if self.jit is not None:
-            # After fusion, so region discovery walks the real dispatch
-            # groups (a fused pair is one group).
+            # After fusion, so each leader's entry displaces the real
+            # dispatch group there (a fused pair is one group).
             self.jit.register(base, instrs)
 
     # -- single step -------------------------------------------------------
@@ -246,13 +246,15 @@ class Interpreter:
                 op = instr.op
                 if op >= jit_op:
                     fn = instr.fn
+                    n = 0
                     if fn is not None and budget - executed >= instr.length \
                             and len(cpu.operands) >= instr.min_depth:
                         n = fn(self, cpu, budget - executed)
-                        if n:
+                        if n > 0:
                             executed += n
                             continue
-                    instr = self._jit_fallback(instr, cpu, budget - executed)
+                    instr = self._jit_fallback(instr, cpu, budget - executed,
+                                               n)
                     op = instr.op
                 op_counts[op] += 1
                 handler = dispatch[op]
@@ -268,10 +270,11 @@ class Interpreter:
 
     # -- JIT cooperation ------------------------------------------------------
 
-    def _jit_fallback(self, entry, cpu: CPU, remaining: int):
+    def _jit_fallback(self, entry, cpu: CPU, remaining: int, code: int):
         """A region entry could not run compiled: count why, warm cold
-        regions, and hand the displaced instruction to the interpreter
-        (which *is* the deopt path — it executes the region exactly)."""
+        leaders, and hand the displaced instruction to the interpreter
+        (which *is* the deopt path — it executes the region exactly).
+        ``code`` is the trace's return when it declined its entry."""
         if entry.fn is None:
             self.jit.warm(entry)
         else:
@@ -281,59 +284,57 @@ class Interpreter:
             elif len(cpu.operands) < entry.min_depth:
                 reason = "depth"
             else:
-                reason = "guard"
+                reason = GUARDS[code]
             deopts[reason] = deopts.get(reason, 0) + 1
         return entry.orig
 
-    def _jit_fault(self, cpu: CPU, entry_pc: int, done: int = 0) -> None:
+    def _jit_fault(self, cpu: CPU, entry_pc: int, bk: int,
+                   counts: tuple[int, ...], exc: BaseException) -> None:
         """Called from a compiled trace's except hook before it
         re-raises: replay the per-dispatch accounting the interpreter
         would have recorded up to the faulting instruction.
 
-        ``done`` is the architectural count of *complete loop
-        iterations* (0 for straight-line traces).  ``cpu.pc`` was
-        synced by the trace before the faulting op.  Interpreted
-        execution increments ``op_counts`` *before* a dispatch and
-        ``executed`` only *after* a handler returns, so every complete
-        group plus the faulting group is counted, while
-        :attr:`slice_executed` (via ``_jit_partial``) covers complete
-        groups only — a faulting fused pair contributes neither half,
-        exactly as in ``run_slice``.  Prevalidated locals retired
-        before the fault each took the word fast path, so their
+        ``counts`` holds each block's passes so far, the faulting block
+        ``bk``'s partial pass included; ``cpu.pc`` was synced by the
+        trace before the faulting op.  Interpreted execution increments
+        ``op_counts`` *before* a dispatch and ``executed`` only *after*
+        a handler returns, so every complete block pass, plus the
+        faulting block's groups up to and including the faulting one,
+        is counted, while :attr:`slice_executed` (via ``_jit_partial``)
+        covers complete groups only — a faulting fused pair contributes
+        neither half, exactly as in ``run_slice``.  Prevalidated locals
+        retired before the fault each took the word fast path, so their
         ``word_fast``/``tlb_hits`` are replayed here too (the trace's
         dynamic-word tallies were already flushed by its except hook).
+        A channel ``WouldBlock`` is a ``block`` deopt, anything else a
+        ``fault``.
         """
         perf = self.perf
         deopts = perf.jit_deopts
-        deopts["fault"] = deopts.get("fault", 0) + 1
+        reason = "block" if isinstance(exc, WouldBlock) else "fault"
+        deopts[reason] = deopts.get(reason, 0) + 1
         region = self.jit.entries[entry_pc].region
-        instrs = region.instrs
-        idx = (cpu.pc - entry_pc) // INSTR_SIZE
-        if idx < 0 or idx >= region.length:  # pragma: no cover
-            idx = 0
+        code = region.code
+        local = (Op.LOADL, Op.STOREL)
         op_counts = perf.op_counts
-        iters = done // region.length
-        retired = done
-        before_fault = True
-        for slot, start, arch in region.groups:
-            # Every group ran once per complete iteration; in the
-            # faulting pass, groups up to and including the faulting
-            # one were dispatched (hence counted) once more.
-            op_counts[slot] += iters
-            if before_fault:
-                op_counts[slot] += 1
-                if start <= idx < start + arch:
-                    before_fault = False
-                else:
-                    retired += arch
-        n_local = sum(1 for ins in instrs
-                      if ins.op in (Op.LOADL, Op.STOREL))
-        if n_local:
-            pre = sum(1 for ins in instrs[:idx]
-                      if ins.op in (Op.LOADL, Op.STOREL))
-            extra = pre + n_local * iters
-            perf.word_fast += extra
-            perf.tlb_hits += extra
+        retired = fast = 0
+        for bid, groups in enumerate(region.blocks):
+            passes = counts[bid] - (bid == bk)   # complete passes
+            for slot, gpc, arch in groups:
+                span = range(gpc, gpc + arch * INSTR_SIZE, INSTR_SIZE)
+                op_counts[slot] += passes
+                retired += passes * arch
+                fast += passes * sum(code[pc].op in local for pc in span)
+        for slot, gpc, arch in region.blocks[bk]:
+            span = range(gpc, gpc + arch * INSTR_SIZE, INSTR_SIZE)
+            op_counts[slot] += 1
+            fast += sum(code[pc].op in local for pc in span
+                        if pc < cpu.pc)
+            if cpu.pc in span:
+                break
+            retired += arch
+        perf.word_fast += fast
+        perf.tlb_hits += fast
         perf.jit_insns += retired
         self._jit_partial = retired
 

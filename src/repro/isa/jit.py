@@ -1,15 +1,17 @@
 """Trace-JIT: compile hot golite regions to generated Python.
 
 PR 4's superinstruction fusion still pays one Python-level dispatch per
-(fused) instruction.  This module removes that cost for hot code: at
-load time it discovers *regions* — runs of simple opcodes inside one
-code page, optionally ending in a branch — and, once a region has been
-entered :data:`JIT_THRESHOLD` times, compiles it into one generated Python
-function that executes the whole region in a single call from
-:meth:`Interpreter.run_slice`.  A region whose terminator branches back
-to its own entry with net stack delta zero compiles to a ``while``
-*loop trace* that retires many iterations per call (with *side exits*
-for conditional breaks out of the body); regions may also contain
+(fused) instruction.  This module removes that cost for hot code.  At
+load time every *leader* — a section start, a branch target, the
+successor of a branch or of a non-simple op — gets a cold entry; once a
+leader has been dispatched :data:`JIT_THRESHOLD` times, the compiler
+builds its *forward region* and compiles it into one generated Python
+function that :meth:`Interpreter.run_slice` calls instead of
+dispatching.  A forward region is every dispatch group reachable from
+the leader along forward edges inside its code page and function; an
+edge back to the leader closes it into a loop, so a loop body with
+``if``/``else`` arms, ``&&`` chains and ``break`` statements runs as
+one trace that retires many passes per call.  Regions may also contain
 runtime calls — CHAN_SEND/RECV as guarded calls, pure services inlined
 as one dispatch, and SLICE_AT/SLICE_PUT with the stock handlers'
 descriptor-read and element-access fast paths flattened directly into
@@ -25,50 +27,54 @@ checks with the same fallbacks, and the same perf counter increments
 (batched where addition commutes).  Three mechanisms make that hold at
 every observable point:
 
-* **Region grammar.**  Regions contain only simple ops (stack
-  shuffling, locals, absolute loads/stores, ALU, member RTCALLs) plus
-  at most one terminating branch.  Nothing inside a region can switch
-  environments or leave the code page, so the only early exits are
-  faults and channel ``WouldBlock`` (whose stack-restore retry runs
-  through the same ``_guarded`` helper the interpreter uses).
+* **Region shape.**  Regions contain only simple ops (stack shuffling,
+  locals, absolute loads/stores, ALU, member RTCALLs) and branches
+  whose internal edges all point forward.  Nothing inside a region can
+  switch environments or leave the code page, so the only early exits
+  are faults and channel ``WouldBlock`` (whose stack-restore retry
+  runs through the same ``_guarded`` helper the interpreter uses).
+  Every group has one stack depth on every path into it, and a pass
+  never starts unless the region's *longest* pass fits the remaining
+  slice budget, so a trace never crosses a slice boundary.
 * **Guards, not checks-per-op.**  Entry guards — run_slice refuses to
   enter a region when the remaining slice budget or operand-stack
-  depth is insufficient, and the trace itself refuses (returns ``0``,
-  nothing observable done) when the frame's locals span a page, the
-  fault injector is armed (its MMU hook is attached only then), the
-  TLB can't prevalidate the locals page, or a slice-specialized trace
-  meets a non-stock rtcall handler — plus
-  a per-call prevalidation of the frame's locals page hoist the
-  per-access work.  The trace protocol is ``fn(interp, cpu, left) ->
-  int``: ``0`` means an entry guard failed and the interpreter
-  executes the region instruction-by-instruction — a pure wall-clock
-  *deopt*, never a semantic difference, because the interpreter is the
-  reference; any other return is the architectural instructions
-  retired.
+  depth is insufficient, and the trace itself refuses (returns a
+  negative code, nothing observable done; :data:`GUARDS` names each)
+  when the frame's locals span a page, the fault injector is armed
+  (its MMU hook is attached only then), the TLB can't prevalidate the
+  locals page, or a slice-specialized trace meets a non-stock rtcall
+  handler — plus a per-call prevalidation of the frame's locals page
+  hoist the per-access work.  The trace protocol is ``fn(interp, cpu,
+  left) -> int``: a positive return is the architectural instructions
+  retired; anything else means the interpreter executes the region
+  instruction-by-instruction — a pure wall-clock *deopt*, never a
+  semantic difference, because the interpreter is the reference.
 * **Precise fault deopt.**  ``cpu.pc`` is synced before every
   instruction that can fault (memory ops, DIV/MOD, MEMCPY, RTCALL), so
   a fault observes the same pc, operand stack, and accumulated sim-ns
   as interpreted execution; an ``except`` hook flushes the clock and
   counter tallies and re-raises after :meth:`Interpreter._jit_fault`
   replays the per-dispatch-group ``op_counts`` and slice accounting
-  the interpreter would have recorded (a dispatch whose handler raises
-  is *not* counted in ``slice_executed`` — fused pairs included — and
-  the JIT reproduces exactly that, including complete loop iterations
-  before the faulting pass).
+  the interpreter would have recorded from the trace's per-block pass
+  counts (a dispatch whose handler raises is *not* counted in
+  ``slice_executed`` — fused pairs included — and the JIT reproduces
+  exactly that).
 
-Regions are discovered along *dispatch groups* (a fused pair is one
-group): ``op_counts`` batching credits the fused pseudo-op slots, and
-the profiled variant drains the sampling profiler at group boundaries
-with the group-start pc — both exactly what ``run_slice`` does with a
-profiler attached.  The per-machine entry cache is keyed ``(entry_pc,
-generation)``; quarantine trips and policy edits bump the generation
-via :meth:`JitCompiler.flush` so stale traces are never re-entered
+Regions are built along *dispatch groups* (a fused pair is one group):
+``op_counts`` batching credits the fused pseudo-op slots, and the
+profiled variant drains the sampling profiler at group boundaries with
+the group-start pc — both exactly what ``run_slice`` does with a
+profiler attached.  A region and its trace depend only on the image's
+code, so they are built once per linked image: the machine hands its
+:class:`JitCompiler` the image's memo, and every machine built from
+that image links the same function.  :meth:`JitCompiler.flush` (quarantine
+trips, profiler changes) turns every entry cold, so nothing compiled
+before an enforcement change is re-entered without re-warming
 (per-dispatch safety additionally rests on ``run_slice``'s
-generation-checked exec tag, which the JIT does not bypass).  The
-compiled function objects themselves are shared process-wide through a
-source-keyed cache (:data:`_COMPILED`): machines built from the same
-image generate identical source, so each trace is compiled once per
-process, not once per machine.
+generation-checked exec tag, which the JIT does not bypass).  Compiled
+function objects are also shared process-wide through a source-keyed
+cache (:data:`_COMPILED`), so fresh images of the same program compile
+each trace once per process.
 """
 
 from __future__ import annotations
@@ -88,15 +94,13 @@ from repro.isa.opcodes import (
     Op,
 )
 
-#: Interpreted entries of a region before it is compiled.
+#: Interpreted entries of a leader before its region is built.
 JIT_THRESHOLD = 8
 #: Minimum architectural instructions for a region to be worth a trace.
 JIT_MIN_LEN = 4
-#: Cap so generated functions stay small enough for CPython to like.
-JIT_MAX_LEN = 256
 
-#: Ops a region may contain (straight-line, never WouldBlock, never
-#: leave the page except by falling off the end).
+#: Ops a region may contain besides branches (never WouldBlock, never
+#: leave the page except through a branch or by falling off the end).
 _SIMPLE = frozenset({
     Op.NOP, Op.PUSH, Op.DROP, Op.DUP, Op.SWAP,
     Op.LOADL, Op.STOREL, Op.ADDRL,
@@ -104,7 +108,7 @@ _SIMPLE = frozenset({
     Op.NEG, Op.NOT,
 }) | frozenset(BINARY_ALU)
 
-#: Ops that may terminate a region (write pc and end it).
+#: Branches: a region group's edges come from these.
 _TERM = frozenset({Op.JMP, Op.JZ, Op.JNZ})
 
 #: Runtime services a trace may call inline, by :class:`repro.runtime.
@@ -132,6 +136,12 @@ _RT_MEMBER = _RT_GUARDED | _RT_PURE
 #: ``Runtime.dispatch`` — checked once per trace entry.
 _RT_SLICE_AT = 22
 _RT_SLICE_PUT = 23
+
+#: A trace's return code when it declines its entry -> the
+#: ``jit_deopts`` reason ``run_slice`` records.
+G_LOCALS_PAGE, G_INJECTOR, G_TLB, G_RTCALL = -1, -2, -3, -4
+GUARDS = {G_LOCALS_PAGE: "guard:locals-page", G_INJECTOR: "guard:injector",
+          G_TLB: "guard:tlb", G_RTCALL: "guard:rtcall"}
 
 #: Lazily resolved ``Runtime.dispatch`` (late import: repro.runtime
 #: pulls in repro.isa.interp via the scheduler).
@@ -182,264 +192,263 @@ _ALU_EXPR = {
 _CMP_EXPR = {Op.EQ: "==", Op.NE: "!=", Op.LT: "<",
              Op.LE: "<=", Op.GT: ">", Op.GE: ">="}
 
+#: Ops that read or write the frame's prevalidated locals page.
+_LOCALS = (Op.LOADL, Op.STOREL)
+
 
 class Region:
-    """One compileable region.
+    """A hot leader's forward region, ready for codegen.
 
-    ``groups`` mirrors the interpreter's dispatch grouping: one entry
-    per code-dict dispatch, ``(op_counts slot, start index, arch
-    count)``.  A fused pair is one group of arch count 2.
+    ``blocks`` holds the region's blocks in pc order, block 0 starting
+    at ``entry``.  A block is a list of dispatch groups ``(op_counts
+    slot, pc, architectural count)`` — a fused pair is one group of two
+    — that every pass entering the block runs to its end.  ``ends[b]``
+    lists the edges leaving block ``b``'s last group, a branch's taken
+    edge first, as ``(target pc, block id)``: block 0 marks the back
+    edge to ``entry``, -1 an exit.  ``code`` maps the pc of every
+    instruction in the region to its :class:`Instr`.  ``length`` is the
+    longest pass, in architectural instructions, from ``entry`` to an
+    exit or back edge; ``min_depth`` is the operand-stack depth the
+    region needs on entry so that no pop inside it can underflow."""
 
-    ``loop`` marks a region whose terminator branches back to its own
-    entry with a net stack delta of zero: such regions compile to a
-    Python ``while`` loop retiring many iterations per call (the entry
-    depth guard then holds for every iteration).  A loop body may
-    contain conditional *side exits* — JZ/JNZ whose taken edge leaves
-    the trace (``exits`` lists their instruction indices, in emission
-    order); straight-line regions never do.
-    """
+    __slots__ = ("entry", "blocks", "ends", "code", "length", "min_depth")
 
-    __slots__ = ("entry", "instrs", "groups", "length", "min_depth",
-                 "loop", "exits")
-
-    def __init__(self, entry: int, instrs: list[Instr],
-                 groups: list[tuple[int, int, int]], loop: bool = False):
+    def __init__(self, entry: int, blocks: list, ends: list, code: dict,
+                 length: int, min_depth: int):
         self.entry = entry
-        self.instrs = instrs
-        self.groups = groups
-        self.length = len(instrs)
-        self.min_depth = _min_depth(instrs)
-        self.loop = loop
-        self.exits = [i for i, ins in enumerate(instrs[:-1])
-                      if ins.op in (Op.JZ, Op.JNZ)] if loop else []
-
-    def exit_tables(self) -> list[tuple[int, tuple, int]]:
-        """Per side exit, the accounting constants for a pass that left
-        through it: (architectural instructions retired, ((op_counts
-        slot, bump), ...) for the retired dispatch groups, prevalidated
-        locals among them).  Indexed by the exit's order in the body —
-        the ``px`` the generated code selects."""
-        tables = []
-        for idx in self.exits:
-            slot_counts: dict[int, int] = {}
-            arch = 0
-            end = 0
-            for slot, start, garch in self.groups:
-                if start > idx:
-                    break
-                slot_counts[slot] = slot_counts.get(slot, 0) + 1
-                arch += garch
-                end = start + garch
-            n_local = sum(1 for ins in self.instrs[:end]
-                          if ins.op in (Op.LOADL, Op.STOREL))
-            tables.append((arch, tuple(sorted(slot_counts.items())),
-                           n_local))
-        return tables
+        self.blocks = blocks
+        self.ends = ends
+        self.code = code
+        self.length = length
+        self.min_depth = min_depth
 
 
 class JitEntry:
-    """Placed in the interpreter's code dict at a region's entry pc.
+    """Placed in the interpreter's code dict at a leader's pc.
 
     ``op`` is :data:`JIT_OP` so the slice loop recognizes it with one
     comparison; ``orig`` is the displaced Instr/FusedInstr, dispatched
     whenever the region cannot run compiled (cold, guard failure, or
-    budget/depth deopt)."""
+    budget/depth deopt).  ``section`` is the ``(base, instrs)`` the
+    leader was registered with, from which its region is built once it
+    turns hot."""
 
-    __slots__ = ("op", "orig", "region", "length", "min_depth",
-                 "count", "fn")
+    __slots__ = ("op", "orig", "pc", "section", "region", "length",
+                 "min_depth", "count", "fn")
 
-    def __init__(self, orig, region: Region):
+    def __init__(self, orig, pc: int, section: tuple[int, list[Instr]]):
         self.op = JIT_OP
         self.orig = orig
-        self.region = region
-        self.length = region.length
-        self.min_depth = region.min_depth
+        self.pc = pc
+        self.section = section
+        self.region = None
+        self.length = 0
+        self.min_depth = 0
         self.count = 0
         self.fn = None
-
-
-def _min_depth(instrs: list[Instr]) -> int:
-    """Operand-stack depth the region needs on entry so that no pop can
-    underflow inside generated code (which uses bare ``list.pop``)."""
-    depth = 0
-    required = 0
-    for ins in instrs:
-        need, delta = _effect(ins)
-        if need - depth > required:
-            required = need - depth
-        depth += delta
-    return required
 
 
 # -- region discovery ---------------------------------------------------------
 
 
-def discover_regions(base: int, instrs: list[Instr],
-                     code: dict) -> list[Region]:
-    """Find compileable regions in a freshly registered section.
-
-    Leaders are the section start, every in-section branch/call target,
-    and every successor of a non-straight-line op; a region runs from a
-    leader along the code dict's actual dispatch groups (so fusion
-    decisions are honored) until a terminator, a non-simple op, a page
-    boundary, or :data:`JIT_MAX_LEN`.  Called before any
-    :class:`JitEntry` is installed, so ``code`` holds only
-    Instr/FusedInstr objects here.
-    """
+def leaders(base: int, instrs: list[Instr]) -> list[int]:
+    """The pcs, ascending, where control can enter a section other than
+    by falling through a simple op: the section start, every
+    in-section branch/call target, and every successor of a branch or
+    non-simple op."""
     n = len(instrs)
     limit = base + n * INSTR_SIZE
-    leaders = {0}
+    found = {0}
     for i, ins in enumerate(instrs):
         op = ins.op
         if op in _TERM or op == Op.CALL:
             target = ins.imm1
             if isinstance(target, int) and base <= target < limit \
                     and (target - base) % INSTR_SIZE == 0:
-                leaders.add((target - base) // INSTR_SIZE)
+                found.add((target - base) // INSTR_SIZE)
             if op != Op.CALL:
-                leaders.add(i + 1)
+                found.add(i + 1)
         elif op not in _SIMPLE:
-            leaders.add(i + 1)
-    regions = []
-    for start in sorted(leaders):
-        if start >= n:
-            continue
-        region = _walk_region(base, instrs, code, start)
-        if region is not None:
-            regions.append(region)
-    return regions
+            found.add(i + 1)
+    return [base + i * INSTR_SIZE for i in sorted(found) if i < n]
 
 
-def _walk_region(base: int, instrs: list[Instr], code: dict,
-                 start: int) -> Region | None:
-    """Walk forward from a leader, preferring a *loop* region.
-
-    The first pass walks past conditional branches (candidate side
-    exits) looking for a branch back to the entry; if it finds one and
-    the body's net stack delta is zero, the region compiles as a loop.
-    Otherwise the straight-line grammar applies: the region ends at the
-    first branch (inclusive), non-simple op, page boundary, or length
-    cap."""
-    entry = base + start * INSTR_SIZE
-    groups, end, back = _walk(base, instrs, code, start, seek_loop=True)
-    if back and end - start >= JIT_MIN_LEN and \
-            sum(_effect(ins)[1] for ins in instrs[start:end]) == 0:
-        return Region(entry, instrs[start:end], groups, loop=True)
-    groups, end, _back = _walk(base, instrs, code, start, seek_loop=False)
-    if end - start < JIT_MIN_LEN:
+def _group(base: int, instrs: list[Instr], code: dict, pc: int):
+    """The dispatch group ``code[pc]`` runs, as ``(op_counts slot,
+    instructions)``, or ``None`` when it may not join a region."""
+    i = (pc - base) // INSTR_SIZE
+    ins = instrs[i]
+    if ins.op not in _SIMPLE and ins.op not in _TERM and not (
+            ins.op == Op.RTCALL and ins.imm1 in _RT_MEMBER):
         return None
-    return Region(entry, instrs[start:end], groups)
+    obj = code[pc]
+    if isinstance(obj, JitEntry):
+        obj = obj.orig
+    if obj.op >= FUSED_BASE:
+        # A fused pair: its first element is simple and its second
+        # simple or a branch (see FUSED_PAIRS).
+        return obj.op, instrs[i:i + 2]
+    return int(ins.op), instrs[i:i + 1]
 
 
-def _walk(base: int, instrs: list[Instr], code: dict, start: int,
-          seek_loop: bool) -> tuple[list, int, bool]:
-    """One forward walk along dispatch groups.  Returns (groups, end
-    index, found-back-edge).  With ``seek_loop`` a JZ/JNZ that does not
-    target the entry is a side exit and the walk continues; without it
-    any branch terminates the region."""
-    n = len(instrs)
-    entry = base + start * INSTR_SIZE
-    page0 = entry >> PAGE_SHIFT
-    groups: list[tuple[int, int, int]] = []
-    i = start
-    back = False
-    while i < n and (i - start) < JIT_MAX_LEN:
-        pc = base + i * INSTR_SIZE
-        if pc >> PAGE_SHIFT != page0:
-            break
-        op = instrs[i].op
-        if op in _TERM:
-            groups.append((int(op), i - start, 1))
-            i += 1
-            if op == Op.JMP or instrs[i - 1].imm1 == entry:
-                back = instrs[i - 1].imm1 == entry
-                break
-            if not seek_loop:
-                break
+def build_region(base: int, instrs: list[Instr], code: dict,
+                 entry: int) -> Region | None:
+    """Build the forward region of the leader at ``entry`` in the
+    section ``(base, instrs)``, or ``None`` if its longest pass is
+    shorter than :data:`JIT_MIN_LEN`.
+
+    A group's edges are its fall-through, its JMP target, or both
+    JZ/JNZ targets.  An edge is *internal* when it goes to a higher pc
+    in the entry's page and in the section, to a group that may join a
+    region, reached at the stack depth every earlier edge into it had;
+    an edge to ``entry`` is the *back edge* when the pass's net stack
+    delta is zero; every other edge is an *exit*.  Internal edges only
+    point forward, so one pass in ascending pc order sees every
+    group's predecessors first: it settles each group's stack depth,
+    the region's entry depth, and its longest pass.  A group then
+    joins its predecessor's block when it is that predecessor's only
+    successor, reached by falling through, and nothing else enters it.
+    Reads ``code`` without mutating it."""
+    end = min(base + len(instrs) * INSTR_SIZE,
+              ((entry >> PAGE_SHIFT) + 1) << PAGE_SHIFT)
+    if _group(base, instrs, code, entry) is None:
+        return None
+    depth_at = {entry: 0}     # pc -> operand-stack depth on entry
+    dist_at = {entry: 0}      # pc -> longest path to it, in instructions
+    groups = {}               # pc -> (slot, instructions, edges)
+    preds: dict[int, int] = {}
+    need = length = 0
+    for pc in range(entry, end, INSTR_SIZE):
+        if pc not in depth_at:
             continue
-        if op == Op.RTCALL and instrs[i].imm1 in _RT_MEMBER:
-            groups.append((int(op), i - start, 1))
-            i += 1
-            continue
-        if op not in _SIMPLE:
-            break
-        obj = code.get(pc)
-        if obj is not None and obj.op >= FUSED_BASE and i + 1 < n:
-            # A fused pair is one dispatch group; its second element is
-            # always simple or a branch (see FUSED_PAIRS).
-            second = instrs[i + 1]
-            groups.append((obj.op, i - start, 2))
-            i += 2
-            if second.op in _TERM:
-                if second.op == Op.JMP or second.imm1 == entry:
-                    back = second.imm1 == entry
-                    break
-                if not seek_loop:
-                    break
+        depth = depth_at[pc]
+        slot, group = _group(base, instrs, code, pc)
+        for ins in group:
+            pops, delta = _effect(ins)
+            need = max(need, pops - depth)
+            depth += delta
+        dist = dist_at[pc] + len(group)
+        last = group[-1]
+        nxt = pc + len(group) * INSTR_SIZE
+        if last.op == Op.JMP:
+            targets = (last.imm1,)
+        elif last.op in _TERM:
+            targets = (last.imm1, nxt)
         else:
-            groups.append((int(op), i - start, 1))
-            i += 1
-    return groups, i, back
+            targets = (nxt,)
+        edges = []
+        for target in targets:
+            if target == entry:
+                stays = depth == 0
+            else:
+                stays = (pc < target < end
+                         and (target - base) % INSTR_SIZE == 0
+                         and depth_at.get(target, depth) == depth
+                         and _group(base, instrs, code, target) is not None)
+                if stays:
+                    depth_at[target] = depth
+                    dist_at[target] = max(dist, dist_at.get(target, 0))
+                    preds[target] = preds.get(target, 0) + 1
+            if not stays or target == entry:
+                length = max(length, dist)
+            edges.append((target, stays))
+        groups[pc] = (slot, group, edges)
+    if length < JIT_MIN_LEN:
+        return None
+
+    blocks: list[list[tuple[int, int, int]]] = []
+    block_of: dict[int, int] = {}
+    last_edges: list[list] = []
+    falls: dict[int, int] = {}   # pc -> block falling into it alone
+    for pc, (slot, group, edges) in groups.items():
+        bid = falls.get(pc) if preds.get(pc) == 1 else None
+        if bid is None:
+            bid = len(blocks)
+            blocks.append([])
+            last_edges.append([])
+        blocks[bid].append((slot, pc, len(group)))
+        block_of[pc] = bid
+        last_edges[bid] = edges
+        if group[-1].op not in _TERM and edges[0][1]:
+            falls[edges[0][0]] = bid
+    ends = [tuple((target, block_of[target] if stays else -1)
+                  for target, stays in edges) for edges in last_edges]
+    code_map = {pc + k * INSTR_SIZE: ins
+                for pc, (_slot, group, _edges) in groups.items()
+                for k, ins in enumerate(group)}
+    return Region(entry, blocks, ends, code_map, length, need)
 
 
 # -- the compiler -------------------------------------------------------------
 
 
 class JitCompiler:
-    """Region discovery, warm-up counting, codegen, and the code cache.
+    """Cold entries, warm-up counting, region building and linking.
 
     One per :class:`~repro.isa.interp.Interpreter` (when its ``jit``
-    switch is on).  The cache key is ``(entry pc, generation)``; a
-    :meth:`flush` — wired to quarantine trips and available to any
-    policy-edit site — bumps the generation, so traces compiled before
-    an enforcement change can never be re-entered.
+    switch is on).  :meth:`register` installs a cold entry at every
+    leader; a leader that reaches the threshold gets its region and
+    trace from :attr:`memo`, building them on a miss, or is handed back
+    to the interpreter when no region qualifies.  A :meth:`flush` —
+    wired to quarantine trips and available to any policy-edit site —
+    turns every entry cold again, so each trace is re-warmed before it
+    runs after an enforcement change.
     """
 
     def __init__(self, interp):
         self.interp = interp
         self.threshold = JIT_THRESHOLD
-        #: entry pc -> JitEntry (all installed entries, hot or cold).
+        #: leader pc -> JitEntry (every installed entry, hot or cold).
         self.entries: dict[int, JitEntry] = {}
-        #: (entry pc, generation) -> compiled function.
-        self.cache: dict[tuple[int, int], object] = {}
-        self.gen = 0
+        #: (leader pc, fusion, profiled) -> (Region or None, trace).  A
+        #: machine replaces it with its image's memo, which every
+        #: machine built from that image shares.
+        self.memo: dict = {}
 
     def register(self, base: int, instrs: list[Instr]) -> None:
-        """Discover regions in a just-registered section and install
-        their entries (called by ``register_code`` after fusion)."""
+        """Install a cold entry at every leader of a just-registered
+        section (called by ``register_code`` after fusion)."""
         code = self.interp.code
-        for region in discover_regions(base, instrs, code):
-            orig = code[region.entry]
-            if isinstance(orig, JitEntry):  # re-registration
-                orig = orig.orig
-            entry = JitEntry(orig, region)
-            self.entries[region.entry] = entry
-            code[region.entry] = entry
+        section = (base, instrs)
+        for pc in leaders(base, instrs):
+            entry = JitEntry(code[pc], pc, section)
+            self.entries[pc] = entry
+            code[pc] = entry
 
     def warm(self, entry: JitEntry) -> None:
-        """Count one interpreted execution of a cold region; compile at
-        the threshold."""
+        """Count one interpreted execution of a cold leader; link its
+        trace at the threshold."""
         entry.count += 1
         if entry.count >= self.threshold:
             self.compile_entry(entry)
 
     def compile_entry(self, entry: JitEntry) -> None:
-        key = (entry.region.entry, self.gen)
-        fn = self.cache.get(key)
-        if fn is None:
-            profiled = self.interp.profiler is not None
-            fn = compile_region(entry.region, profiled)
-            self.cache[key] = fn
-            self.interp.perf.jit_traces_compiled += 1
+        """Link a hot leader's trace, building its region and trace on
+        a memo miss; a leader without a region worth a trace is handed
+        back to the interpreter for good."""
+        interp = self.interp
+        profiled = interp.profiler is not None
+        key = (entry.pc, interp.fusion, profiled)
+        built = self.memo.get(key)
+        if built is None:
+            region = build_region(*entry.section, interp.code, entry.pc)
+            fn = None if region is None else compile_region(region, profiled)
+            built = self.memo[key] = (region, fn)
+        region, fn = built
+        if region is None:
+            interp.code[entry.pc] = entry.orig
+            del self.entries[entry.pc]
+            return
+        entry.region = region
+        entry.length = region.length
+        entry.min_depth = region.min_depth
         entry.fn = fn
+        interp.perf.jit_traces_compiled += 1
 
     def flush(self) -> None:
-        """Invalidate every compiled trace (quarantine / policy edit).
+        """Unlink every trace (quarantine / policy edit).
 
-        Entries stay installed but cold; re-warming recompiles under
-        the new generation."""
-        self.gen += 1
-        self.cache.clear()
+        Entries stay installed but cold; re-warming re-links."""
         for entry in self.entries.values():
             entry.fn = None
             entry.count = 0
@@ -449,13 +458,11 @@ class JitCompiler:
 # -- codegen ------------------------------------------------------------------
 
 #: Process-global compiled-trace cache, keyed by generated source.
-#: Machines built from the same image discover identical regions and
-#: generate byte-identical source, so the expensive ``compile`` step is
-#: paid once per process instead of once per machine.  Traces carry no
-#: per-machine state — everything reaches them through their arguments
-#: — so the function objects are safely shareable.  (Per-machine
-#: invalidation still works: ``JitCompiler.flush`` drops the machine's
-#: *entry* cache; re-warming just re-links the shared function.)
+#: Identical code generates byte-identical source, so the expensive
+#: ``compile`` step is paid once per process even across fresh images
+#: of one program.  Traces carry no per-machine state — everything
+#: reaches them through their arguments — so the function objects are
+#: safely shareable.
 _COMPILED: dict = {}
 _COMPILED_MAX = 4096
 
@@ -464,13 +471,13 @@ def compile_region(region: Region, profiled: bool):
     """Generate and compile the region's Python function.
 
     The function has the signature ``fn(interp, cpu, left) -> int``:
-    the return value is the number of architectural instructions
-    retired (pc, clock, stack, and counters all updated) — one region
-    length for a straight-line trace, any multiple of it for a loop
-    trace, which keeps iterating while ``left`` (the remaining slice
-    budget) allows a full pass.  ``0`` means an entry guard failed and
-    nothing observable happened (the interpreter runs the region
-    instead)."""
+    a positive return is the number of architectural instructions
+    retired (pc, clock, stack, and counters all updated) — one or more
+    passes, each from the entry to an exit or back through it, for as
+    long as ``left`` (the remaining slice budget) holds the longest
+    pass.  A negative return is the :data:`GUARDS` code of the entry
+    guard that failed; nothing observable happened (the interpreter
+    runs the region instead)."""
     source = gen_source(region, profiled)
     fn = _COMPILED.get(source)
     if fn is not None:
@@ -482,9 +489,6 @@ def compile_region(region: Region, profiled: bool):
         "w64": wrap64,
         "desc2": _DESC2.unpack_from,
         "RTD": _runtime_dispatch(),
-        # Identical source implies identical pcs and hence identical
-        # exit tables, so caching the closed-over _EXITS is sound.
-        "_EXITS": tuple(region.exit_tables()),
     }
     code = compile(source, f"<jit:{region.entry:#x}>", "exec")
     exec(code, namespace)
@@ -499,18 +503,24 @@ def compile_region(region: Region, profiled: bool):
 def gen_source(region: Region, profiled: bool) -> str:
     """Emit the region's Python source (see :func:`compile_region`).
 
+    Blocks are emitted in pc order inside one ``while True:``, each
+    under ``if bk == <id>:``: a forward edge sets ``bk``, the back edge
+    checks the budget and resets it to 0, and an exit writes ``cpu.pc``
+    and breaks.  Each block counts its passes in a local ``c<id>``; the
+    epilogue turns the counts into the per-group tallies.
+
     Simulated time accumulates in a local ``now`` (the same individual
     float adds in the same order, so the value is bit-identical) and is
     stored back to ``clock.now_ns`` at every point something else can
     observe it: before any MMU helper that charges the clock itself,
     before a profiler drain, in the fault hook, and at the epilogue.
     """
-    instrs = region.instrs
     entry = region.entry
-    loop = region.loop
     length = region.length
+    code = region.code
+    instrs = list(code.values())
 
-    uses_locals = any(i.op in (Op.LOADL, Op.STOREL) for i in instrs)
+    uses_locals = any(i.op in _LOCALS for i in instrs)
     local_reads = any(i.op == Op.LOADL for i in instrs)
     local_writes = any(i.op == Op.STOREL for i in instrs)
     uses_frame = uses_locals or any(i.op == Op.ADDRL for i in instrs)
@@ -547,9 +557,7 @@ def gen_source(region: Region, profiled: bool) -> str:
     # is armed, each access is one struct op — the exact fast path
     # read_word/write_word would take, so word_fast/tlb_hits advance by
     # the same constants.
-    local_offs = [8 * i.imm1 for i in instrs
-                  if i.op in (Op.LOADL, Op.STOREL)]
-    n_local = len(local_offs)
+    local_offs = [8 * i.imm1 for i in instrs if i.op in _LOCALS]
 
     lines = ["def _trace(interp, cpu, left):"]
     emit = lines.append
@@ -569,17 +577,18 @@ def gen_source(region: Region, profiled: bool) -> str:
         emit("    pkru = ctx.pkru")
         emit("    tget = ctx.tlb.get")
     # ``mmu.inject`` is set only while the injector has a fault armed.
-    # Arming happens only in Prolog, an LBCALL, which the region grammar
-    # excludes, and disarming only in an access that then raises; so the
-    # value read at entry (the guard below, the hoisted ``inj``) holds
-    # for the whole trace.
+    # Arming happens only in Prolog, an LBCALL, which regions exclude,
+    # and disarming only in an access that then raises; so the value
+    # read at entry (the guard below, the hoisted ``inj``) holds for the
+    # whole trace.
     if uses_locals:
         lo = min(local_offs)
         hi = max(local_offs)
         emit(f"    if (fpb + {lo}) >> {PAGE_SHIFT} "
-             f"!= (fpb + {hi + 7}) >> {PAGE_SHIFT} "
-             "or mmu.inject is not None:")
-        emit("        return 0")
+             f"!= (fpb + {hi + 7}) >> {PAGE_SHIFT}:")
+        emit(f"        return {G_LOCALS_PAGE}")
+        emit("    if mmu.inject is not None:")
+        emit(f"        return {G_INJECTOR}")
         emit(f"    pg4 = ((fpb + {lo}) >> {PAGE_SHIFT}) * 4")
         if local_reads:
             _emit_preval(emit, "pg4", "sfr", read=True)
@@ -609,12 +618,12 @@ def gen_source(region: Region, profiled: bool) -> str:
         # canonical Fault("exec", "no runtime handler wired").
         emit("    dsp = cpu.rtcall_handler")
         emit("    if dsp is None:")
-        emit("        return 0")
+        emit(f"        return {G_RTCALL}")
         if uses_slice:
             # The open-coded SLICE_AT/PUT paths assume the stock
             # Runtime semantics; a custom handler deopts the region.
             emit("    if getattr(dsp, '__func__', None) is not RTD:")
-            emit("        return 0")
+            emit(f"        return {G_RTCALL}")
     if profiled:
         emit("    prof = interp.profiler")
     if uses_push:
@@ -622,153 +631,108 @@ def gen_source(region: Region, profiled: bool) -> str:
     if uses_pop:
         emit("    pop = ops.pop")
     emit("    now = clock.now_ns")
-    if loop:
-        emit("    n = 0")
-        if region.exits:
-            emit("    px = -1")
+    counts = [f"c{b}" for b in range(len(region.blocks))]
+    emit(f"    n = bk = {' = '.join(counts)} = 0")
     emit("    try:")
-    ind = "            " if loop else "        "
-    if loop:
-        emit("        while True:")
+    emit("        while True:")
+    I = " " * 16
 
-    group_bounds = {start + arch for _slot, start, arch in region.groups}
-    group_pcs = {start: entry + start * INSTR_SIZE
-                 for _slot, start, arch in region.groups}
-
-    def drain(idx: int, indent: str) -> None:
+    def drain(gpc: int, indent: str) -> None:
         # Retire-boundary drain with the *group-start* pc, exactly as
         # run_slice drains with the pre-dispatch pc.
-        gstart = max(s for s in group_pcs if s <= idx)
-        emit(f"{indent}if prof.next_due <= now:")
-        emit(f"{indent}    clock.now_ns = now")
-        emit(f"{indent}    prof.drain_retire({group_pcs[gstart]})")
+        if profiled:
+            emit(f"{indent}if prof.next_due <= now:")
+            emit(f"{indent}    clock.now_ns = now")
+            emit(f"{indent}    prof.drain_retire({gpc})")
 
-    body = instrs[:-1] if loop else instrs
-    for idx, ins in enumerate(body):
-        if loop and ins.op in (Op.JZ, Op.JNZ):
-            # Side exit: the taken edge leaves the trace (px selects
-            # this exit's accounting in the epilogue); the fall-through
-            # stays on trace.  The drain runs on both paths — the
-            # interpreter drains after the dispatch either way.
-            taken = "== 0" if ins.op == Op.JZ else "!= 0"
-            j = region.exits.index(idx)
-            emit(f"{ind}now += {COSTS.INSN_BRANCH!r}")
-            emit(f"{ind}if pop() {taken}:")
-            emit(f"{ind}    cpu.pc = {ins.imm1}")
-            emit(f"{ind}    px = {j}")
-            if profiled:
-                drain(idx, ind + "    ")
-            emit(f"{ind}    break")
-            if profiled:
-                drain(idx, ind)
-            continue
-        _emit_instr(emit, ins, entry + idx * INSTR_SIZE, ind)
-        if profiled and (idx + 1) in group_bounds:
-            drain(idx, ind)
-
-    if loop:
-        # Terminator: the taken side is the back edge.  The semantic
-        # action (charge, condition pop, pc on exit) happens first, the
-        # drain after it, exactly as one interpreted dispatch; cpu.pc is
-        # written only on exit — nothing observes it mid-loop, and every
-        # faultable op syncs its own pc first.
-        term = instrs[-1]
-        tidx = length - 1
-        tpc = entry + tidx * INSTR_SIZE
-        emit(f"{ind}now += {COSTS.INSN_BRANCH!r}")
-        if term.op == Op.JMP:
-            emit(f"{ind}n += {length}")
-            if profiled:
-                drain(tidx, ind)
-            emit(f"{ind}if left - n < {length}:")
-            emit(f"{ind}    cpu.pc = {entry}")
-            emit(f"{ind}    break")
+    def take(target: int, to: int, indent: str) -> None:
+        # cpu.pc is written only on leaving: nothing observes it
+        # mid-trace, and every faultable op syncs its own pc first.
+        if to == 0:
+            emit(f"{indent}if left - n < {length}:")
+            emit(f"{indent}    cpu.pc = {entry}")
+            emit(f"{indent}    break")
+            emit(f"{indent}bk = 0")
+        elif to > 0:
+            emit(f"{indent}bk = {to}")
         else:
-            taken = "== 0" if term.op == Op.JZ else "!= 0"
-            emit(f"{ind}if pop() {taken}:")
-            emit(f"{ind}    n += {length}")
-            if profiled:
-                drain(tidx, ind + "    ")
-            emit(f"{ind}    if left - n < {length}:")
-            emit(f"{ind}        cpu.pc = {entry}")
-            emit(f"{ind}        break")
-            emit(f"{ind}else:")
-            emit(f"{ind}    cpu.pc = {tpc + INSTR_SIZE}")
-            emit(f"{ind}    n += {length}")
-            if profiled:
-                drain(tidx, ind + "    ")
-            emit(f"{ind}    break")
-    elif instrs[-1].op not in _TERM:
-        emit(f"{ind}cpu.pc = {entry + length * INSTR_SIZE}")
+            emit(f"{indent}cpu.pc = {target}")
+            emit(f"{indent}break")
+
+    for bid, (groups, ends) in enumerate(zip(region.blocks, region.ends)):
+        emit(f"            if bk == {bid}:")
+        emit(f"{I}c{bid} += 1")
+        emit(f"{I}n += {sum(arch for _slot, _pc, arch in groups)}")
+        for _slot, gpc, arch in groups:
+            for pc in range(gpc, gpc + arch * INSTR_SIZE, INSTR_SIZE):
+                if code[pc].op not in _TERM:
+                    _emit_instr(emit, code[pc], pc, I)
+            last = code[pc]
+            if last.op not in _TERM:
+                drain(gpc, I)
+        # The block's last group ends in a branch (the semantic action —
+        # charge, condition pop — then the drain, exactly as one
+        # interpreted dispatch) or falls through.
+        if last.op == Op.JMP:
+            emit(f"{I}now += {COSTS.INSN_BRANCH!r}")
+            drain(gpc, I)
+            take(*ends[0], I)
+        elif last.op in _TERM:
+            taken = "== 0" if last.op == Op.JZ else "!= 0"
+            emit(f"{I}now += {COSTS.INSN_BRANCH!r}")
+            emit(f"{I}if pop() {taken}:")
+            drain(gpc, I + "    ")
+            take(*ends[0], I + "    ")
+            emit(f"{I}else:")
+            drain(gpc, I + "    ")
+            take(*ends[1], I + "    ")
+        else:
+            take(*ends[0], I)
 
     # Fault hook: the clock local is authoritative unless the raise
     # came from inside an MMU helper that charged after our last sync
     # (then clock is already ahead — charges only ever advance time).
-    emit("    except BaseException:")
+    emit("    except BaseException as exc:")
     emit("        if now > clock.now_ns:")
     emit("            clock.now_ns = now")
     if uses_wfth:
         emit("        perf = interp.perf")
         emit("        perf.word_fast += wf")
         emit("        perf.tlb_hits += th")
-    emit(f"        interp._jit_fault(cpu, {entry}, "
-         f"{'n' if loop else 0})")
+    emit(f"        interp._jit_fault(cpu, {entry}, bk, "
+         f"({', '.join(counts)},), exc)")
     emit("        raise")
 
     # Success epilogue: batch the counters the interpreter would have
-    # bumped one dispatch at a time (integer adds commute).
+    # bumped one dispatch at a time (integer adds commute): each
+    # block's pass count times its per-pass tally.
     emit("    clock.now_ns = now")
     emit("    perf = interp.perf")
     emit("    oc = perf.op_counts")
-    slot_counts: dict[int, int] = {}
-    for slot, _start, _arch in region.groups:
-        slot_counts[slot] = slot_counts.get(slot, 0) + 1
-    if loop:
-        emit(f"    it = n // {length}")
-        for slot in sorted(slot_counts):
-            mult = "it" if slot_counts[slot] == 1 \
-                else f"{slot_counts[slot]} * it"
-            emit(f"    oc[{slot}] += {mult}")
-        if region.exits:
-            # A pass that left through side exit px retired that exit's
-            # prefix: its arch count, dispatch groups, and prevalidated
-            # locals come from the per-exit constant table.
-            if n_local:
-                emit("    xl = 0")
-            emit("    if px >= 0:")
-            emit("        xa, xs" + (", xl" if n_local else ", _xl") +
-                 " = _EXITS[px]")
-            emit("        n += xa")
-            emit("        for s2, c2 in xs:")
-            emit("            oc[s2] += c2")
-        xl = " + xl" if (region.exits and n_local) else ""
-        if uses_wfth and n_local:
-            emit(f"    perf.word_fast += wf + {n_local} * it{xl}")
-            emit(f"    perf.tlb_hits += th + {n_local} * it{xl}")
-        elif uses_wfth:
-            emit("    perf.word_fast += wf")
-            emit("    perf.tlb_hits += th")
-        elif n_local:
-            emit(f"    perf.word_fast += {n_local} * it{xl}")
-            emit(f"    perf.tlb_hits += {n_local} * it{xl}")
-        emit("    perf.jit_trace_executions += 1")
-        emit("    perf.jit_insns += n")
-        emit("    return n")
-    else:
-        for slot in sorted(slot_counts):
-            emit(f"    oc[{slot}] += {slot_counts[slot]}")
-        if uses_wfth and n_local:
-            emit(f"    perf.word_fast += wf + {n_local}")
-            emit(f"    perf.tlb_hits += th + {n_local}")
-        elif uses_wfth:
-            emit("    perf.word_fast += wf")
-            emit("    perf.tlb_hits += th")
-        elif n_local:
-            emit(f"    perf.word_fast += {n_local}")
-            emit(f"    perf.tlb_hits += {n_local}")
-        emit("    perf.jit_trace_executions += 1")
-        emit(f"    perf.jit_insns += {length}")
-        emit(f"    return {length}")
+    per_slot: dict[int, dict[int, int]] = {}
+    per_local: dict[int, int] = {}
+    for bid, groups in enumerate(region.blocks):
+        for slot, gpc, arch in groups:
+            tally = per_slot.setdefault(slot, {})
+            tally[bid] = tally.get(bid, 0) + 1
+            for pc in range(gpc, gpc + arch * INSTR_SIZE, INSTR_SIZE):
+                if code[pc].op in _LOCALS:
+                    per_local[bid] = per_local.get(bid, 0) + 1
+
+    def total(tally: dict[int, int]) -> str:
+        return " + ".join(f"c{bid}" if k == 1 else f"{k} * c{bid}"
+                          for bid, k in sorted(tally.items()))
+
+    for slot in sorted(per_slot):
+        emit(f"    oc[{slot}] += {total(per_slot[slot])}")
+    for counter, tally in (("word_fast", "wf"), ("tlb_hits", "th")):
+        terms = ([tally] if uses_wfth else []) + \
+            ([total(per_local)] if per_local else [])
+        if terms:
+            emit(f"    perf.{counter} += {' + '.join(terms)}")
+    emit("    perf.jit_trace_executions += 1")
+    emit("    perf.jit_insns += n")
+    emit("    return n")
     return "\n".join(lines) + "\n"
 
 
@@ -780,17 +744,17 @@ def _emit_preval(emit, key: str, frame_var: str, read: bool) -> None:
     emit("    if e is None or e[2] is not table or e[3] != tgen \\")
     emit("            or e[4] is not ept \\")
     emit("            or (ept is not None and e[5] != egen):")
-    emit("        return False")
+    emit(f"        return {G_TLB}")
     emit("    p = e[0]")
     emit("    if not p.user and user:")
-    emit("        return False")
+    emit(f"        return {G_TLB}")
     if read:
         emit("    if pkru is not None and user "
              "and (pkru >> (2 * p.pkey)) & 1:")
     else:
         emit("    if pkru is not None and user "
              "and (pkru >> (2 * p.pkey)) & 3 != 0:")
-    emit("        return False")
+    emit(f"        return {G_TLB}")
     emit(f"    {frame_var} = e[1]")
 
 
@@ -917,18 +881,7 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str) -> None:
         emit(f"{I}a = pop()")
         emit(f"{I}v = ({_ALU_EXPR[op]}) & {_M64}")
         emit(f"{I}push(v - {_W64} if v >= {_S63} else v)")
-    elif op == Op.JMP:
-        emit(f"{I}now += {COSTS.INSN_BRANCH!r}")
-        emit(f"{I}cpu.pc = {ins.imm1}")
-    elif op == Op.JZ:
-        emit(f"{I}now += {COSTS.INSN_BRANCH!r}")
-        emit(f"{I}cpu.pc = {ins.imm1} if pop() == 0 "
-             f"else {pc + INSTR_SIZE}")
-    elif op == Op.JNZ:
-        emit(f"{I}now += {COSTS.INSN_BRANCH!r}")
-        emit(f"{I}cpu.pc = {pc + INSTR_SIZE} if pop() == 0 "
-             f"else {ins.imm1}")
-    else:  # pragma: no cover - discovery admits only the ops above
+    else:  # pragma: no cover - regions admit only the ops above
         raise Fault("exec", f"JIT cannot compile op {op!r}")
 
 

@@ -80,7 +80,7 @@ class MachineConfig:
     # against plain dispatch.
     #: Load-time superinstruction peephole in the interpreter.
     fuse_superinstructions: bool = True
-    # Trace-JIT (PR 6): compile hot straight-line regions to generated
+    # Trace-JIT (PR 6): compile hot forward regions to generated
     # Python (see repro/isa/jit.py).  Wall-clock only, like fusion
     # above: every simulated value is bit-identical with the JIT
     # on or off, and jit=False restores pure interpretation exactly.
@@ -170,6 +170,8 @@ class Machine:
         self.interp = Interpreter(self.mmu, self.clock,
                                   fusion=config.fuse_superinstructions,
                                   jit=config.jit)
+        if self.interp.jit is not None:
+            self.interp.jit.memo = image.jit_memo
         self.interp.profiler = self.profiler
         self.cpu = CPU(mmu=self.mmu, clock=self.clock)
         self.fault: Fault | None = None

@@ -79,8 +79,8 @@ class PerfStats:
         #: frame route vs. the generic page-by-page loop.
         self.word_fast = 0
         self.word_slow = 0
-        #: Regions compiled to Python this run (cache misses only;
-        #: re-entering a warm trace compiles nothing).
+        #: Traces linked to a hot leader this run (re-linking after a
+        #: flush counts again; re-entering a linked trace does not).
         self.jit_traces_compiled = 0
         #: Completed executions of compiled traces.
         self.jit_trace_executions = 0
@@ -88,8 +88,10 @@ class PerfStats:
         #: (complete groups only on a faulting execution).
         self.jit_insns = 0
         #: Deopt reason -> count: "budget" (slice too short), "depth"
-        #: (operand stack shallower than the region needs), "guard"
-        #: (locals-page prevalidation failed), "fault" (trace raised).
+        #: (operand stack shallower than the region needs),
+        #: "guard:<cause>" (the trace declined its entry; see
+        #: ``repro.isa.jit.GUARDS``), "fault" (trace raised a fault),
+        #: "block" (a channel op in the trace would block).
         self.jit_deopts = {}
         #: Whole-cache invalidations (quarantine trips, policy edits).
         self.jit_flushes = 0

@@ -199,7 +199,9 @@ def build_bild_image(width: int = 32, height: int = 32,
                      iterations: int = 1) -> ElfImage:
     # Safe to memoize: the linked image is immutable after `link` —
     # machines copy section bytes into their own frames and build the
-    # interpreter's code/fusion/JIT state in per-machine dicts.
+    # interpreter's code/fusion state in per-machine dicts; the JIT's
+    # regions and traces, which depend only on the code, are shared
+    # through the image's ``jit_memo``.
     deps = corpus.dependency_sources("bdep", BILD_PUBLIC_DEPS)
     sources = [BILD_SOURCE, app_source(width, height, iterations)] + deps
     objects = compile_program(sources)

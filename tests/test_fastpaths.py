@@ -20,6 +20,7 @@ from repro.isa import Instr, Op
 from repro.isa.interp import FusedInstr, Interpreter
 from repro.machine import Machine, MachineConfig
 from repro.workloads.bild import build_bild_image, run_bild
+from repro.workloads import loadgen
 from repro.workloads.fasthttp import run_fasthttp_server
 from repro.workloads.httpserver import run_http_server
 
@@ -167,6 +168,27 @@ class TestJitBitIdentity:
         assert on.injector.total_fired > 0
         assert (on.clock.now_ns, on_responses, on.containment_report()) \
             == (off.clock.now_ns, off_responses, off.containment_report())
+
+    @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
+    def test_async_server_runs_in_long_traces(self, backend):
+        """The open-loop async server's branching header-scan loops run
+        as long traces, and still match pure interpretation."""
+        def run(jit):
+            result = loadgen.run_level(backend, 40_000.0, 60, 7,
+                                       config=MachineConfig(
+                                           backend=backend, metrics=True,
+                                           jit=jit))
+            perf = result.machine.perf
+            return perf, (result.machine.clock.now_ns, result.latencies_ns,
+                          result.duration_ns, perf.instructions,
+                          list(perf.op_counts), perf.word_fast,
+                          perf.tlb_hits)
+
+        on_perf, on = run(True)
+        _, off = run(False)
+        assert on == off
+        assert on_perf.jit_insns / on_perf.instructions >= 0.95
+        assert on_perf.jit_insns / on_perf.jit_trace_executions >= 100
 
     def test_jit_engages_on_macro_workloads(self):
         driver = run_http_server("mpk")

@@ -1,4 +1,4 @@
-"""Tracing JIT internals: region discovery, guards, deopt accounting,
+"""Tracing JIT internals: region building, guards, deopt accounting,
 and cache invalidation (INTERNALS.md §13).
 
 Macro-level bit-identity lives in test_fastpaths.py; this file drives
@@ -12,9 +12,11 @@ import pytest
 
 from repro.errors import ConfigError, Fault, MachineHalt
 from repro.isa import INSTR_SIZE, Instr, Interpreter, Op
-from repro.isa.jit import JIT_MIN_LEN, JitEntry, discover_regions
+from repro.isa.jit import JIT_MIN_LEN, JitEntry, build_region, leaders
+from repro.isa.opcodes import FUSED_BASE
 from repro.machine import Machine, MachineConfig
 from repro.workloads.bild import build_bild_image
+from repro.workloads.fasthttp import run_fasthttp_server
 
 from tests.harness import TEXT_BASE, MiniMachine
 
@@ -39,7 +41,7 @@ def run_slices(mm: MiniMachine, budget: int = 512) -> int:
 
 
 #: Counts a local down from 200; the body (instrs 2..7) branches back
-#: to its own entry with net stack delta zero -> one loop region.
+#: to its own entry with net stack delta zero -> a loop region.
 COUNTDOWN = [
     Instr(Op.PUSH, 200),
     Instr(Op.STOREL, 0),
@@ -53,15 +55,15 @@ COUNTDOWN = [
     Instr(Op.HALT),
 ]
 
-#: Same loop with a conditional break: the JZ/JNZ pair in the middle
-#: leaves the trace through a side exit when the local reaches 250.
+#: Same loop with a conditional break: the JNZ in the middle leaves
+#: the loop for ``PUSH 7`` when the local reaches 250.
 SIDE_EXIT = [
     Instr(Op.PUSH, 300),
     Instr(Op.STOREL, 0),
     Instr(Op.LOADL, 0),                  # loop entry
     Instr(Op.PUSH, 250),
     Instr(Op.EQ),
-    Instr(Op.JNZ, TEXT_BASE + 12 * INSTR_SIZE),  # side exit
+    Instr(Op.JNZ, TEXT_BASE + 12 * INSTR_SIZE),  # the break
     Instr(Op.LOADL, 0),
     Instr(Op.PUSH, 1),
     Instr(Op.SUB),
@@ -73,49 +75,123 @@ SIDE_EXIT = [
 ]
 
 
+def at(index: int) -> int:
+    return TEXT_BASE + index * INSTR_SIZE
+
+
+def branchy(divisor_offset: int = -1) -> list[Instr]:
+    """A loop whose body is an if/else with a ``break`` in front.
+
+    Locals: 0 is ``i``, 1 is ``acc``, 2 is ``found``.  Each pass
+    breaks when ``i == 100`` (``found = 1``), else adds 3 to ``acc`` for
+    odd ``i`` and ``100 / (i - divisor_offset)`` for even ``i``, then
+    increments ``i``; ``main`` halts with ``acc``.  A divisor offset of
+    50 divides by zero in the else arm on pass 50."""
+    return [
+        Instr(Op.PUSH, 0), Instr(Op.STOREL, 0),              # 0  i = 0
+        Instr(Op.PUSH, 0), Instr(Op.STOREL, 1),              # 2  acc = 0
+        Instr(Op.LOADL, 0), Instr(Op.PUSH, 100), Instr(Op.EQ),
+        Instr(Op.JZ, at(11)),                                # 4  loop head
+        Instr(Op.PUSH, 1), Instr(Op.STOREL, 2),
+        Instr(Op.JMP, at(33)),                               # 8  break
+        Instr(Op.LOADL, 0), Instr(Op.PUSH, 2), Instr(Op.MOD),
+        Instr(Op.JZ, at(20)),                                # 11 if odd
+        Instr(Op.LOADL, 1), Instr(Op.PUSH, 3), Instr(Op.ADD),
+        Instr(Op.STOREL, 1), Instr(Op.JMP, at(28)),          # 15 then
+        Instr(Op.LOADL, 1), Instr(Op.PUSH, 100), Instr(Op.LOADL, 0),
+        Instr(Op.PUSH, divisor_offset), Instr(Op.SUB), Instr(Op.DIV),
+        Instr(Op.ADD), Instr(Op.STOREL, 1),                  # 20 else
+        Instr(Op.LOADL, 0), Instr(Op.PUSH, 1), Instr(Op.ADD),
+        Instr(Op.STOREL, 0), Instr(Op.JMP, at(4)),           # 28 join
+        Instr(Op.LOADL, 1), Instr(Op.HALT),                  # 33 done
+    ]
+
+
+#: A join reached at two stack depths: local 0 == 0 jumps straight to
+#: ``PUSH 7`` at depth 0; otherwise two pushes reach it at depth 2.
+UNEVEN_JOIN = [
+    Instr(Op.LOADL, 0),
+    Instr(Op.JZ, at(4)),
+    Instr(Op.PUSH, 5),
+    Instr(Op.PUSH, 6),
+    Instr(Op.PUSH, 7),                   # the join
+    Instr(Op.PUSH, 8),
+    Instr(Op.ADD),
+    Instr(Op.PUSH, 2),
+    Instr(Op.MUL),
+    Instr(Op.HALT),
+]
+
+
+def region_at(mm: MiniMachine, program: list[Instr], index: int):
+    return build_region(TEXT_BASE, program, mm.interp.code, at(index))
+
+
 class TestRegionDiscovery:
     def test_loop_region_installed_at_back_branch_target(self):
+        """COUNTDOWN's leader at instruction 2 closes into a loop; its
+        longest pass leaves through the fall-through and so also runs
+        ``PUSH 42`` before the HALT exit."""
         mm = jit_mini()
         mm.load(COUNTDOWN)
-        entry_pc = TEXT_BASE + 2 * INSTR_SIZE
-        entry = mm.interp.code[entry_pc]
-        assert isinstance(entry, JitEntry)
-        assert entry.region.loop
-        assert entry.region.length == 6
-        assert entry.region.exits == []
+        assert at(2) in leaders(TEXT_BASE, COUNTDOWN)
+        assert isinstance(mm.interp.code[at(2)], JitEntry)
+        region = region_at(mm, COUNTDOWN, 2)
+        assert region.min_depth == 0
+        assert region.length == 7
+        edges = [edge for ends in region.ends for edge in ends]
+        assert (at(2), 0) in edges           # the back edge
+        assert (at(9), -1) in edges          # the HALT exit
+        assert region.code[at(8)] == Instr(Op.PUSH, 42)
 
-    def test_side_exits_are_recorded_in_order(self):
+    def test_breaking_branch_to_a_simple_op_stays_in_the_region(self):
+        """SIDE_EXIT's breaking JNZ targets ``PUSH 7``, a simple op, so
+        both of its edges stay inside the region, and the loop's own
+        fall-through joins the break's target."""
         mm = jit_mini()
         mm.load(SIDE_EXIT)
-        entry = mm.interp.code[TEXT_BASE + 2 * INSTR_SIZE]
-        assert entry.region.loop
-        # The breaking JNZ is instruction 3 of the body; the
-        # terminator's back-branch is not a side exit.
-        assert entry.region.exits == [3]
-        assert len(entry.region.exit_tables()) == 1
+        region = region_at(mm, SIDE_EXIT, 2)
+        (taken, fall), = [ends for groups, ends
+                          in zip(region.blocks, region.ends)
+                          if groups[-1][1] == at(5)]
+        assert taken[0] == at(12) and taken[1] > 0
+        assert fall[0] == at(6) and fall[1] > 0
+        assert (at(2), 0) in region.ends[fall[1]]
+        assert region.ends[taken[1]] == ((at(13), -1),)
 
     def test_short_sections_get_no_entries(self):
+        """A too-short leader is a cold entry until it turns hot, then
+        is handed back to the interpreter."""
         mm = jit_mini()
-        mm.load([Instr(Op.PUSH, 1), Instr(Op.HALT)])
-        assert not any(isinstance(i, JitEntry)
-                       for i in mm.interp.code.values())
+        program = [Instr(Op.PUSH, 1), Instr(Op.HALT)]
+        mm.load(program)
+        entry = mm.interp.code[TEXT_BASE]
+        assert isinstance(entry, JitEntry) and entry.fn is None
+        assert run_slices(mm) == 1
+        assert mm.interp.code[TEXT_BASE] is entry.orig
+        assert mm.interp.jit.entries == {}
+        assert mm.interp.perf.jit_traces_compiled == 0
 
     def test_discovery_honors_fusion_groups(self):
         """Regions walk the code dict's actual dispatch groups, so a
-        region discovered under fusion accounts fused pairs as one
-        dispatch of two architectural instructions."""
+        region built under fusion accounts a fused pair as one dispatch
+        of two architectural instructions."""
         mm = jit_mini()
         mm.load(COUNTDOWN)
-        entry = mm.interp.code[TEXT_BASE + 2 * INSTR_SIZE]
-        arch = sum(garch for _, _, garch in entry.region.groups)
-        assert arch == entry.region.length
-        assert len(entry.region.groups) <= entry.region.length
+        region = region_at(mm, COUNTDOWN, 2)
+        groups = [group for block in region.blocks for group in block]
+        assert sum(arch for _, _, arch in groups) == len(region.code) == 7
+        assert len(groups) < len(region.code)
+        fused = [group for group in groups if group[2] == 2]
+        assert fused and all(slot >= FUSED_BASE for slot, _, _ in fused)
 
     def test_min_region_length_is_enforced(self):
-        mm = jit_mini()
-        mm.load(COUNTDOWN)
-        for entry in mm.interp.jit.entries.values():
-            assert entry.region.length >= JIT_MIN_LEN
+        for program in (COUNTDOWN, SIDE_EXIT, branchy(), UNEVEN_JOIN):
+            mm = jit_mini()
+            mm.load(program)
+            for pc in leaders(TEXT_BASE, program):
+                region = build_region(TEXT_BASE, program, mm.interp.code, pc)
+                assert region is None or region.length >= JIT_MIN_LEN
 
 
 class TestExecutionIdentity:
@@ -170,6 +246,82 @@ class TestExecutionIdentity:
             run_slices(mm)
             fns.append(mm.interp.code[TEXT_BASE + 2 * INSTR_SIZE].fn)
         assert fns[0] is fns[1]
+
+
+def drive(program: list[Instr], threshold: int, budget: int = 512,
+          local0: int | None = None, runs: int = 1):
+    """Run ``program`` ``runs`` times slice by slice from its start, and
+    snapshot everything a trace could get wrong: each slice's
+    (executed, pc, sim-ns), how each run ended, then the final
+    ``op_counts``, ``word_fast``, ``tlb_hits``, pc and operand stack."""
+    mm = jit_mini(threshold)
+    mm.load(program)
+    slices = []
+    for _ in range(runs):
+        if local0 is not None:
+            mm.poke_word(mm.cpu.fp + 16, local0)
+        mm.cpu.pc = TEXT_BASE
+        mm.cpu.operands = []
+        while True:
+            try:
+                executed = mm.interp.run_slice(mm.cpu, budget)
+            except (MachineHalt, Fault) as stop:
+                slices.append((repr(stop), mm.interp.slice_executed,
+                               mm.cpu.pc, mm.clock.now_ns))
+                break
+            slices.append((executed, mm.cpu.pc, mm.clock.now_ns))
+    perf = mm.interp.perf
+    return mm, (slices, list(perf.op_counts), perf.word_fast,
+                perf.tlb_hits, mm.cpu.pc, list(mm.cpu.operands))
+
+
+class TestForwardRegions:
+    """Branching loop bodies run as one trace, and every way out of one
+    — exits, the back edge's budget check, a fault in a middle block, a
+    join reached at two stack depths — matches the interpreter."""
+
+    def test_branching_loop_runs_in_a_few_trace_calls(self):
+        mm, _ = drive(branchy(), threshold=1, budget=4096)
+        perf = mm.interp.perf
+        # 101 passes through the if/else and the break's test.
+        assert perf.jit_trace_executions < 10
+        assert perf.jit_insns >= 0.9 * perf.instructions
+
+    @pytest.mark.parametrize("budget", [5, 7, 13, 64, 4096])
+    def test_branching_loop_matches_interpreter_per_slice(self, budget):
+        on = drive(branchy(), threshold=1, budget=budget)
+        off = drive(branchy(), threshold=10 ** 9, budget=budget)
+        assert on[1] == off[1]
+        assert on[0].interp.perf.jit_trace_executions > 0
+
+    def test_fault_in_a_middle_block_matches_interpreter(self):
+        """The else arm divides by zero on pass 50: a block that is
+        neither the entry nor the last one faults mid-trace."""
+        on = drive(branchy(divisor_offset=50), threshold=1)
+        off = drive(branchy(divisor_offset=50), threshold=10 ** 9)
+        assert on[1] == off[1]
+        assert "divide by zero" in on[1][0][-1][0]
+        assert on[0].interp.perf.jit_deopts.get("fault") == 1
+
+    @pytest.mark.parametrize("local0", [0, 1])
+    def test_join_at_two_stack_depths_matches_interpreter(self, local0):
+        on = drive(UNEVEN_JOIN, threshold=1, local0=local0, runs=3)
+        off = drive(UNEVEN_JOIN, threshold=10 ** 9, local0=local0, runs=3)
+        assert on[1] == off[1]
+        assert on[0].interp.perf.jit_trace_executions > 0
+
+    def test_machines_from_one_image_share_region_and_trace(self):
+        image = build_bild_image(8, 8, 1)
+        machines = [Machine(image, MachineConfig(backend="mpk"))
+                    for _ in range(2)]
+        for machine in machines:
+            machine.run()
+        first, second = (machine.interp.jit.entries for machine in machines)
+        hot = [pc for pc, entry in first.items() if entry.fn is not None]
+        assert hot
+        for pc in hot:
+            assert second[pc].region is first[pc].region
+            assert second[pc].fn is first[pc].fn
 
 
 class TestGuardsAndDeopts:
@@ -238,7 +390,7 @@ class TestGuardsAndDeopts:
         assert entry.fn is not None
         assert "RTD" in entry.fn.__jit_source__
         # Compiled on pass 1; passes 2 and 3 guard-deopt.
-        assert mm.interp.perf.jit_deopts.get("guard", 0) == 2
+        assert mm.interp.perf.jit_deopts.get("guard:rtcall", 0) == 2
         assert len(calls) == 3
         assert calls[0] == (22, (0x200000, 8, 1))
 
@@ -278,6 +430,17 @@ class TestGuardsAndDeopts:
         assert mm.interp.perf.jit_deopts.get("fault", 0) == 1
 
 
+    def test_channel_wouldblock_is_a_block_deopt(self):
+        """FastHTTP's workers block on channel receives inside traces:
+        each is a ``block`` deopt, never a ``fault``."""
+        driver = run_fasthttp_server("mpk")
+        for _ in range(10):  # the receive loop turns hot at request 8
+            driver.request()
+        deopts = driver.machine.perf.jit_deopts
+        assert deopts.get("block", 0) > 0
+        assert "fault" not in deopts
+
+
 class TestInvalidation:
     def test_flush_discards_traces_and_recompiles(self):
         mm = jit_mini(threshold=1)
@@ -286,10 +449,7 @@ class TestInvalidation:
         interp = mm.interp
         compiled = interp.perf.jit_traces_compiled
         assert compiled >= 1
-        gen = interp.jit.gen
         interp.flush_jit()
-        assert interp.jit.gen == gen + 1
-        assert interp.jit.cache == {}
         assert interp.perf.jit_flushes == 1
         assert all(e.fn is None and e.count == 0
                    for e in interp.jit.entries.values())
@@ -313,12 +473,15 @@ class TestInvalidation:
         assert machine.perf.jit_flushes == 1
 
     def test_discovery_api_is_pure(self):
-        """discover_regions inspects but never mutates the code dict
-        (JitCompiler.register owns the installation)."""
+        """build_region inspects but never mutates the code dict
+        (JitCompiler owns the installation)."""
         mm = MiniMachine()  # stock interpreter, no JIT
         mm.load(COUNTDOWN)
         code_before = dict(mm.interp.code)
-        regions = discover_regions(TEXT_BASE, COUNTDOWN, mm.interp.code)
-        assert [r.entry for r in regions if r.loop] == \
-            [TEXT_BASE + 2 * INSTR_SIZE]
+        regions = [build_region(TEXT_BASE, COUNTDOWN, mm.interp.code, pc)
+                   for pc in leaders(TEXT_BASE, COUNTDOWN)]
+        loops = [region.entry for region in regions if region is not None
+                 and any(bid == 0 for ends in region.ends
+                         for _, bid in ends)]
+        assert loops == [at(2)]
         assert mm.interp.code == code_before
