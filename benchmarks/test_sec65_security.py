@@ -16,7 +16,7 @@ from repro.attacks.harness import security_study
 
 from benchmarks.conftest import add_table
 
-BACKENDS = ("mpk", "vtx")
+BACKENDS = ("mpk", "vtx", "lwc")
 
 _ROWS: dict[str, list[str]] = {}
 

@@ -4,7 +4,9 @@ LitterBox "provides a common implementation and only differentiates
 between the selected hardware for three operations: (1) creating and
 enforcing an execution environment (Init, FilterSyscall), (2) extending
 a package's arena (Transfer), and (3) performing a switch between
-execution environments (Prolog, Epilog, Execute)" (§5.3).
+execution environments (Prolog, Epilog, Execute)" (§5.3).  The two
+backends that enforce with one page table per environment, VT-x and
+LWC, share that implementation in :class:`TableBackend`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,15 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
-from repro.core.enclosure import Environment
+from repro.core.enclosure import LITTERBOX_SUPER, Environment
+from repro.core.policy import Access
+from repro.errors import ConfigError, SyscallFault
+from repro.hw.clock import COSTS
 from repro.hw.cpu import CPU
-from repro.hw.pages import Section
+from repro.hw.pages import Perm, Section
+from repro.hw.pagetable import PageTable
+from repro.os.seccomp import ArgRule
+from repro.os.syscalls import syscall_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.litterbox import LitterBox
@@ -95,3 +103,205 @@ class BaselineBackend(Backend):
 
     def syscall(self, cpu: CPU, nr: int, args: tuple[int, ...]) -> int:
         return self.litterbox.kernel.syscall(nr, args, cpu.ctx, pkru=0)
+
+
+def _perms_under(access: Access, kind: str, default: Perm) -> Perm | None:
+    """Page permissions for a section kind under an access right (§2.2).
+
+    ``None`` means the section is not mapped in this environment:
+    text is only executable under RWX (hidden otherwise, like the
+    Python frontend's code/data arena split), and U unmaps everything.
+    """
+    if access is Access.U:
+        return None
+    if kind == "text":
+        return Perm.RX if access is Access.RWX else None
+    if kind == "rodata":
+        return Perm.R
+    if kind == "data":
+        return Perm.RW if access.includes(Access.RW) else Perm.R
+    if kind == "meta":
+        return None
+    return default
+
+
+class TableBackend(Backend):
+    """Enforcement with one page table per execution environment.
+
+    Each enclosure runs on a table built from its view; trusted code
+    runs on a table that maps everything user-accessible except
+    LitterBox's super.  A switch installs the target's table (a CR3
+    write), a Transfer toggles presence and rights bits in every
+    enclosure table during one kernel entry, and FilterSyscall runs in
+    that kernel on the issuing core's environment.  Subclasses state
+    the mechanism: which kernel that is and what entering it costs,
+    the table names, and how an allowed call reaches the host.
+    """
+
+    #: Prefix of the per-environment table names (``<prefix>.<env>``).
+    table_prefix: str
+    #: Cost of entering the kernel that edits the tables on a Transfer.
+    kernel_entry: float
+    #: FilterSyscall's mechanism label on the observer bus.
+    filter_name: str
+    #: Who rejects a denied call, and what it calls an environment, in
+    #: the fault message.
+    filter_who: str
+    env_noun: str
+
+    def __init__(self, arg_rules: list[ArgRule] | None = None):
+        super().__init__()
+        self.trusted_table: PageTable | None = None
+        #: §6.5 extension: argument-granular rules enforced by the
+        #: filtering kernel (nr -> list of ArgRule).
+        self._arg_rules: dict[int, list[ArgRule]] = {}
+        for rule in arg_rules or []:
+            self._arg_rules.setdefault(rule.nr, []).append(rule)
+        #: env id -> present-vpn snapshot taken when the environment was
+        #: quarantined (``revoke_all`` destroys the presence bits, so a
+        #: supervised revival needs them recorded up front).
+        self._quarantine_presence: dict[int, frozenset[int]] = {}
+
+    # ------------------------------------------------------------------ init
+
+    @abc.abstractmethod
+    def _trusted_table(self, host_table: PageTable) -> PageTable:
+        """The table trusted (non-enclosed) code runs on."""
+
+    def init(self, litterbox: "LitterBox") -> None:
+        self.litterbox = litterbox
+        kernel = litterbox.kernel
+        if kernel.host_table is None:
+            raise ConfigError(
+                f"{self.name.upper()} backend requires the loaded master table")
+        self.trusted_table = self._trusted_table(kernel.host_table)
+        litterbox.trusted_env.table = self.trusted_table
+        for env in litterbox.envs.values():
+            if not env.trusted:
+                env.table = self._build_env_table(env)
+        kernel.mmap_hook = self._on_mmap
+
+    def _build_env_table(self, env: Environment) -> PageTable:
+        """Create one enclosure's page table from its view."""
+        host_table = self.litterbox.kernel.host_table
+        table = PageTable(f"{self.table_prefix}.{env.name}")
+        for pkg in self.litterbox.image.graph:
+            access = env.access_to(pkg.name)
+            if pkg.name == LITTERBOX_SUPER:
+                access = Access.U
+            for section in pkg.sections:
+                perms = _perms_under(access, section.name.rsplit(".", 1)[-1],
+                                     section.perms)
+                if perms is None:
+                    continue
+                for vpn in section.vpns():
+                    pte = host_table.lookup(vpn)
+                    if pte is None:
+                        raise ConfigError(
+                            f"section {section.name} not loaded")
+                    table.map_page(vpn, type(pte)(
+                        pfn=pte.pfn, perms=perms, pkey=pte.pkey,
+                        present=True, user=True))
+        return table
+
+    def _on_mmap(self, base: int, size: int, pfns: list[int]) -> None:
+        """New mmap'd memory appears RW in the host table and
+        non-present in every enclosure table until transferred."""
+        self.litterbox.kernel.host_table.map_range(base, size, pfns, Perm.RW)
+        self._map_absent(base, size, pfns)
+
+    def _map_absent(self, base: int, size: int, pfns: list[int]) -> None:
+        """Map new memory non-present into every enclosure table."""
+        for env in self.litterbox.envs.values():
+            if env.table is not None and env.table is not self.trusted_table:
+                env.table.map_range(base, size, pfns, Perm.RW, present=False)
+
+    # --------------------------------------------------------------- switches
+
+    def _install(self, cpu: CPU, env: Environment) -> None:
+        """Make ``env``'s table the core's root.  That is a CR3 write,
+        which flushes the TLB (no PCID in this model); the subclass's
+        switch charge already holds the write's simulated cost."""
+        cpu.ctx.page_table = env.table
+        self.litterbox.mmu.flush_tlb(cpu.ctx)
+        # Per-core state: SMP syscall filtering reads the environment
+        # last installed on the issuing core, not a backend global.
+        cpu.current_env = env
+
+    # --------------------------------------------------------------- transfer
+
+    def transfer(self, section: Section, to_pkg: str) -> None:
+        """One kernel entry toggles presence/rights bits in every
+        enclosure table (the fast 158ns row of Table 1 on VT-x)."""
+        clock = self.litterbox.clock
+        clock.charge(self.kernel_entry)
+        for env in self.litterbox.envs.values():
+            if env.table is None or env.trusted:
+                continue
+            access = env.access_to(to_pkg)
+            if access is Access.U:
+                updated = env.table.set_present_range(
+                    section.base, section.size, False)
+            else:
+                perms = Perm.RW if access.includes(Access.RW) else Perm.R
+                env.table.protect_range(section.base, section.size, perms)
+                updated = env.table.set_present_range(
+                    section.base, section.size, True)
+            clock.charge(COSTS.PTE_UPDATE * updated)
+
+    def prepare_stack(self, env: Environment, section: Section) -> None:
+        """Make the per-environment stack present (RW) in that
+        environment only; it is already RW to trusted code."""
+        if env.table is None or env.trusted:
+            return
+        env.table.protect_range(section.base, section.size, Perm.RW)
+        updated = env.table.set_present_range(
+            section.base, section.size, True)
+        self.litterbox.clock.charge(COSTS.PTE_UPDATE * updated)
+
+    # ---------------------------------------------------------------- syscall
+
+    def _filter(self, cpu: CPU, nr: int, args: tuple[int, ...]) -> None:
+        """FilterSyscall on the issuing core's environment: its syscall
+        categories, then the §6.5 argument rules.  Raises on a denial."""
+        obs = self.litterbox.obs
+        env = cpu.current_env or self.litterbox.trusted_env
+        if not env.allows_syscall(nr):
+            if obs is not None:
+                obs.on_verdict(self.filter_name, "kill", nr, env=env.name)
+            raise SyscallFault(
+                f"{self.filter_who} rejected {syscall_name(nr)} in "
+                f"{self.env_noun} {env.name!r}", nr).attribute(env)
+        for rule in self._arg_rules.get(nr, ()):
+            value = args[rule.arg_index] if rule.arg_index < len(args) else 0
+            if (value & 0xFFFFFFFF) not in \
+                    {v & 0xFFFFFFFF for v in rule.allowed_values}:
+                if obs is not None:
+                    obs.on_verdict(self.filter_name, "kill", nr,
+                                   env=env.name, arg_index=rule.arg_index,
+                                   value=value)
+                raise SyscallFault(
+                    f"{self.filter_who} rejected {syscall_name(nr)}: "
+                    f"argument {rule.arg_index} = {value:#x} not in the "
+                    f"allow-list", nr).attribute(env)
+        if obs is not None:
+            obs.on_verdict(self.filter_name, "allow", nr, env=env.name)
+
+    # ------------------------------------------------------------ containment
+
+    def quarantine(self, env: Environment) -> None:
+        """Hard-revoke: mark every page of the quarantined environment's
+        table non-present, so even a forged CR3 write into it faults on
+        the first access."""
+        if env.table is not None and env.table is not self.trusted_table:
+            self._quarantine_presence[env.id] = env.table.present_vpns()
+            env.table.revoke_all()
+
+    def unquarantine(self, env: Environment) -> None:
+        """Supervised revival: restore the presence snapshot taken at
+        quarantine time.  Sound because a quarantined enclosure cannot
+        allocate, so no Transfer retargets its pages while revoked; the
+        generation bump invalidates any stale TLB entries."""
+        snapshot = self._quarantine_presence.pop(env.id, None)
+        if snapshot is not None and env.table is not None:
+            env.table.restore_present(snapshot)

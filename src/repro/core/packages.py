@@ -34,9 +34,6 @@ class PackageInfo:
     def add_section(self, section: Section) -> None:
         self.sections.append(section)
 
-    def sections_of_kind(self, suffix: str) -> list[Section]:
-        return [s for s in self.sections if s.name.endswith(suffix)]
-
 
 class DependenceGraph:
     """The program's directed package-dependence graph."""

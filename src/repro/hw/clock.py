@@ -129,8 +129,5 @@ class ClockSnapshot:
     now_ns: float
     counters: dict[str, int]
 
-    def elapsed_ns(self, clock: SimClock) -> float:
-        return clock.now_ns - self.now_ns
-
     def delta(self, clock: SimClock, counter: str) -> int:
         return clock.count(counter) - self.counters.get(counter, 0)

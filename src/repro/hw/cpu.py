@@ -40,7 +40,6 @@ class CPU:
 
     # Execution context (translation + privilege).
     ctx: TranslationContext | None = None
-    guest_mode: bool = False  # True when running inside a VT-x VM
     #: The execution environment most recently installed on *this* core
     #: by ``Backend.switch_to`` — per-CPU state on an SMP machine, used
     #: by the vtx/lwc backends to route syscall filtering.

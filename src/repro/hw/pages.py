@@ -40,16 +40,6 @@ def pages_spanned(addr: int, size: int) -> range:
     return range(vpn_of(addr), vpn_of(addr + size - 1) + 1)
 
 
-def page_offset(addr: int) -> int:
-    return addr & PAGE_MASK
-
-
-def fits_in_page(addr: int, size: int) -> bool:
-    """True when ``[addr, addr+size)`` stays within a single page, so a
-    checked access needs exactly one translation (the MMU fast path)."""
-    return (addr & PAGE_MASK) + size <= PAGE_SIZE
-
-
 class Perm(enum.IntFlag):
     """Access rights, combinable like Unix permission bits."""
 

@@ -20,10 +20,6 @@ class PhysicalMemory:
         self._next_frame = 1  # frame 0 reserved (null)
         self._max_frames = max_frames
 
-    @property
-    def frames_in_use(self) -> int:
-        return len(self._frames)
-
     def alloc_frame(self) -> int:
         """Allocate a zeroed frame, returning its frame number."""
         if self._free:

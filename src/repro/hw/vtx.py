@@ -1,22 +1,23 @@
 """Intel VT-x simulation: VMCS, root/non-root modes, EPT, VM exits.
 
-LitterBox's VT-x backend (``LBVTX``) runs the whole application inside a
-single VM.  Each enclosure execution environment is a separate *guest*
-page table; switches write the guest CR3 (a specialized guest system
-call), and host system calls are forwarded through hypercalls, each
-paying a full VM EXIT / VM RESUME round trip.
+LitterBox's VT-x backend (``LBVTX``, :mod:`repro.core.lb_vtx`) runs the
+whole application inside a single VM.  Each enclosure execution
+environment is a separate *guest* page table; switches write the guest
+CR3 (a specialized guest system call), and the backend forwards each
+allowed host system call as a hypercall, paying a full VM EXIT /
+VM RESUME round trip.  This module models only the VM: its VMCS, the
+EPT, CR3 writes and VM-exit accounting.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.hw.clock import COSTS, SimClock
+from repro.hw.pages import Perm
 from repro.hw.pagetable import PTE, PageTable
-from repro.hw.pages import PAGE_SIZE
 
 
 class ExitReason(enum.Enum):
@@ -44,27 +45,23 @@ class VMCS:
 class VirtualMachine:
     """A single VT-x VM hosting the application (as in LBVTX).
 
-    The VM tracks the set of guest page tables (one per execution
-    environment plus the trusted table) and provides the VM EXIT /
-    VM RESUME cost accounting.  ``GPA == HVA`` is preserved: the EPT
-    identity-maps every guest-physical page that the guest tables
-    reference, mirroring the paper's simplification.
+    The VM keeps the VMCS and provides the VM EXIT / VM RESUME cost
+    accounting.  ``GPA == HVA`` is preserved: the EPT identity-maps
+    every guest-physical page that a registered guest table references,
+    mirroring the paper's simplification.
     """
 
     def __init__(self, clock: SimClock):
         self.clock = clock
         self.vmcs = VMCS(ept=PageTable("ept"))
-        self._guest_tables: dict[str, PageTable] = {}
-        self.hypercall_handler: Callable[..., int] | None = None
         #: Observer bus (repro.obs), wired by the machine.
         self.obs = None
 
     # -- guest page-table management --------------------------------------
 
     def register_guest_table(self, table: PageTable) -> None:
-        """Track a per-environment guest table and extend the EPT so each
-        physical frame it references is reachable (identity mapping)."""
-        self._guest_tables[table.name] = table
+        """Extend the EPT so each physical frame a guest table
+        references is reachable (identity mapping)."""
         ept = self.vmcs.ept
         assert ept is not None
         for vpn in table.mapped_vpns():
@@ -72,18 +69,8 @@ class VirtualMachine:
             assert pte is not None
             gpa_page = pte.pfn
             if ept.lookup(gpa_page) is None:
-                from repro.hw.pages import Perm
                 ept.map_page(gpa_page, PTE(gpa_page, Perm.RWX, user=True))
                 self.clock.charge(COSTS.EPT_UPDATE)
-
-    def guest_table(self, name: str) -> PageTable:
-        try:
-            return self._guest_tables[name]
-        except KeyError:
-            raise ConfigError(f"unknown guest page table {name!r}") from None
-
-    def guest_tables(self) -> list[PageTable]:
-        return list(self._guest_tables.values())
 
     # -- mode transitions --------------------------------------------------
 
@@ -112,10 +99,3 @@ class VirtualMachine:
         if self.obs is not None:
             self.obs.on_vm_exit(reason.value, t0, COSTS.VMEXIT_ROUNDTRIP,
                                 self.vmcs.exits)
-
-    def hypercall(self, nr: int, args: tuple[int, ...]) -> int:
-        """Forward a request to root mode (the host kernel)."""
-        if self.hypercall_handler is None:
-            raise ConfigError("no hypercall handler installed")
-        self.vm_exit(ExitReason.HYPERCALL)
-        return self.hypercall_handler(nr, args)

@@ -51,9 +51,6 @@ class Instr:
     imm1: Operand = 0
     imm2: int = 0
 
-    def is_resolved(self) -> bool:
-        return isinstance(self.imm1, int)
-
     def encode(self) -> bytes:
         if not isinstance(self.imm1, int):
             raise LinkError(f"encoding unresolved instruction {self}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.core.backends import Backend, BaselineBackend
 from repro.core.enclosure import LITTERBOX_SUPER
+from repro.core.lb_lwc import LWCBackend
 from repro.core.lb_mpk import MPKBackend
 from repro.core.lb_vtx import VTXBackend
 from repro.core.litterbox import LitterBox
@@ -36,7 +37,6 @@ from repro.perf import PerfStats
 from repro.profiler import Profiler
 from repro.isa.opcodes import Hook
 from repro.os.kernel import Kernel
-from repro.os.kvm import KVMDevice
 from repro.os.seccomp import ArgRule
 from repro.runtime.allocator import Allocator
 from repro.runtime.channels import ChannelTable
@@ -194,7 +194,6 @@ class Machine:
         pkru = PKRU_ALLOW_ALL if config.backend == "mpk" else None
         self.cpu.ctx = TranslationContext(page_table=self.host_table,
                                           pkru=pkru)
-        self.cpu.guest_mode = config.backend == "vtx"
 
         self.litterbox.init(image)
         if config.backend == "vtx":
@@ -212,7 +211,6 @@ class Machine:
         self.cpus = [self.cpu]
         for _ in range(1, config.cores):
             cpu = CPU(mmu=self.mmu, clock=self.clock)
-            cpu.guest_mode = self.cpu.guest_mode
             cpu.ctx = TranslationContext(
                 page_table=self.cpu.ctx.page_table,
                 pkru=self.cpu.ctx.pkru,
@@ -388,11 +386,9 @@ class Machine:
             return MPKBackend(virtualize_keys=config.virtualize_keys,
                               arg_rules=config.arg_rules)
         if config.backend == "lwc":
-            from repro.core.lb_lwc import LWCBackend
-            return LWCBackend()
+            return LWCBackend(arg_rules=config.arg_rules)
         if config.backend == "vtx":
-            return VTXBackend(KVMDevice(self.kernel, self.clock),
-                              arg_rules=config.arg_rules)
+            return VTXBackend(arg_rules=config.arg_rules)
         raise ConfigError(f"unknown backend {config.backend!r}")
 
     def _load_image(self) -> None:

@@ -1,4 +1,4 @@
-"""Simulated OS: kernel, filesystem, network, seccomp-BPF, KVM."""
+"""Simulated OS: kernel, filesystem, network, seccomp-BPF."""
 
 from repro.os import errno, syscalls
 from repro.os.fs import (
@@ -11,7 +11,6 @@ from repro.os.fs import (
     O_WRONLY,
 )
 from repro.os.kernel import Kernel, O_NONBLOCK, SocketState
-from repro.os.kvm import KVMDevice
 from repro.os.net import (
     LOCALHOST,
     CollectorService,
@@ -29,7 +28,6 @@ __all__ = [
     "FileSystem", "O_APPEND", "O_CREAT", "O_RDONLY", "O_RDWR", "O_TRUNC",
     "O_WRONLY",
     "Kernel", "O_NONBLOCK", "SocketState",
-    "KVMDevice",
     "CollectorService", "Connection", "Endpoint", "Listener", "Network",
     "LOCALHOST", "ip_of", "ip_str",
     "ArgRule", "BpfInsn", "BpfProgram", "build_pkru_filter",

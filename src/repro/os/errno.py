@@ -21,19 +21,3 @@ ENOTSOCK = 88
 EADDRINUSE = 98
 ECONNRESET = 104
 ECONNREFUSED = 111
-
-_NAMES = {
-    value: name
-    for name, value in list(globals().items())
-    if name.isupper() and isinstance(value, int)
-}
-
-
-def errno_name(err: int) -> str:
-    """Human-readable name for a positive errno value."""
-    return _NAMES.get(err, f"errno{err}")
-
-
-def is_error(result: int) -> bool:
-    """Syscalls return negative errno values on failure."""
-    return result < 0

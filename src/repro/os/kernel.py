@@ -269,9 +269,6 @@ class Kernel:
         if self.current_gid is not None and fd in self.fd_owner:
             self.fd_owner[fd] = self.current_gid()
 
-    def fd_object(self, fd: int) -> object | None:
-        return self._fds.get(fd)
-
     def reclaim_goroutine(self, gid: int) -> int:
         """Close every fd owned by a killed goroutine (containment step).
 

@@ -44,18 +44,6 @@ TYPE_NAMES = {
 HEADER_SIZE = OFF_PAYLOAD
 
 
-def int_size() -> int:
-    return HEADER_SIZE + 8
-
-
-def str_size(length: int) -> int:
-    return HEADER_SIZE + 8 + max(1, length)
-
-
-def list_size() -> int:
-    return HEADER_SIZE + 24
-
-
 def type_name(type_id: int) -> str:
     try:
         return TYPE_NAMES[type_id]

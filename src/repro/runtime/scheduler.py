@@ -454,6 +454,3 @@ class Scheduler:
 
     def blocked_count(self) -> int:
         return sum(len(v) for v in self.blocked.values())
-
-    def live_goroutines(self) -> list[Goroutine]:
-        return [g for g in self.goroutines if g.state != "done"]

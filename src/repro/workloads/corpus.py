@@ -45,18 +45,8 @@ func Work(x int) int {{
     return sources
 
 
-def root_package(prefix: str, count: int) -> str:
-    """The name of the corpus tree's root package."""
-    assert count > 0
-    return f"{prefix}0"
-
-
 def stamp_loc(objects, loc_by_pkg: dict[str, int]) -> None:
     """Overwrite modeled LOC metadata on compiled code objects."""
     for obj in objects:
         if obj.name in loc_by_pkg:
             obj.loc = loc_by_pkg[obj.name]
-
-
-def total_loc(objects, exclude: set[str] = frozenset()) -> int:
-    return sum(obj.loc for obj in objects if obj.name not in exclude)

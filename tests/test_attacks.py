@@ -10,7 +10,7 @@ from repro.attacks.harness import (
     security_study,
 )
 
-ENFORCING = ["mpk", "vtx"]
+ENFORCING = ["mpk", "vtx", "lwc"]
 
 
 class TestKeyStealer:

@@ -46,13 +46,6 @@ class TestGuestTables:
         vm.register_guest_table(table)
         assert vm.clock.now_ns == before  # no duplicate EPT work
 
-    def test_lookup_by_name(self, vm):
-        table = table_with_pages("gpt.a", [3])
-        vm.register_guest_table(table)
-        assert vm.guest_table("gpt.a") is table
-        with pytest.raises(ConfigError):
-            vm.guest_table("gpt.missing")
-
 
 class TestModeTransitions:
     def test_launch_once(self, vm):
@@ -84,17 +77,6 @@ class TestModeTransitions:
         assert vm.vmcs.exits == 2
         assert vm.clock.count("vm_exits") == 2
         assert vm.clock.now_ns - before == 2 * COSTS.VMEXIT_ROUNDTRIP
-
-    def test_hypercall_dispatch(self, vm):
-        seen = []
-        vm.hypercall_handler = lambda nr, args: seen.append((nr, args)) or 7
-        assert vm.hypercall(42, (1, 2)) == 7
-        assert seen == [(42, (1, 2))]
-        assert vm.vmcs.exits == 1
-
-    def test_hypercall_without_handler(self, vm):
-        with pytest.raises(ConfigError):
-            vm.hypercall(1, ())
 
 
 class TestEptTranslationPath:

@@ -16,7 +16,7 @@ from repro.workloads.wiki import (
     app_source,
 )
 
-ENFORCING = ["mpk", "vtx"]
+ENFORCING = ["mpk", "vtx", "lwc"]
 
 
 def build_with_mux(mux_source: str):
