@@ -337,7 +337,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_micro(args: argparse.Namespace) -> int:
-    from benchmarks.test_table1_micro import (
+    from repro.workloads.micro import (
         BACKENDS,
         PAPER,
         measure_call,

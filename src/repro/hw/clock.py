@@ -2,7 +2,7 @@
 
 All simulated-nanosecond constants for the whole reproduction live here,
 in one place.  They were calibrated *once* against the paper's Table 1
-microbenchmarks (see ``benchmarks/test_table1_micro.py``); every other
+microbenchmarks (see :mod:`repro.workloads.micro`); every other
 experiment (Table 2, Figure 5, Section 6.4) derives its timing from these
 same constants, so the shapes those experiments exhibit emerge from the
 mechanism rather than from per-experiment tuning.

@@ -14,21 +14,28 @@ Fast paths (wall-clock only; simulated costs are unchanged):
   (generation bump), context switch, or CR3 write makes the tag stale
   and forces a checked fetch, so enforcement is identical to walking.
 * **dispatch** — opcodes index a handler table (built once per
-  interpreter) instead of walking a long ``if``/``elif`` chain, and the
-  binary ALU ops index :data:`_ALU_FUNCS` instead of re-deciding which
-  operator applies on every instruction.
-* **superinstruction fusion** — :meth:`Interpreter.register_code` runs
-  a load-time peephole pass that replaces hot adjacent pairs
-  (push+binop, load/store shapes, compare+branch; see
-  :data:`repro.isa.opcodes.FUSED_PAIRS`) with one :class:`FusedInstr`
-  dispatching a single fused handler.  The original second instruction
-  is kept at its own address, so jumps into the middle of a pair
-  execute it unfused; a pair never spans a page boundary, so the
-  per-page exec check still covers every fetched byte.  Fused handlers
-  charge exactly the two instructions' simulated costs and retire the
-  first half (pc advanced) before running the second, so faults and
-  ``WouldBlock`` retries observe the same pc and operand stack as
-  unfused execution.
+  interpreter) instead of walking a long ``if``/``elif`` chain, and each
+  binary ALU op gets its own handler around its :data:`_ALU_FUNCS`
+  entry instead of re-deciding which operator applies on every
+  instruction.
+
+Superinstruction fusion no longer pays for itself as a fast path (the
+trace JIT retires 92-99% of every perfbench workload's instructions),
+but its slice-budget overshoot (below) shows in perfbench's committed
+tenants-30 digest, so it stays until that digest is re-pinned.
+:meth:`Interpreter.register_code` runs a load-time peephole pass that
+replaces adjacent pairs (push+binop, load/store shapes,
+compare+branch; see :data:`repro.isa.opcodes.FUSED_PAIRS`) with one
+:class:`FusedInstr`, which :meth:`Interpreter._op_fused` dispatches by
+running the pair's two ordinary handlers back to back.  The original
+second instruction is kept at its own address, so jumps into the
+middle of a pair execute it unfused; a pair never spans a page
+boundary, so the per-page exec check still covers every fetched byte.
+A pair charges, faults, branches and retries exactly as its halves do.
+What differs is the slice budget: a fused pair is one dispatch that
+retires two instructions, so a pair straddling the budget retires
+whole, one instruction past it, and quota step charges taken from
+slice lengths can differ by one.
 """
 
 from __future__ import annotations
@@ -61,8 +68,8 @@ class FusedInstr:
 
     ``op`` is the fused pseudo-opcode (``FUSED_BASE + pair index``);
     ``i1``/``i2`` are the original decoded instructions and ``h1``/``h2``
-    their unfused handlers (used by the generic fused handler; the
-    specialized ones read ``i1``/``i2`` directly).
+    their unfused handlers, which :meth:`Interpreter._op_fused` runs
+    back to back.
     """
 
     __slots__ = ("op", "i1", "i2", "h1", "h2")
@@ -543,7 +550,7 @@ class Interpreter:
         raise MachineHalt(cpu.pop())
 
     def _op_fused(self, cpu: CPU, f: FusedInstr) -> None:
-        """Generic fused pair: run both original handlers back to back.
+        """A fused pair: run both original handlers back to back.
 
         ``h1`` retires completely (charges, effects, pc advance) before
         ``h2`` runs, so anything ``h2`` raises — a fault, a branch
@@ -628,7 +635,7 @@ def _alu_shr(a: int, b: int) -> int:
 
 
 #: Binary ALU semantics, indexed by opcode (comparisons inline the 0/1
-#: encoding; dict instead of if/elif so dispatch is one lookup).
+#: encoding); :func:`_build_dispatch` wraps each in its own handler.
 _ALU_FUNCS: dict[int, object] = {
     Op.ADD: _alu_add,
     Op.SUB: _alu_sub,
@@ -649,14 +656,6 @@ _ALU_FUNCS: dict[int, object] = {
 }
 
 
-def _binop(op: Op, a: int, b: int) -> int:
-    """Apply one binary ALU operation (table-driven)."""
-    fn = _ALU_FUNCS.get(op)
-    if fn is None:
-        raise Fault("exec", f"not a binary op: {op!r}")  # pragma: no cover
-    return fn(a, b)
-
-
 def _make_alu_handler(fn):
     def handler(self, cpu, instr):
         cpu.clock.now_ns += COSTS.INSN
@@ -666,229 +665,11 @@ def _make_alu_handler(fn):
     return handler
 
 
-def _make_push_alu_handler(fn):
-    """Fused PUSH imm; BINOP — the pushed immediate is consumed
-    immediately, so it never round-trips through the operand stack.
-
-    The two INSN charges stay separate adds (float accumulation order
-    is part of bit-identity) and both land, with the pc on the second
-    instruction, before ``fn`` can fault (divide/modulo by zero); an
-    operand-stack underflow leaves the same stack the unfused sequence
-    would (its push is undone by its own pop b).
-    """
-    def handler(self, cpu, f):
-        clock = cpu.clock
-        clock.now_ns += COSTS.INSN
-        clock.now_ns += COSTS.INSN
-        cpu.pc += INSTR_SIZE
-        cpu.push(fn(cpu.pop(), f.i1.imm1))
-        cpu.pc += INSTR_SIZE
-    return handler
-
-
-def _make_cmp_branch_handler(fn, jnz):
-    """Fused CMP; JZ/JNZ — the 0/1 flag is branched on directly instead
-    of being pushed and re-popped.  Charges stay split (INSN before the
-    compare's pops, INSN_BRANCH after the compare retires) so even the
-    underflow path is cycle-identical to unfused."""
-    def handler(self, cpu, f):
-        cpu.clock.now_ns += COSTS.INSN
-        a, b = cpu.pop2()
-        cond = fn(a, b)
-        cpu.pc += INSTR_SIZE
-        cpu.clock.now_ns += COSTS.INSN_BRANCH
-        if (cond != 0) == jnz:
-            cpu.pc = f.i2.imm1
-        else:
-            cpu.pc += INSTR_SIZE
-    return handler
-
-
-# -- specialized fused handlers ---------------------------------------------
-# Hand-inlined bodies for the hottest fused pairs, replacing the generic
-# _op_fused's two nested handler calls.  Same contract as every fused
-# handler: simulated charges are the exact per-instruction float adds in
-# unfused order (read_word/write_word charge INSN_MEM internally), and
-# the first half retires — pc advanced, effects landed — before the
-# second half can fault or block, so interrupted pairs are observably
-# identical to unfused execution.
-
-
-def _fused_loadl_push(self, cpu, f):
-    cpu.operands.append(
-        self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i1.imm1))
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.operands.append(f.i2.imm1)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_loadl_loadl(self, cpu, f):
-    mmu = self.mmu
-    ctx = cpu.ctx
-    base = cpu.fp + 16
-    cpu.operands.append(mmu.read_word(ctx, base + 8 * f.i1.imm1))
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(mmu.read_word(ctx, base + 8 * f.i2.imm1))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_loadl_storel(self, cpu, f):
-    # The loaded word moves straight into the target slot; the unfused
-    # push/pop round-trip nets to the same stack at every fault point.
-    mmu = self.mmu
-    ctx = cpu.ctx
-    base = cpu.fp + 16
-    value = mmu.read_word(ctx, base + 8 * f.i1.imm1)
-    cpu.pc += INSTR_SIZE
-    mmu.write_word(ctx, base + 8 * f.i2.imm1, value)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_loadl_add(self, cpu, f):
-    value = self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i1.imm1)
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.push(_alu_add(cpu.pop(), value))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_push_loadl(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.operands.append(f.i1.imm1)
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(
-        self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_load_push(self, cpu, f):
-    cpu.operands.append(self.mmu.read_word(cpu.ctx, cpu.pop()))
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.operands.append(f.i2.imm1)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_load_store(self, cpu, f):
-    mmu = self.mmu
-    ctx = cpu.ctx
-    value = mmu.read_word(ctx, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    addr = cpu.pop()
-    mmu.write_word(ctx, addr, value)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_load_lt(self, cpu, f):
-    value = self.mmu.read_word(cpu.ctx, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.operands.append(1 if cpu.pop() < value else 0)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_load_mul(self, cpu, f):
-    value = self.mmu.read_word(cpu.ctx, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.push(_alu_mul(cpu.pop(), value))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_add_load(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    a, b = cpu.pop2()
-    addr = _alu_add(a, b)
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(self.mmu.read_word(cpu.ctx, addr))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_add_storel(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    a, b = cpu.pop2()
-    value = _alu_add(a, b)
-    cpu.pc += INSTR_SIZE
-    self.mmu.write_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1, value)
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_add_loadl(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    a, b = cpu.pop2()
-    cpu.operands.append(_alu_add(a, b))
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(
-        self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_mul_loadl(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    a, b = cpu.pop2()
-    cpu.operands.append(_alu_mul(a, b))
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(
-        self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_storel_loadl(self, cpu, f):
-    mmu = self.mmu
-    ctx = cpu.ctx
-    base = cpu.fp + 16
-    mmu.write_word(ctx, base + 8 * f.i1.imm1, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(mmu.read_word(ctx, base + 8 * f.i2.imm1))
-    cpu.pc += INSTR_SIZE
-
-
-def _fused_storel_jmp(self, cpu, f):
-    # The intermediate pc0+16 between the halves is unobservable (no
-    # fault can land between the store retiring and the jump), so the
-    # jump writes pc directly.
-    self.mmu.write_word(cpu.ctx, cpu.fp + 16 + 8 * f.i1.imm1, cpu.pop())
-    cpu.pc += INSTR_SIZE
-    cpu.clock.now_ns += COSTS.INSN_BRANCH
-    cpu.pc = f.i2.imm1
-
-
-def _fused_drop_loadl(self, cpu, f):
-    cpu.clock.now_ns += COSTS.INSN
-    cpu.pop()
-    cpu.pc += INSTR_SIZE
-    cpu.operands.append(
-        self.mmu.read_word(cpu.ctx, cpu.fp + 16 + 8 * f.i2.imm1))
-    cpu.pc += INSTR_SIZE
-
-
-#: Pair -> hand-specialized handler; pairs not listed here fall back to
-#: the push+binop / cmp+branch factories or the generic _op_fused.
-_FUSED_SPECIAL = {
-    (Op.LOADL, Op.PUSH): _fused_loadl_push,
-    (Op.LOADL, Op.LOADL): _fused_loadl_loadl,
-    (Op.LOADL, Op.STOREL): _fused_loadl_storel,
-    (Op.LOADL, Op.ADD): _fused_loadl_add,
-    (Op.PUSH, Op.LOADL): _fused_push_loadl,
-    (Op.LOAD, Op.PUSH): _fused_load_push,
-    (Op.LOAD, Op.STORE): _fused_load_store,
-    (Op.LOAD, Op.LT): _fused_load_lt,
-    (Op.LOAD, Op.MUL): _fused_load_mul,
-    (Op.ADD, Op.LOAD): _fused_add_load,
-    (Op.ADD, Op.STOREL): _fused_add_storel,
-    (Op.ADD, Op.LOADL): _fused_add_loadl,
-    (Op.MUL, Op.LOADL): _fused_mul_loadl,
-    (Op.STOREL, Op.LOADL): _fused_storel_loadl,
-    (Op.STOREL, Op.JMP): _fused_storel_jmp,
-    (Op.DROP, Op.LOADL): _fused_drop_loadl,
-}
-
-
 def _build_dispatch() -> list:
     """Opcode -> handler table (shared shape; built per interpreter so
     handlers stay plain functions called as ``handler(self, cpu, instr)``).
-    Slots at and above ``FUSED_BASE`` hold the fused-pair handlers."""
+    Every slot at and above ``FUSED_BASE`` holds
+    :meth:`Interpreter._op_fused`."""
     table: list = [None] * DISPATCH_SLOTS
     named = {
         Op.NOP: Interpreter._op_nop,
@@ -924,15 +705,5 @@ def _build_dispatch() -> list:
         table[op] = handler
     for op, fn in _ALU_FUNCS.items():
         table[op] = _make_alu_handler(fn)
-    for i, (op1, op2) in enumerate(FUSED_PAIRS):
-        fused = _FUSED_SPECIAL.get((op1, op2))
-        if fused is not None:
-            pass
-        elif op1 == Op.PUSH and op2 in _ALU_FUNCS:
-            fused = _make_push_alu_handler(_ALU_FUNCS[op2])
-        elif op2 in (Op.JZ, Op.JNZ) and op1 in _ALU_FUNCS:
-            fused = _make_cmp_branch_handler(_ALU_FUNCS[op1], op2 == Op.JNZ)
-        else:
-            fused = Interpreter._op_fused
-        table[FUSED_BASE + i] = fused
+    table[FUSED_BASE:] = [Interpreter._op_fused] * len(FUSED_PAIRS)
     return table

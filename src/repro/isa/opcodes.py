@@ -105,9 +105,10 @@ COMPARISONS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE)
 
 # --------------------------------------------------------------- fusion
 # Superinstruction fusion: the loader's peephole pass replaces an
-# adjacent pair of instructions with one fused handler that performs
-# both (identical simulated charges, identical architectural effects —
-# a wall-clock dispatch saving only).
+# adjacent pair of instructions with one dispatch that runs both halves'
+# own handlers (identical simulated charges and effects).  It is not
+# invisible: a pair straddling a scheduler slice budget retires whole,
+# one instruction past it (see repro.isa.interp).
 #
 # Safety contract for the *first* element of a pair: it must be a
 # straight-line op — it completes unconditionally, advances the pc by

@@ -75,25 +75,25 @@ class MachineConfig:
     #: map.  ``None`` (the default) leaves every metering hook a single
     #: ``is None`` test, keeping sim-ns bit-identical.
     quotas: str | dict | None = None
-    # Wall-clock fast-path kill-switch: invisible to the cost model;
-    # it exists so the bit-identity test suite can diff fusion
-    # against plain dispatch.
+    # Kill-switch for superinstruction fusion, so the bit-identity
+    # tests can diff it against plain dispatch.  A fused pair that
+    # straddles a slice budget retires one instruction past it, so
+    # slice lengths (and quota step charges) can differ by one.
     #: Load-time superinstruction peephole in the interpreter.
     fuse_superinstructions: bool = True
     # Trace-JIT (PR 6): compile hot forward regions to generated
-    # Python (see repro/isa/jit.py).  Wall-clock only, like fusion
-    # above: every simulated value is bit-identical with the JIT
-    # on or off, and jit=False restores pure interpretation exactly.
+    # Python (see repro/isa/jit.py).  Wall-clock only: every
+    # simulated value is bit-identical with the JIT on or off, and
+    # jit=False restores pure interpretation exactly.
     jit: bool = True
     # Observability (PR 5).  Both are wall-clock-only like the tracer:
     # they charge no simulated cost, so sim-ns is bit-identical with
     # either on or off.
     #: Prometheus-style metrics registry over every enforcement point.
     metrics: bool = False
-    #: Deterministic sim-time sampling profiler.
+    #: Deterministic sim-time sampling profiler (one sample per
+    #: ``profiler.DEFAULT_PERIOD_NS`` of simulated time).
     profile: bool = False
-    #: Sampling period of the profiler, in simulated nanoseconds.
-    profile_period_ns: float = 1000.0
     # Request-scoped distributed tracing (repro.spans).  Same
     # wall-clock-only contract as the tracer/metrics/profiler: the
     # recorder never charges simulated time, and with ``spans=False``
@@ -125,9 +125,6 @@ class Machine:
                 f"(choose from {', '.join(FAULT_POLICIES)})")
         if config.cores < 1:
             raise ConfigError(f"cores must be >= 1, got {config.cores}")
-        if not config.profile_period_ns > 0:
-            raise ConfigError(f"profile period must be > 0 sim-ns, got "
-                              f"{config.profile_period_ns}")
         if not 0.0 <= config.span_sample <= 1.0:
             raise ConfigError(f"span_sample must be in [0, 1], got "
                               f"{config.span_sample}")
@@ -153,8 +150,7 @@ class Machine:
                 "Simulated nanoseconds elapsed on this machine's clock."
             ).set_function(lambda: self.clock.now_ns)
         #: Sim-time sampling profiler (``None`` unless ``config.profile``).
-        self.profiler = (Profiler(self.clock, config.profile_period_ns,
-                                  backend=config.backend)
+        self.profiler = (Profiler(self.clock, backend=config.backend)
                          if config.profile else None)
         #: Request-span recorder (``config.spans``); subscribed once the
         #: machine is assembled (it needs the scheduler), so boot is

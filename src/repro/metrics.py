@@ -31,7 +31,6 @@ histogram ``_bucket``/``_sum``/``_count`` series), and
 
 from __future__ import annotations
 
-import json
 import re
 
 from repro.obs import Observer
@@ -299,7 +298,7 @@ class Histogram(MetricFamily):
 
 
 class MetricsRegistry:
-    """Holds metric families; renders text + JSON expositions.
+    """Holds metric families; renders the text exposition.
 
     ``const_labels`` (e.g. ``{"backend": "mpk"}``) are stamped onto
     every series so per-backend attribution needs no plumbing at the
@@ -366,22 +365,6 @@ class MetricsRegistry:
             out.extend(family.render_lines(self.const_labels, exemplars))
         return "\n".join(out) + "\n"
 
-    def render_json(self, collect: bool = True) -> str:
-        if collect:
-            self._collect()
-        doc: dict[str, dict] = {}
-        for name in sorted(self._families):
-            family = self._families[name]
-            doc[name] = {
-                "type": family.typename,
-                "help": family.help_text,
-                "samples": [
-                    {"series": series, "value": value}
-                    for series, value in family.samples(self.const_labels)
-                ],
-            }
-        return json.dumps(doc, indent=1, sort_keys=True)
-
 
 class EnforcementMetrics(Observer):
     """The standard family set, fed by the observer bus.  One instance
@@ -389,7 +372,6 @@ class EnforcementMetrics(Observer):
     the harness observes latencies and tenant states directly."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
         self.switches = registry.counter(
             "enclosure_switches_total",
             "Environment switches by LitterBox hook (Prolog/Epilog/"

@@ -78,7 +78,6 @@ class Kernel:
         self._next_fd = 3
         self._mmap_cursor = MMAP_BASE
         self._mappings: dict[int, int] = {}  # base -> size
-        self.syscall_log: list[int] = []
         #: Observer bus (repro.obs), wired by the machine.
         self.obs = None
         #: Optional FaultInjector consulted at every kernel entry.
@@ -171,7 +170,6 @@ class Kernel:
                  ctx: TranslationContext | None, pkru: int) -> int:
         self.clock.charge(COSTS.HOST_SYSCALL)
         self.clock.tick("syscalls")
-        self.syscall_log.append(nr)
         if self.inject is not None:
             forced = self.inject.on_syscall(nr)
             if forced is not None:

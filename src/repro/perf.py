@@ -27,13 +27,6 @@ def _dispatch_slots() -> int:
     return DISPATCH_SLOTS
 
 
-def _op_name(code: int) -> str:
-    from repro.isa.opcodes import FUSED_BASE, FUSED_NAMES, Op
-    if code < FUSED_BASE:
-        return Op(code).name
-    return FUSED_NAMES[code - FUSED_BASE]
-
-
 class PerfStats:
     """Counters for the simulated CPU's fast paths.
 

@@ -220,9 +220,9 @@ class Runtime:
     def _rt_slice_append(self, cpu: CPU, args) -> int:
         return self._slice_append(cpu.ctx, *args)
 
-    # The two slice hot paths open-code _slice_index (same bounds
-    # check, same fault text) — indexed element access is the most
-    # frequent runtime service in the macro workloads.
+    # The two slice hot paths each open-code the bounds check (same
+    # fault text) — indexed element access is the most frequent
+    # runtime service in the macro workloads.
 
     def _rt_slice_at(self, cpu: CPU, args) -> int:
         ctx, mmu = cpu.ctx, self.mmu
@@ -328,14 +328,6 @@ class Runtime:
             return _DESC.unpack_from(self.mmu.read_frame(ctx, desc), offset)
         raw = self.mmu.read(ctx, desc, SLICE_DESC, charge=False)
         return _DESC.unpack(raw)
-
-    def _slice_index(self, ctx, desc: int, elem_size: int,
-                     index: int) -> int:
-        data, length, _ = self._read_desc(ctx, desc)
-        if not 0 <= index < length:
-            raise Fault("arith",
-                        f"slice index {index} out of range [0,{length})")
-        return data + index * elem_size
 
     def _slice_append(self, ctx, pkg_id: int, desc: int, elem_size: int,
                       value: int) -> int:

@@ -1,1 +1,2 @@
-"""The paper's §6.2/§6.3 workloads: bild, HTTP, FastHTTP, the wiki."""
+"""The paper's §6.1–§6.3 workloads: the Table 1 microbenchmarks, bild,
+HTTP, FastHTTP, the wiki."""

@@ -1,7 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,20 @@ class TestPylite:
         assert main(["py", str(mod), str(app),
                      "--mode", "conservative"]) == 1
         assert "aborted" in capsys.readouterr().err
+
+
+class TestMicro:
+    def test_micro_runs_outside_the_checkout(self, tmp_path):
+        """``repro micro`` needs only the installed package, not the
+        repository's ``benchmarks`` directory on the import path."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "repro", "micro"],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        rows = [line.split()[0] for line in done.stdout.splitlines()[1:]]
+        assert rows == ["call", "transfer", "syscall"]
 
 
 class TestContainmentFlags:

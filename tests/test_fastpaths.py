@@ -15,9 +15,10 @@ import pathlib
 
 import pytest
 
-from repro.errors import Fault, QuarantinedFault
+from repro.errors import Fault, QuarantinedFault, SimError
 from repro.isa import Instr, Op
 from repro.isa.interp import FusedInstr, Interpreter
+from repro.isa.opcodes import FUSED_NAMES, FUSED_PAIRS
 from repro.machine import Machine, MachineConfig
 from repro.workloads.bild import build_bild_image, run_bild
 from repro.workloads import loadgen
@@ -25,7 +26,7 @@ from repro.workloads.fasthttp import run_fasthttp_server
 from repro.workloads.httpserver import run_http_server
 
 from tests.golite_helpers import run_golite
-from tests.harness import TEXT_BASE, MiniMachine
+from tests.harness import DATA_BASE, TEXT_BASE, MiniMachine
 
 KNOBS = ["fuse_superinstructions", "jit"]
 ENFORCING = ["mpk", "vtx"]
@@ -260,8 +261,46 @@ SLICE_PROGRAM = [Instr(Op.PUSH, 1), Instr(Op.PUSH, 2), Instr(Op.ADD),
                  Instr(Op.PUSH, 0), Instr(Op.HALT)]
 
 
+#: Immediates for the ops that read one: a pushed value that divides
+#: cleanly, a local slot, and the second NOP after the pair as the
+#: branch target.
+PAIR_TARGET = TEXT_BASE + 3 * 16
+PAIR_IMMEDIATES = {Op.PUSH: 3, Op.LOADL: 1, Op.STOREL: 1,
+                   Op.JMP: PAIR_TARGET, Op.JZ: PAIR_TARGET,
+                   Op.JNZ: PAIR_TARGET}
+
+
+def _run_pair(pair, depth: int, fusion: bool):
+    """Retire ``pair`` as one two-instruction slice over an operand
+    stack of ``depth`` copies of DATA_BASE; returns the pc, the operand
+    stack, the sim-ns spent and the type of any SimError raised."""
+    mm = MiniMachine()
+    mm.interp = Interpreter(mm.mmu, mm.clock, fusion=fusion)
+    mm.load([Instr(op, PAIR_IMMEDIATES.get(op, 0)) for op in pair]
+            + [Instr(Op.NOP), Instr(Op.NOP), Instr(Op.HALT)])
+    assert isinstance(mm.interp.code[TEXT_BASE], FusedInstr) == fusion
+    mm.cpu.pc = TEXT_BASE
+    mm.cpu.operands = [DATA_BASE] * depth
+    start = mm.clock.now_ns
+    raised = None
+    try:
+        mm.interp.run_slice(mm.cpu, 2)
+    except SimError as exc:
+        raised = type(exc)
+    return mm.cpu.pc, mm.cpu.operands, mm.clock.now_ns - start, raised
+
+
 class TestFusionSemantics:
     """The peephole's safety contract at the ISA level."""
+
+    @pytest.mark.parametrize("depth", range(4))
+    @pytest.mark.parametrize("pair", FUSED_PAIRS, ids=FUSED_NAMES)
+    def test_pair_retires_like_its_halves(self, pair, depth):
+        """Every fused pair leaves the pc, the operand stack and the
+        clock exactly as its two halves dispatched one at a time, and
+        raises what they raise, on stacks too shallow for it too."""
+        assert _run_pair(pair, depth, fusion=True) == \
+            _run_pair(pair, depth, fusion=False)
 
     def test_jump_into_pair_middle_executes_unfused(self):
         """The second instruction of a fused pair keeps its own address,

@@ -94,15 +94,6 @@ class TestRegistry:
         assert first == second
         assert validate_exposition(first) > 0
 
-    def test_json_exposition_mirrors_text(self):
-        import json
-        reg = MetricsRegistry(const_labels={"backend": "mpk"})
-        reg.counter("a_total", "A.", ("k",)).inc(3, k="v")
-        doc = json.loads(reg.render_json())
-        assert doc["a_total"]["type"] == "counter"
-        assert doc["a_total"]["samples"] == [
-            {"series": 'a_total{backend="mpk",k="v"}', "value": 3.0}]
-
 
 class TestValidator:
     GOOD = ("# HELP a_total A.\n"

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.machine import MachineConfig
 from repro.profiler import Profiler, parse_folded, top_table
 from repro.workloads.bild import run_bild
@@ -151,20 +150,3 @@ class TestWorkloadAttribution:
         assert ";kernel:accept" in folded
         summary = driver.machine.profiler.summary()
         assert summary["kernel_samples"] > 0
-
-    def test_custom_period_scales_sample_count(self):
-        coarse = run_bild("mpk", config=MachineConfig(
-            backend="mpk", profile=True,
-            profile_period_ns=4000.0)).profiler
-        fine = run_bild("mpk", config=MachineConfig(
-            backend="mpk", profile=True,
-            profile_period_ns=1000.0)).profiler
-        assert fine.total_samples() > 2 * coarse.total_samples()
-        # Same sim timeline, so the counts relate by the period ratio.
-        assert fine.total_samples() == \
-            pytest.approx(4 * coarse.total_samples(), rel=0.05)
-
-    def test_non_positive_period_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="profile period"):
-            run_bild("mpk", config=MachineConfig(
-                backend="mpk", profile=True, profile_period_ns=0.0))
