@@ -51,14 +51,19 @@ every observable point:
   semantic difference, because the interpreter is the reference.
 * **Precise fault deopt.**  ``cpu.pc`` is synced before every
   instruction that can fault (memory ops, DIV/MOD, MEMCPY, RTCALL), so
-  a fault observes the same pc, operand stack, and accumulated sim-ns
-  as interpreted execution; an ``except`` hook flushes the clock and
-  counter tallies and re-raises after :meth:`Interpreter._jit_fault`
-  replays the per-dispatch-group ``op_counts`` and slice accounting
-  the interpreter would have recorded from the trace's per-block pass
-  counts (a dispatch whose handler raises is *not* counted in
-  ``slice_executed`` — fused pairs included — and the JIT reproduces
-  exactly that).
+  a fault observes the same pc and accumulated sim-ns as interpreted
+  execution.  A trace keeps the operand stack in Python locals, so its
+  ``except`` hook first selects on that pc and puts back the operands
+  the interpreter would have left — those below the faulting
+  instruction's own, which stay popped; a ``_guarded`` channel call
+  gets nothing put back, because the trace wrote the whole stack back
+  before the call and ``_guarded`` restored or consumed it.  The hook
+  then flushes the clock and counter tallies and re-raises after
+  :meth:`Interpreter._jit_fault` replays the per-dispatch-group
+  ``op_counts`` and slice accounting the interpreter would have
+  recorded from the trace's per-block pass counts (a dispatch whose
+  handler raises is *not* counted in ``slice_executed`` — fused pairs
+  included — and the JIT reproduces exactly that).
 
 Regions are built along *dispatch groups* (a fused pair is one group):
 ``op_counts`` batching credits the fused pseudo-op slots, and the
@@ -182,11 +187,12 @@ _M64 = 18446744073709551615          # (1 << 64) - 1
 _S63 = 9223372036854775808           # 1 << 63
 _W64 = 18446744073709551616          # 1 << 64
 
-#: Wrapping binary ALU ops -> Python expression over ``a``/``b``.
+#: Wrapping binary ALU ops -> Python expression template over the
+#: operand atoms ``{a}``/``{b}``.
 _ALU_EXPR = {
-    Op.ADD: "a + b", Op.SUB: "a - b", Op.MUL: "a * b",
-    Op.AND: "a & b", Op.OR: "a | b", Op.XOR: "a ^ b",
-    Op.SHL: "a << (b & 63)", Op.SHR: f"(a & {_M64}) >> (b & 63)",
+    Op.ADD: "{a} + {b}", Op.SUB: "{a} - {b}", Op.MUL: "{a} * {b}",
+    Op.AND: "{a} & {b}", Op.OR: "{a} | {b}", Op.XOR: "{a} ^ {b}",
+    Op.SHL: "{a} << ({b} & 63)", Op.SHR: f"({{a}} & {_M64}) >> ({{b}} & 63)",
 }
 #: Comparison ops -> Python operator.
 _CMP_EXPR = {Op.EQ: "==", Op.NE: "!=", Op.LT: "<",
@@ -209,7 +215,10 @@ class Region:
     instruction in the region to its :class:`Instr`.  ``length`` is the
     longest pass, in architectural instructions, from ``entry`` to an
     exit or back edge; ``min_depth`` is the operand-stack depth the
-    region needs on entry so that no pop inside it can underflow."""
+    region needs on entry so that no pop inside it can underflow.  The
+    trace pops those ``min_depth`` operands into locals on entry and
+    counts its stack slots upward from the lowest of them (see
+    :class:`_Stack`)."""
 
     __slots__ = ("entry", "blocks", "ends", "code", "length", "min_depth")
 
@@ -500,6 +509,86 @@ def compile_region(region: Region, profiled: bool):
     return fn
 
 
+class _Stack:
+    """The operand stack at one point of a trace, as codegen sees it.
+
+    Slot ``k`` — counted upward from the bottom of the region's
+    ``min_depth`` entry operands — lives in the Python local ``s<k>``,
+    except that a PUSH immediate or an ADDRL address stays a literal
+    expression until an instruction consumes it.  Every other value is
+    assigned to its own slot's local (DUP and SWAP copy, never alias),
+    so once a block's leftover literals are settled into locals at its
+    end, every path enters the next block with one layout: all
+    locals."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: list):
+        #: Per slot: ``None`` (the value is in ``s<k>``) or a literal.
+        self.slots = slots
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def copy(self) -> _Stack:
+        return _Stack(list(self.slots))
+
+    def atom(self, k: int) -> str:
+        literal = self.slots[k]
+        return f"s{k}" if literal is None else literal
+
+    def pop(self) -> str:
+        atom = self.atom(len(self.slots) - 1)
+        self.slots.pop()
+        return atom
+
+    def push(self, literal: str | None = None) -> str:
+        """Push ``literal``, or (by default) a computed value that the
+        caller assigns to the returned local."""
+        self.slots.append(literal)
+        return f"s{len(self.slots) - 1}"
+
+    def values(self) -> list[str]:
+        return [self.atom(k) for k in range(len(self.slots))]
+
+    def settle(self, emit, indent: str) -> None:
+        """Move the literals into their slots' locals."""
+        for k, literal in enumerate(self.slots):
+            if literal is not None:
+                emit(f"{indent}s{k} = {literal}")
+                self.slots[k] = None
+
+
+def _spill(values: list[str]) -> str | None:
+    """The statement appending ``values`` (bottom first) to
+    ``cpu.operands``, or ``None`` when there are none."""
+    if not values:
+        return None
+    if len(values) == 1:
+        return f"ops.append({values[0]})"
+    return f"ops += ({', '.join(values)})"
+
+
+def _fill(depth: int) -> list[str]:
+    """Statements moving the top ``depth`` operands of ``cpu.operands``
+    into ``s0`` .. ``s<depth - 1>``."""
+    if depth == 0:
+        return []
+    if depth == 1:
+        return ["s0 = ops.pop()"]
+    names = ", ".join(f"s{k}" for k in range(depth))
+    return [f"{names} = ops[-{depth}:]", f"del ops[-{depth}:]"]
+
+
+def _operands(st: _Stack, count: int, pc: int, restore: dict) -> list[str]:
+    """Pop a faultable instruction's ``count`` operands, bottom first,
+    and record in ``restore[pc]`` the operands below them: what the
+    interpreter leaves on the stack when that instruction faults."""
+    args = [st.pop() for _ in range(count)][::-1]
+    restore[pc] = st.values()
+    return args
+
+
 def gen_source(region: Region, profiled: bool) -> str:
     """Emit the region's Python source (see :func:`compile_region`).
 
@@ -508,6 +597,16 @@ def gen_source(region: Region, profiled: bool) -> str:
     checks the budget and resets it to 0, and an exit writes ``cpu.pc``
     and breaks.  Each block counts its passes in a local ``c<id>``; the
     epilogue turns the counts into the per-group tallies.
+
+    The operand stack lives in locals (:class:`_Stack`): after the
+    entry guards the trace moves its ``min_depth`` entry operands into
+    ``s0`` and up, and it writes the live slots back to
+    ``cpu.operands`` only where anything else can see the stack — at
+    every exit (the back edge's budget break included), around each
+    ``_guarded`` channel call (written back before, reloaded after),
+    and in the fault hook, which selects on the synced ``cpu.pc`` and
+    puts back the operands below the faulting instruction's own, as
+    the interpreter leaves them.
 
     Simulated time accumulates in a local ``now`` (the same individual
     float adds in the same order, so the value is bit-identical) and is
@@ -541,15 +640,6 @@ def gen_source(region: Region, profiled: bool) -> str:
     uses_pure_rt = any(i.op == Op.RTCALL and i.imm1 not in _RT_GUARDED
                        for i in instrs)
     uses_wfth = uses_word or uses_slice
-    uses_pop = any((i.op == Op.RTCALL and
-                    i.imm1 in (_RT_SLICE_AT, _RT_SLICE_PUT)) or
-                   (i.op != Op.RTCALL and
-                    (_STACK_EFFECT[i.op][0] > 0 or i.op == Op.DUP))
-                   for i in instrs)
-    uses_push = any(i.op not in (Op.NOP, Op.JMP, Op.JZ, Op.JNZ,
-                                 Op.STOREL, Op.STORE, Op.STORE1,
-                                 Op.MEMCPY, Op.DROP)
-                    for i in instrs)
 
     # Prevalidated locals: every LOADL/STOREL in the region touches the
     # frame's locals area; when the whole accessed span lies on one
@@ -626,16 +716,16 @@ def gen_source(region: Region, profiled: bool) -> str:
             emit(f"        return {G_RTCALL}")
     if profiled:
         emit("    prof = interp.profiler")
-    if uses_push:
-        emit("    push = ops.append")
-    if uses_pop:
-        emit("    pop = ops.pop")
+    for line in _fill(region.min_depth):
+        emit(f"    {line}")
     emit("    now = clock.now_ns")
     counts = [f"c{b}" for b in range(len(region.blocks))]
     emit(f"    n = bk = {' = '.join(counts)} = 0")
     emit("    try:")
     emit("        while True:")
     I = " " * 16
+    depth_of = {0: region.min_depth}    # block id -> stack slots on entry
+    restore: dict[int, list[str]] = {}  # faultable pc -> operands below it
 
     def drain(gpc: int, indent: str) -> None:
         # Retire-boundary drain with the *group-start* pc, exactly as
@@ -645,28 +735,37 @@ def gen_source(region: Region, profiled: bool) -> str:
             emit(f"{indent}    clock.now_ns = now")
             emit(f"{indent}    prof.drain_retire({gpc})")
 
-    def take(target: int, to: int, indent: str) -> None:
+    def leave(pc: int, indent: str, st: _Stack) -> None:
         # cpu.pc is written only on leaving: nothing observes it
         # mid-trace, and every faultable op syncs its own pc first.
+        spill = _spill(st.values())
+        if spill:
+            emit(f"{indent}{spill}")
+        emit(f"{indent}cpu.pc = {pc}")
+        emit(f"{indent}break")
+
+    def take(target: int, to: int, indent: str, st: _Stack) -> None:
+        if to < 0:
+            leave(target, indent, st)
+            return
+        st.settle(emit, indent)
         if to == 0:
             emit(f"{indent}if left - n < {length}:")
-            emit(f"{indent}    cpu.pc = {entry}")
-            emit(f"{indent}    break")
+            leave(entry, indent + "    ", st)
             emit(f"{indent}bk = 0")
-        elif to > 0:
-            emit(f"{indent}bk = {to}")
         else:
-            emit(f"{indent}cpu.pc = {target}")
-            emit(f"{indent}break")
+            depth_of[to] = len(st)
+            emit(f"{indent}bk = {to}")
 
     for bid, (groups, ends) in enumerate(zip(region.blocks, region.ends)):
+        st = _Stack([None] * depth_of[bid])
         emit(f"            if bk == {bid}:")
         emit(f"{I}c{bid} += 1")
         emit(f"{I}n += {sum(arch for _slot, _pc, arch in groups)}")
         for _slot, gpc, arch in groups:
             for pc in range(gpc, gpc + arch * INSTR_SIZE, INSTR_SIZE):
                 if code[pc].op not in _TERM:
-                    _emit_instr(emit, code[pc], pc, I)
+                    _emit_instr(emit, code[pc], pc, I, st, restore)
             last = code[pc]
             if last.op not in _TERM:
                 drain(gpc, I)
@@ -676,18 +775,18 @@ def gen_source(region: Region, profiled: bool) -> str:
         if last.op == Op.JMP:
             emit(f"{I}now += {COSTS.INSN_BRANCH!r}")
             drain(gpc, I)
-            take(*ends[0], I)
+            take(*ends[0], I, st)
         elif last.op in _TERM:
             taken = "== 0" if last.op == Op.JZ else "!= 0"
             emit(f"{I}now += {COSTS.INSN_BRANCH!r}")
-            emit(f"{I}if pop() {taken}:")
+            emit(f"{I}if {st.pop()} {taken}:")
             drain(gpc, I + "    ")
-            take(*ends[0], I + "    ")
+            take(*ends[0], I + "    ", st.copy())
             emit(f"{I}else:")
             drain(gpc, I + "    ")
-            take(*ends[1], I + "    ")
+            take(*ends[1], I + "    ", st)
         else:
-            take(*ends[0], I)
+            take(*ends[0], I, st)
 
     # Fault hook: the clock local is authoritative unless the raise
     # came from inside an MMU helper that charged after our last sync
@@ -699,6 +798,22 @@ def gen_source(region: Region, profiled: bool) -> str:
         emit("        perf = interp.perf")
         emit("        perf.word_fast += wf")
         emit("        perf.tlb_hits += th")
+    # The stack the interpreter would have left: the operands below
+    # the faulting instruction's own, which it had already popped.  A
+    # guarded call has none put back: the trace wrote the stack back
+    # before it, and _guarded restored (WouldBlock) or consumed it.
+    spills: dict[str, list[int]] = {}
+    for pc, values in restore.items():
+        spill = _spill(values)
+        if spill:
+            spills.setdefault(spill, []).append(pc)
+    if spills:
+        emit("        pc = cpu.pc")
+        for k, (spill, pcs) in enumerate(spills.items()):
+            test = (f"pc == {pcs[0]}" if len(pcs) == 1
+                    else f"pc in ({', '.join(map(str, pcs))})")
+            emit(f"        {'elif' if k else 'if'} {test}:")
+            emit(f"            {spill}")
     emit(f"        interp._jit_fault(cpu, {entry}, bk, "
          f"({', '.join(counts)},), exc)")
     emit("        raise")
@@ -758,112 +873,127 @@ def _emit_preval(emit, key: str, frame_var: str, read: bool) -> None:
     emit(f"    {frame_var} = e[1]")
 
 
-def _emit_instr(emit, ins: Instr, pc: int, I: str) -> None:
-    """Emit one architectural instruction at indent ``I`` (inside try).
+def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
+                restore: dict) -> None:
+    """Emit one architectural instruction at indent ``I`` (inside try),
+    taking its operands from and leaving its result on ``st``.
 
     Simulated charges are individual float adds, in the interpreter's
     order, on the local ``now``; ``cpu.pc`` is synced before anything
-    that can fault so the fault observes the interpreter's exact state,
-    and ``clock.now_ns`` is synced around MMU helpers that charge the
-    clock themselves (re-read after, since they advanced it)."""
+    that can fault, and the operands the fault leaves are recorded in
+    ``restore``, so the fault observes the interpreter's exact state;
+    ``clock.now_ns`` is synced around MMU helpers that charge the clock
+    themselves (re-read after, since they advanced it)."""
     op = ins.op
     if op == Op.PUSH:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}push({ins.imm1!r})")
+        st.push(repr(ins.imm1) if ins.imm1 >= 0 else f"({ins.imm1!r})")
     elif op == Op.LOADL:
         emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        emit(f"{I}push(unpack_from(sfr, sb + {8 * ins.imm1})[0])")
+        emit(f"{I}{st.push()} = unpack_from(sfr, sb + {8 * ins.imm1})[0]")
     elif op == Op.STOREL:
         emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        emit(f"{I}pack_into(sfw, sb + {8 * ins.imm1}, pop() & {_M64})")
+        emit(f"{I}pack_into(sfw, sb + {8 * ins.imm1}, {st.pop()} & {_M64})")
     elif op == Op.ADDRL:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}push(fpb + {8 * ins.imm1})")
+        st.push(f"(fpb + {8 * ins.imm1})")
     elif op == Op.LOAD:
         emit(f"{I}cpu.pc = {pc}")
         emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        emit(f"{I}a = pop()")
-        _emit_word_access(emit, read=True, I=I)
+        addr, = _operands(st, 1, pc, restore)
+        _emit_word_access(emit, I, addr, dest=st.push())
     elif op == Op.STORE:
         emit(f"{I}cpu.pc = {pc}")
         emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        emit(f"{I}v = pop()")
-        emit(f"{I}a = pop()")
-        _emit_word_access(emit, read=False, I=I)
+        addr, value = _operands(st, 2, pc, restore)
+        _emit_word_access(emit, I, addr, value=value)
     elif op == Op.LOAD1:
         emit(f"{I}cpu.pc = {pc}")
+        addr, = _operands(st, 1, pc, restore)
         emit(f"{I}clock.now_ns = now")
-        emit(f"{I}push(rbyte(ctx, pop()))")
+        emit(f"{I}{st.push()} = rbyte(ctx, {addr})")
         emit(f"{I}now = clock.now_ns")
     elif op == Op.STORE1:
         emit(f"{I}cpu.pc = {pc}")
-        emit(f"{I}v = pop()")
-        emit(f"{I}a = pop()")
+        addr, value = _operands(st, 2, pc, restore)
         emit(f"{I}clock.now_ns = now")
-        emit(f"{I}wbyte(ctx, a, v)")
+        emit(f"{I}wbyte(ctx, {addr}, {value})")
         emit(f"{I}now = clock.now_ns")
     elif op == Op.MEMCPY:
         emit(f"{I}cpu.pc = {pc}")
-        emit(f"{I}n2 = pop()")
-        emit(f"{I}s = pop()")
-        emit(f"{I}d = pop()")
-        emit(f"{I}if n2 < 0:")
+        dst, src, count = _operands(st, 3, pc, restore)
+        emit(f"{I}if {count} < 0:")
         emit(f"{I}    raise Fault('arith', 'negative MEMCPY length')")
         emit(f"{I}clock.now_ns = now")
-        emit(f"{I}mcpy(ctx, d, s, n2)")
+        emit(f"{I}mcpy(ctx, {dst}, {src}, {count})")
         emit(f"{I}now = clock.now_ns")
     elif op == Op.DROP:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}pop()")
+        st.pop()
     elif op == Op.DUP:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}push(ops[-1])")
+        k = len(st) - 1
+        literal = st.slots[k]
+        dest = st.push(literal)
+        if literal is None:
+            emit(f"{I}{dest} = s{k}")
     elif op == Op.SWAP:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}b = pop()")
-        emit(f"{I}a = pop()")
-        emit(f"{I}push(b)")
-        emit(f"{I}push(a)")
+        k = len(st) - 2
+        lo, hi = st.slots[k], st.slots[k + 1]
+        if lo is None and hi is None:
+            emit(f"{I}s{k}, s{k + 1} = s{k + 1}, s{k}")
+        elif lo is None:
+            emit(f"{I}s{k + 1} = s{k}")
+        elif hi is None:
+            emit(f"{I}s{k} = s{k + 1}")
+        st.slots[k], st.slots[k + 1] = hi, lo
     elif op == Op.NEG:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}v = (-pop()) & {_M64}")
-        emit(f"{I}push(v - {_W64} if v >= {_S63} else v)")
+        emit(f"{I}v = (-{st.pop()}) & {_M64}")
+        emit(f"{I}{st.push()} = v - {_W64} if v >= {_S63} else v")
     elif op == Op.NOT:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}push(1 if pop() == 0 else 0)")
+        x = st.pop()
+        emit(f"{I}{st.push()} = 1 if {x} == 0 else 0")
     elif op == Op.RTCALL:
         emit(f"{I}cpu.pc = {pc}")
         if ins.imm1 in _RT_GUARDED:
             # CHAN_SEND/RECV keep _guarded's WouldBlock stack restore
-            # around the real _do_rtcall, exactly as _op_rtcall does.
+            # around the real _do_rtcall, exactly as _op_rtcall does,
+            # so they see the whole stack in cpu.operands.
             emit(f"{I}clock.now_ns = now")
+            spill = _spill(st.values())
+            if spill:
+                emit(f"{I}{spill}")
             emit(f"{I}gua(cpu, dor, {ins.imm1}, {ins.imm2})")
+            st.slots[:] = [None] * (len(st) - ins.imm2 + 1)
+            for line in _fill(len(st)):
+                emit(f"{I}{line}")
         elif ins.imm1 in (_RT_SLICE_AT, _RT_SLICE_PUT):
-            _emit_slice_access(emit, ins, I)
+            _emit_slice_access(emit, ins, pc, I, st, restore)
         else:
             # Pure services inline _do_rtcall's body: charge, popn,
             # dispatch, wrap-push — same effect order, one less frame.
             emit(f"{I}now += {COSTS.RTCALL!r}")
-            if ins.imm2:
-                emit(f"{I}a = tuple(ops[-{ins.imm2}:])")
-                emit(f"{I}del ops[-{ins.imm2}:]")
-            else:
-                emit(f"{I}a = ()")
+            args = _operands(st, ins.imm2, pc, restore)
             emit(f"{I}clock.now_ns = now")
-            emit(f"{I}push(w64(dsp(cpu, {ins.imm1}, a)))")
+            args = ", ".join(args) + ("," if len(args) == 1 else "")
+            emit(f"{I}{st.push()} = w64(dsp(cpu, {ins.imm1}, ({args})))")
         emit(f"{I}now = clock.now_ns")
     elif op == Op.NOP:
         emit(f"{I}now += {COSTS.INSN!r}")
     elif op in _CMP_EXPR:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}b = pop()")
-        emit(f"{I}a = pop()")
-        emit(f"{I}push(1 if a {_CMP_EXPR[op]} b else 0)")
+        b = st.pop()
+        a = st.pop()
+        emit(f"{I}{st.push()} = 1 if {a} {_CMP_EXPR[op]} {b} else 0")
     elif op in (Op.DIV, Op.MOD):
         kind = "divide" if op == Op.DIV else "modulo"
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}b = pop()")
-        emit(f"{I}a = pop()")
+        a, b = _operands(st, 2, pc, restore)
+        emit(f"{I}b = {b}")
+        emit(f"{I}a = {a}")
         emit(f"{I}if b == 0:")
         emit(f"{I}    cpu.pc = {pc}")
         emit(f"{I}    raise Fault('arith', 'integer {kind} by zero')")
@@ -874,18 +1004,19 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str) -> None:
             emit(f"{I}v = q & {_M64}")
         else:
             emit(f"{I}v = (a - q * b) & {_M64}")
-        emit(f"{I}push(v - {_W64} if v >= {_S63} else v)")
+        emit(f"{I}{st.push()} = v - {_W64} if v >= {_S63} else v")
     elif op in _ALU_EXPR:
         emit(f"{I}now += {COSTS.INSN!r}")
-        emit(f"{I}b = pop()")
-        emit(f"{I}a = pop()")
-        emit(f"{I}v = ({_ALU_EXPR[op]}) & {_M64}")
-        emit(f"{I}push(v - {_W64} if v >= {_S63} else v)")
+        b = st.pop()
+        a = st.pop()
+        emit(f"{I}v = ({_ALU_EXPR[op].format(a=a, b=b)}) & {_M64}")
+        emit(f"{I}{st.push()} = v - {_W64} if v >= {_S63} else v")
     else:  # pragma: no cover - regions admit only the ops above
         raise Fault("exec", f"JIT cannot compile op {op!r}")
 
 
-def _emit_slice_access(emit, ins: Instr, I: str) -> None:
+def _emit_slice_access(emit, ins: Instr, pc: int, I: str, st: _Stack,
+                       restore: dict) -> None:
     """Open-coded SLICE_AT / SLICE_PUT (the stock ``Runtime`` handlers
     flattened into the trace).  Effect order mirrors ``_do_rtcall`` +
     ``_rt_slice_at``/``_rt_slice_put`` exactly: charge RTCALL, pop the
@@ -900,11 +1031,10 @@ def _emit_slice_access(emit, ins: Instr, I: str) -> None:
     interpreter's own path."""
     put = ins.imm1 == _RT_SLICE_PUT
     emit(f"{I}now += {COSTS.RTCALL!r}")
-    if put:
-        emit(f"{I}v2 = pop()")
-    emit(f"{I}i2 = pop()")
-    emit(f"{I}e2 = pop()")
-    emit(f"{I}d2 = pop()")
+    args = _operands(st, 4 if put else 3, pc, restore)
+    for name, atom in zip(("d2", "e2", "i2", "v2"), args):
+        emit(f"{I}{name} = {atom}")
+    res = st.push()
     emit(f"{I}o2 = d2 & {PAGE_MASK}")
     emit(f"{I}if inj is None and o2 <= {PAGE_SIZE - 24}:")
     emit(f"{I}    t2 = tget((d2 >> {PAGE_SHIFT}) * 4)")
@@ -940,9 +1070,9 @@ def _emit_slice_access(emit, ins: Instr, I: str) -> None:
         emit(f"{I}            acc(ctx, a2, 'w')[1][a2 & {PAGE_MASK}]"
              f" = v2 & 255")
     else:
-        emit(f"{I}            push(t2[1][a2 & {PAGE_MASK}])")
+        emit(f"{I}            {res} = t2[1][a2 & {PAGE_MASK}]")
         emit(f"{I}        else:")
-        emit(f"{I}            push(acc(ctx, a2, 'r')[1][a2 & {PAGE_MASK}])")
+        emit(f"{I}            {res} = acc(ctx, a2, 'r')[1][a2 & {PAGE_MASK}]")
     emit(f"{I}        clock.now_ns = now")
     emit(f"{I}    else:")
     emit(f"{I}        a2 = da + i2 * e2")
@@ -958,37 +1088,42 @@ def _emit_slice_access(emit, ins: Instr, I: str) -> None:
         emit(f"{I}                pack_into(acc(ctx, a2, {kind})[1], o2, "
              f"v2 & {_M64})")
     else:
-        emit(f"{I}                push(unpack_from(t2[1], o2)[0])")
+        emit(f"{I}                {res} = unpack_from(t2[1], o2)[0]")
         emit(f"{I}            else:")
-        emit(f"{I}                push(unpack_from(acc(ctx, a2, {kind})[1], "
-             f"o2)[0])")
+        emit(f"{I}                {res} = unpack_from("
+             f"acc(ctx, a2, {kind})[1], o2)[0]")
     emit(f"{I}            clock.now_ns = now")
     emit(f"{I}        else:")
     emit(f"{I}            clock.now_ns = now")
     if put:
         emit(f"{I}            wword(ctx, a2, v2, False)")
+        emit(f"{I}    {res} = 0")
     else:
-        emit(f"{I}            push(rword(ctx, a2, False))")
-    if put:
-        emit(f"{I}    push(0)")
+        emit(f"{I}            {res} = rword(ctx, a2, False)")
     emit(f"{I}else:")
     emit(f"{I}    clock.now_ns = now")
     args = "(d2, e2, i2, v2)" if put else "(d2, e2, i2)"
-    emit(f"{I}    push(w64(dsp(cpu, {ins.imm1}, {args})))")
+    emit(f"{I}    {res} = w64(dsp(cpu, {ins.imm1}, {args}))")
 
 
-def _emit_word_access(emit, read: bool, I: str) -> None:
-    """Inline the read_word/write_word fast path for a dynamic address
-    ``a`` (value ``v`` for stores): same fit check, same TLB-hit
-    validation and per-access PKRU test, same ``_access`` fallback that
-    owns every fault/trace/counter slow path (it never touches the
-    clock, so no sync is needed — the fault hook covers a raise), same
-    page-spanning fallback into the real helper (already charged)."""
+def _emit_word_access(emit, I: str, addr: str, value: str | None = None,
+                      dest: str | None = None) -> None:
+    """Inline the read_word/write_word fast path for the address atom
+    ``addr``, loading into the local ``dest`` or storing the atom
+    ``value``: same fit check, same TLB-hit validation and per-access
+    PKRU test, same ``_access`` fallback that owns every
+    fault/trace/counter slow path (it never touches the clock, so no
+    sync is needed — the fault hook covers a raise), same page-spanning
+    fallback into the real helper (already charged)."""
+    read = dest is not None
+    if not addr.isidentifier():
+        emit(f"{I}a = {addr}")
+        addr = "a"
     kind = "'r'" if read else "'w'"
-    key = "(a >> 12) * 4" if read else "(a >> 12) * 4 + 1"
+    key = f"({addr} >> 12) * 4" if read else f"({addr} >> 12) * 4 + 1"
     pkey_ok = ("not (pkru >> (2 * p.pkey)) & 1" if read
                else "(pkru >> (2 * p.pkey)) & 3 == 0")
-    emit(f"{I}o = a & {(1 << PAGE_SHIFT) - 1}")
+    emit(f"{I}o = {addr} & {(1 << PAGE_SHIFT) - 1}")
     emit(f"{I}if o <= {(1 << PAGE_SHIFT) - 8}:")
     emit(f"{I}    wf += 1")
     emit(f"{I}    e = tget({key})")
@@ -1000,14 +1135,16 @@ def _emit_word_access(emit, read: bool, I: str) -> None:
     emit(f"{I}                 or {pkey_ok})):")
     emit(f"{I}        th += 1")
     if read:
-        emit(f"{I}        push(unpack_from(e[1], o)[0])")
+        emit(f"{I}        {dest} = unpack_from(e[1], o)[0]")
         emit(f"{I}    else:")
-        emit(f"{I}        push(unpack_from(acc(ctx, a, {kind})[1], o)[0])")
+        emit(f"{I}        {dest} = unpack_from(acc(ctx, {addr}, {kind})[1], "
+             f"o)[0]")
         emit(f"{I}else:")
-        emit(f"{I}    push(rword(ctx, a, False))")
+        emit(f"{I}    {dest} = rword(ctx, {addr}, False)")
     else:
-        emit(f"{I}        pack_into(e[1], o, v & {_M64})")
+        emit(f"{I}        pack_into(e[1], o, {value} & {_M64})")
         emit(f"{I}    else:")
-        emit(f"{I}        pack_into(acc(ctx, a, {kind})[1], o, v & {_M64})")
+        emit(f"{I}        pack_into(acc(ctx, {addr}, {kind})[1], o, "
+             f"{value} & {_M64})")
         emit(f"{I}else:")
-        emit(f"{I}    wword(ctx, a, v, False)")
+        emit(f"{I}    wword(ctx, {addr}, {value}, False)")

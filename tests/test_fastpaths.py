@@ -10,14 +10,17 @@ decision made before a quarantine may replay past it.
 
 from __future__ import annotations
 
+import collections
 import json
 import pathlib
+import re
 
 import pytest
 
 from repro.errors import Fault, QuarantinedFault, SimError
 from repro.isa import Instr, Op
 from repro.isa.interp import FusedInstr, Interpreter
+from repro.isa.jit import JitCompiler
 from repro.isa.opcodes import FUSED_NAMES, FUSED_PAIRS
 from repro.machine import Machine, MachineConfig
 from repro.workloads.bild import build_bild_image, run_bild
@@ -190,6 +193,41 @@ class TestJitBitIdentity:
         assert on == off
         assert on_perf.jit_insns / on_perf.instructions >= 0.95
         assert on_perf.jit_insns / on_perf.jit_trace_executions >= 100
+
+    def test_hot_trace_keeps_the_operand_stack_in_locals(self, monkeypatch):
+        """The async server's most-entered trace keeps its operand stack
+        in Python locals: inside its ``while True:`` loop it touches
+        ``cpu.operands`` (``ops``, or any prologue alias of its methods)
+        only where something else can see the stack — at exits, right
+        before ``break``, and around ``gua(...)`` channel calls."""
+        entered = collections.Counter()
+        compile_entry = JitCompiler.compile_entry
+
+        def counting(compiler, entry):
+            compile_entry(compiler, entry)
+            fn = entry.fn
+            if fn is not None:
+                def counted(interp, cpu, left):
+                    entered[fn.__jit_source__] += 1
+                    return fn(interp, cpu, left)
+                entry.fn = counted
+
+        monkeypatch.setattr(JitCompiler, "compile_entry", counting)
+        loadgen.run_level("mpk", 40_000.0, 60, 7,
+                          config=MachineConfig(backend="mpk", metrics=True))
+        (source, _), = entered.most_common(1)
+        prologue, loop = source.split("        while True:\n", 1)
+        loop = loop.split("    except BaseException", 1)[0]
+        names = {"ops"} | set(re.findall(r"^    (\w+) = ops\.\w+$",
+                                         prologue, re.M))
+        stack = re.compile(rf"\b({'|'.join(sorted(names))})\b|cpu\.operands")
+        lines = [line.strip() for line in loop.splitlines()]
+        touches = [i for i, line in enumerate(lines) if stack.search(line)]
+        assert touches, "the trace never writes its stack back"
+        for i in touches:
+            near = lines[max(0, i - 2):i + 3]
+            assert any(line == "break" or line.startswith("gua(")
+                       for line in near), lines[i]
 
     def test_jit_engages_on_macro_workloads(self):
         driver = run_http_server("mpk")

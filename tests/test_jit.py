@@ -8,17 +8,19 @@ guards, and fault points are built by hand.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.errors import ConfigError, Fault, MachineHalt
+from repro.errors import ConfigError, Fault, MachineHalt, WouldBlock
 from repro.isa import INSTR_SIZE, Instr, Interpreter, Op
 from repro.isa.jit import JIT_MIN_LEN, JitEntry, build_region, leaders
-from repro.isa.opcodes import FUSED_BASE
+from repro.isa.opcodes import BINARY_ALU, FUSED_BASE
 from repro.machine import Machine, MachineConfig
 from repro.workloads.bild import build_bild_image
 from repro.workloads.fasthttp import run_fasthttp_server
 
-from tests.harness import TEXT_BASE, MiniMachine
+from tests.harness import DATA_BASE, TEXT_BASE, MiniMachine
 
 
 def jit_mini(threshold: int = 1) -> MiniMachine:
@@ -322,6 +324,228 @@ class TestForwardRegions:
         for pc in hot:
             assert second[pc].region is first[pc].region
             assert second[pc].fn is first[pc].fn
+
+
+#: 1 on the pass where local 0 has counted down to 0, else 0.
+LAST_PASS = [Instr(Op.LOADL, 0), Instr(Op.NOT)]
+#: DATA_BASE, or an unmapped page on the last pass.
+BAD_ADDR = LAST_PASS + [Instr(Op.PUSH, 0x300000), Instr(Op.MUL),
+                        Instr(Op.PUSH, DATA_BASE), Instr(Op.ADD)]
+#: One instruction per op that can fault inside a trace, with its
+#: operands; each faults on the last pass and leaves nothing behind
+#: when it does not.
+FAULTING = {
+    "load": BAD_ADDR + [Instr(Op.LOAD), Instr(Op.DROP)],
+    "store": BAD_ADDR + [Instr(Op.PUSH, 5), Instr(Op.STORE)],
+    "load1": BAD_ADDR + [Instr(Op.LOAD1), Instr(Op.DROP)],
+    "store1": BAD_ADDR + [Instr(Op.PUSH, 5), Instr(Op.STORE1)],
+    "memcpy": [Instr(Op.PUSH, DATA_BASE + 64), Instr(Op.PUSH, DATA_BASE)]
+    + LAST_PASS + [Instr(Op.PUSH, -9), Instr(Op.MUL), Instr(Op.PUSH, 8),
+                   Instr(Op.ADD), Instr(Op.MEMCPY)],
+    "div": [Instr(Op.PUSH, 100), Instr(Op.LOADL, 0), Instr(Op.DIV),
+            Instr(Op.DROP)],
+    "mod": [Instr(Op.PUSH, 100), Instr(Op.LOADL, 0), Instr(Op.MOD),
+            Instr(Op.DROP)],
+}
+
+
+def fault_loop(fault: list[Instr]) -> list[Instr]:
+    """A loop at instruction 3 whose region pops an entry operand (77,
+    pushed before the loop) and keeps it, a DUP result, an unconsumed
+    PUSH literal and two SWAP results live under ``fault``; local 0
+    counts the passes down from 3, so ``fault`` faults on the fourth,
+    which runs compiled at threshold 1."""
+    return [
+        Instr(Op.PUSH, 77),
+        Instr(Op.PUSH, 3), Instr(Op.STOREL, 0),
+        Instr(Op.DUP),                                   # 3  loop entry
+        Instr(Op.PUSH, 5),
+        Instr(Op.LOADL, 0), Instr(Op.PUSH, 9), Instr(Op.SWAP),
+        *fault,
+        Instr(Op.DROP), Instr(Op.DROP), Instr(Op.DROP), Instr(Op.DROP),
+        Instr(Op.LOADL, 0), Instr(Op.PUSH, 1), Instr(Op.SUB),
+        Instr(Op.STOREL, 0),
+        Instr(Op.JMP, at(3)),
+    ]
+
+
+class TestFaultRebuildsTheStack:
+    """A trace keeps operands in locals; when an instruction faults
+    mid-trace, the fault hook must leave ``cpu.operands`` exactly as
+    the interpreter does: every operand below the faulting
+    instruction's own (which stay popped), literals and copies
+    included."""
+
+    @pytest.mark.parametrize("op", sorted(FAULTING))
+    def test_fault_leaves_the_interpreters_stack(self, op):
+        program = fault_loop(FAULTING[op])
+        on = drive(program, threshold=1)
+        off = drive(program, threshold=10 ** 9)
+        assert on[1] == off[1]
+        assert on[1][-1] == [77, 77, 5, 9, 0]
+        assert "Fault" in on[1][0][-1][0]
+        assert on[0].interp.code[at(3)].min_depth >= 1
+        assert on[0].interp.perf.jit_deopts["fault"] == 1
+
+    def test_guarded_call_sees_and_leaves_the_interpreters_stack(self):
+        """A channel receive (a ``_guarded`` call) sees the whole stack
+        in ``cpu.operands``, and after a ``WouldBlock`` retry, a
+        returned value or a fault leaves it as the interpreter does."""
+        program = fault_loop([Instr(Op.LOADL, 0),
+                              Instr(Op.RTCALL, 5, 1),     # CHAN_RECV
+                              Instr(Op.DROP)])
+
+        def run(threshold):
+            mm = jit_mini(threshold)
+            mm.load(program)
+            seen = []
+
+            def recv(cpu, service, args):
+                seen.append((service, args, list(cpu.operands)))
+                if args == (2,) and len(seen) == 2:
+                    raise WouldBlock(("chan", 2))
+                if args == (0,):
+                    raise Fault("exec", "receive on a closed channel")
+                return 10 * args[0]
+
+            mm.cpu.rtcall_handler = recv
+            mm.cpu.pc = TEXT_BASE
+            stops = []
+            while True:
+                try:
+                    mm.interp.run_slice(mm.cpu, 512)
+                except (WouldBlock, Fault) as stop:
+                    stops.append((repr(stop), mm.cpu.pc, mm.clock.now_ns,
+                                  list(mm.cpu.operands)))
+                    if isinstance(stop, Fault):
+                        op_counts = list(mm.interp.perf.op_counts)
+                        return mm, (seen, stops, op_counts)
+
+        on, off = run(1), run(10 ** 9)
+        assert on[1] == off[1]
+        seen, stops, _ = on[1]
+        assert [stack for _, _, stack in seen] == [[77, 77, 5, 9, i]
+                                                   for i in (3, 2, 2, 1, 0)]
+        assert [stack for _, _, _, stack in stops] == [[77, 77, 5, 9, 2, 2],
+                                                       [77, 77, 5, 9, 0]]
+        assert on[0].interp.perf.jit_deopts == {"block": 1, "fault": 1}
+
+
+#: PUSH immediates for generated programs: small, negative, and at the
+#: edges of the signed 64-bit range, where ADD/SUB/MUL/NEG/SHL wrap.
+IMMEDIATES = (0, 1, 2, 3, 7, 63, 64, -1, -2, -7, 2 ** 62, 2 ** 63 - 1,
+              -2 ** 63)
+
+
+def random_body(rng: random.Random, out: list, depth: int, steps: int,
+                arms: int) -> None:
+    """Append ``steps`` random region-grammar instructions to ``out``,
+    then settle the stack back to ``depth``.  Local 0 is the loop
+    counter, read but never written; locals 1-3 carry values between
+    passes.  ``arms`` bounds the nesting of forward JZ/JNZ arms."""
+    start = depth
+    for _ in range(steps):
+        kinds = ["push", "loadl", "addrl-load"]
+        if depth >= 1:
+            kinds += ["storel", "addrl-store", "dup", "drop", "neg", "not",
+                      "zero-divisor"]
+        if depth >= 2:
+            kinds += ["swap", "alu", "alu", "alu"]
+        if depth >= 1 and arms:
+            kinds += ["arm"]
+        kind = rng.choice(kinds)
+        if kind == "push":
+            out.append(Instr(Op.PUSH, rng.choice(IMMEDIATES)))
+            depth += 1
+        elif kind == "loadl":
+            out.append(Instr(Op.LOADL, rng.randint(0, 3)))
+            depth += 1
+        elif kind == "addrl-load":
+            out += [Instr(Op.ADDRL, rng.randint(0, 3)), Instr(Op.LOAD)]
+            depth += 1
+        elif kind == "storel":
+            out.append(Instr(Op.STOREL, rng.randint(1, 3)))
+            depth -= 1
+        elif kind == "addrl-store":
+            out += [Instr(Op.ADDRL, rng.randint(1, 3)), Instr(Op.SWAP),
+                    Instr(Op.STORE)]
+            depth -= 1
+        elif kind in ("dup", "drop", "neg", "not", "swap"):
+            out.append(Instr(Op[kind.upper()]))
+            depth += {"dup": 1, "drop": -1}.get(kind, 0)
+        elif kind == "alu":
+            out.append(Instr(rng.choice(sorted(BINARY_ALU))))
+            depth -= 1
+        elif kind == "zero-divisor":
+            # Local 0 minus a constant: zero on some pass, or never.
+            out += [Instr(Op.LOADL, 0), Instr(Op.PUSH, rng.randint(1, 12)),
+                    Instr(Op.SUB), Instr(rng.choice((Op.DIV, Op.MOD)))]
+        else:
+            branch = len(out)
+            out.append(None)
+            random_body(rng, out, depth - 1, rng.randint(1, 6), arms - 1)
+            out[branch] = Instr(rng.choice((Op.JZ, Op.JNZ)), at(len(out)))
+            depth -= 1
+    while depth > start:
+        out.append(rng.choice((Instr(Op.DROP),
+                               Instr(Op.STOREL, rng.randint(1, 3)))))
+        depth -= 1
+    while depth < start:
+        out.append(Instr(Op.LOADL, rng.randint(0, 3)))
+        depth += 1
+
+
+def random_loop(rng: random.Random) -> list[Instr]:
+    """A random loop body wrapped in a countdown loop: local 0 counts 3
+    to 8 passes down, locals 1-3 start at random immediates, and HALT's
+    exit code folds them together."""
+    out = [Instr(Op.PUSH, rng.randint(3, 8)), Instr(Op.STOREL, 0)]
+    for k in (1, 2, 3):
+        out += [Instr(Op.PUSH, rng.choice(IMMEDIATES)), Instr(Op.STOREL, k)]
+    head = len(out)
+    random_body(rng, out, 0, rng.randint(4, 24), arms=2)
+    out += [Instr(Op.LOADL, 0), Instr(Op.PUSH, 1), Instr(Op.SUB),
+            Instr(Op.DUP), Instr(Op.STOREL, 0), Instr(Op.JNZ, at(head)),
+            Instr(Op.LOADL, 1), Instr(Op.LOADL, 2), Instr(Op.XOR),
+            Instr(Op.LOADL, 3), Instr(Op.ADD), Instr(Op.HALT)]
+    return out
+
+
+class TestGeneratedRegions:
+    """Seeded differential test of generated regions: random programs
+    from the region grammar, run slice by slice with the JIT compiling
+    at once and never, must agree on everything :func:`drive` snapshots
+    plus the frame's locals."""
+
+    SEED = 24
+    EXAMPLES = 60
+    #: At budget 4096 the corpus must retire this share of its
+    #: instructions in traces (0.735 at SEED), so it cannot pass by
+    #: deopting.
+    COVERAGE_FLOOR = 0.65
+
+    def test_generated_loops_match_the_interpreter(self):
+        rng = random.Random(self.SEED)
+        traced = total = faults = 0
+        ops = set()
+        for example in range(self.EXAMPLES):
+            program = random_loop(rng)
+            ops.update(ins.op for ins in program)
+            for budget in (5, 13, 4096):
+                runs = [drive(program, threshold, budget)
+                        for threshold in (1, 10 ** 9)]
+                on, off = ([mm.peek_word(mm.cpu.fp + 16 + 8 * k)
+                            for k in range(4)] + [snapshot]
+                           for mm, snapshot in runs)
+                assert on == off, (example, budget, program)
+                if budget == 4096:
+                    perf = runs[0][0].interp.perf
+                    traced += perf.jit_insns
+                    total += perf.instructions
+                    faults += perf.jit_deopts.get("fault", 0)
+        assert traced / total >= self.COVERAGE_FLOOR, traced / total
+        assert BINARY_ALU <= ops
+        assert faults > 0
 
 
 class TestGuardsAndDeopts:
