@@ -94,6 +94,11 @@ def _trace(path: pathlib.Path, top: int) -> list[str]:
     document = load_chrome_json(path)
     validate_chrome_trace(document)
     summary = json.loads(path.with_name("trace-summary.json").read_text())
+    if not isinstance(summary, dict) or not all(
+            isinstance(row, dict) and isinstance(row.get("counts"), dict)
+            for row in summary.values()):
+        raise ValueError("trace-summary.json: not an object of "
+                         "per-environment rows, each with a counts object")
     return describe_trace(document, summary)
 
 

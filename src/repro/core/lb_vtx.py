@@ -41,13 +41,15 @@ class VTXBackend(TableBackend):
     # ------------------------------------------------------------------ init
 
     def init(self, litterbox: "LitterBox") -> None:
-        """Build the tables, register each with the EPT (the trusted
-        table first), and launch the VM on the trusted table."""
+        """Build the tables, give the EPT every frame of the trusted
+        table, and launch the VM on it.  Every enclosure table maps a
+        subset of those frames: both are built from the host table."""
         self.vm = VirtualMachine(litterbox.clock)
         super().init(litterbox)
-        for env in litterbox.envs.values():
-            self.vm.register_guest_table(env.table)
-        self.vm.launch(self.trusted_table)
+        table = self.trusted_table
+        self.vm.map_frames([table.lookup(vpn).pfn
+                            for vpn in table.mapped_vpns()])
+        self.vm.launch(table)
 
     def _trusted_table(self, host_table: PageTable) -> PageTable:
         # Everything user-accessible except super, which stays
@@ -56,11 +58,13 @@ class VTXBackend(TableBackend):
 
     def _on_mmap(self, base: int, size: int, pfns: list[int]) -> None:
         """New memory is RW in the host table and its trusted clone,
-        non-present in every enclosure table, and reachable via the EPT."""
+        non-present in every enclosure table, and reachable via the EPT,
+        which learns its new frames (nothing else maps into the trusted
+        table, and ``munmap`` frees no frame)."""
         self.litterbox.kernel.host_table.map_range(base, size, pfns, Perm.RW)
         self.trusted_table.map_range(base, size, pfns, Perm.RW)
         self._map_absent(base, size, pfns)
-        self.vm.register_guest_table(self.trusted_table)
+        self.vm.map_frames(pfns)
 
     # --------------------------------------------------------------- switches
 

@@ -26,6 +26,11 @@ hardware, protection keys are checked on every data access against the
 *current* PKRU using the key stored in the cached PTE, so a ``WRPKRU``
 takes effect on the very next access even with a hot TLB entry, and no
 enforcement is weakened by caching.
+
+That hit test — tag, privilege, PKRU — is written out twice: in
+:meth:`MMU._access`, which every checked access here goes through, and
+in ``repro.isa.jit._hit``, which renders the same test into JIT traces.
+An enforcement change to one must land in the other.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import PageFault, PkeyFault
 from repro.hw.clock import COSTS, SimClock
-from repro.hw.mpk import pkru_allows_read, pkru_allows_write
 from repro.hw.pages import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Perm
 from repro.hw.pagetable import PTE, PageTable
 from repro.hw.physmem import PhysicalMemory
@@ -56,6 +60,10 @@ _KIND_CODE = {"r": KIND_R, "w": KIND_W, "x": KIND_X}
 #: Permission bit required for each access kind (module-level so
 #: ``_page_walk`` doesn't rebuild the mapping per call).
 _NEEDED_PERM = {"r": Perm.R, "w": Perm.W, "x": Perm.X}
+
+#: PKRU bits that deny each access kind, per key: AD denies a read, AD
+#: or WD a write, and keys never govern a fetch.
+_PKRU_DENY = {"r": 0x1, "w": 0x3, "x": 0x0}
 
 
 @dataclass
@@ -143,30 +151,18 @@ class MMU:
             paddr = ept_pte.pfn * PAGE_SIZE + (paddr & PAGE_MASK)
         return pte, paddr
 
-    def _check_pkey(self, ctx: TranslationContext, pte: PTE, vaddr: int,
-                    kind: str) -> None:
-        """MPK: PKRU governs *data* accesses to user pages only.
-
-        Evaluated on every access — even TLB hits — against the current
-        PKRU, exactly as the hardware rechecks keys per access.
-        """
-        if ctx.pkru is None or not ctx.user or kind == "x":
-            return
-        if kind == "r" and not pkru_allows_read(ctx.pkru, pte.pkey):
-            self._trace_violation("pkey", vaddr, "PKRU denied read",
-                                  pkey=pte.pkey, pkru=ctx.pkru)
-            raise PkeyFault(
-                f"read of {vaddr:#x} denied by PKRU for key {pte.pkey}",
-                addr=vaddr, pkey=pte.pkey)
-        if kind == "w" and not pkru_allows_write(ctx.pkru, pte.pkey):
-            self._trace_violation("pkey", vaddr, "PKRU denied write",
-                                  pkey=pte.pkey, pkru=ctx.pkru)
-            raise PkeyFault(
-                f"write of {vaddr:#x} denied by PKRU for key {pte.pkey}",
-                addr=vaddr, pkey=pte.pkey)
+    def _deny_pkey(self, ctx: TranslationContext, pte: PTE, vaddr: int,
+                   kind: str) -> None:
+        """Report and raise a data access that PKRU denies."""
+        what = "read" if kind == "r" else "write"
+        self._trace_violation("pkey", vaddr, f"PKRU denied {what}",
+                              pkey=pte.pkey, pkru=ctx.pkru)
+        raise PkeyFault(
+            f"{what} of {vaddr:#x} denied by PKRU for key {pte.pkey}",
+            addr=vaddr, pkey=pte.pkey)
 
     def _fill(self, ctx: TranslationContext, vaddr: int,
-              kind: str) -> tuple:
+              kind: str) -> tuple[PTE, bytearray]:
         """TLB miss path: walk, then cache the *approved* translation.
 
         The entry is created only after the walk passes every
@@ -180,14 +176,20 @@ class MMU:
         frame = self.physmem.frame(paddr >> PAGE_SHIFT)
         table = ctx.page_table
         ept = ctx.ept
-        entry = (pte, frame, table, table.gen, ept,
-                 0 if ept is None else ept.gen)
-        ctx.tlb[(vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind]] = entry
-        return entry
+        ctx.tlb[(vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind]] = (
+            pte, frame, table, table.gen, ept, 0 if ept is None else ept.gen)
+        return pte, frame
 
     def _access(self, ctx: TranslationContext, vaddr: int,
-                kind: str) -> tuple[PTE, bytearray]:
-        """One checked access through the TLB; returns (pte, frame)."""
+                kind: str) -> bytearray:
+        """One checked access through the TLB; returns the page's frame.
+
+        The MMU's only TLB-hit test: the cached entry's table,
+        generation, EPT and privilege still match, and the current PKRU
+        allows the page's key (every data access, hit or miss).  The
+        injector, when armed, gets the access first.  Never touches the
+        clock; callers charge.
+        """
         if self.inject is not None:
             self.inject.on_access(vaddr, kind)
         entry = ctx.tlb.get((vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind])
@@ -197,11 +199,15 @@ class MMU:
                     ept is ctx.ept and (ept is None or egen == ept.gen) and \
                     (pte.user or not ctx.user):
                 self.perf.tlb_hits += 1
-                self._check_pkey(ctx, pte, vaddr, kind)
-                return pte, frame
-        pte, frame = self._fill(ctx, vaddr, kind)[:2]
-        self._check_pkey(ctx, pte, vaddr, kind)
-        return pte, frame
+            else:
+                entry = None
+        if entry is None:
+            pte, frame = self._fill(ctx, vaddr, kind)
+        pkru = ctx.pkru
+        if pkru is not None and ctx.user and \
+                (pkru >> (2 * pte.pkey)) & _PKRU_DENY[kind]:
+            self._deny_pkey(ctx, pte, vaddr, kind)
+        return frame
 
     def flush_tlb(self, ctx: TranslationContext) -> None:
         """Drop every cached translation for ``ctx``.
@@ -229,14 +235,13 @@ class MMU:
             return b""
         offset = vaddr & PAGE_MASK
         if offset + size <= PAGE_SIZE:
-            _, frame = self._access(ctx, vaddr, "r")
-            return bytes(frame[offset:offset + size])
+            return bytes(self._access(ctx, vaddr, "r")[offset:offset + size])
         out = bytearray()
         remaining = size
         addr = vaddr
         while remaining > 0:
             offset = addr & PAGE_MASK
-            _, frame = self._access(ctx, addr, "r")
+            frame = self._access(ctx, addr, "r")
             chunk = min(remaining, PAGE_SIZE - offset)
             out += frame[offset:offset + chunk]
             addr += chunk
@@ -253,15 +258,14 @@ class MMU:
             return
         offset = vaddr & PAGE_MASK
         if offset + size <= PAGE_SIZE:
-            _, frame = self._access(ctx, vaddr, "w")
-            frame[offset:offset + size] = data
+            self._access(ctx, vaddr, "w")[offset:offset + size] = data
             return
         pos = 0
         remaining = size
         addr = vaddr
         while remaining > 0:
             offset = addr & PAGE_MASK
-            _, frame = self._access(ctx, addr, "w")
+            frame = self._access(ctx, addr, "w")
             chunk = min(remaining, PAGE_SIZE - offset)
             frame[offset:offset + chunk] = data[pos:pos + chunk]
             addr += chunk
@@ -287,14 +291,11 @@ class MMU:
 
     # -- word-granular helpers (the ISA operates on 64-bit words) --------
 
-    # The word/byte helpers below open-code the TLB-hit path of
-    # :meth:`_access` (same tag revalidation, same per-access PKRU
-    # check with the AD/WD bit tests of :func:`pkru_allows_read` /
-    # :func:`pkru_allows_write` inlined).  Any miss, mismatch, injector,
-    # or denial falls back to ``_access``, which repeats the checks and
-    # owns every fault/trace/counter slow path — so enforcement and
-    # observable faults are byte-for-byte those of the shared path, and
-    # only successful hits are short-circuited.
+    # The word/byte helpers add only their own charge and, for words,
+    # the fit check and its ``word_fast``/``word_slow`` count: each takes
+    # the frame from :meth:`_access`, so enforcement, faults and TLB
+    # counters are exactly the shared path's.  A word that spans a page
+    # goes through :meth:`read`/:meth:`write`, one access per page.
 
     def read_word(self, ctx: TranslationContext, vaddr: int,
                   charge: bool = True) -> int:
@@ -303,21 +304,7 @@ class MMU:
         offset = vaddr & PAGE_MASK
         if offset <= _WORD_FIT:
             self.perf.word_fast += 1
-            if self.inject is None:
-                entry = ctx.tlb.get((vaddr >> PAGE_SHIFT) * 4)
-                if entry is not None:
-                    pte, frame, table, tgen, ept, egen = entry
-                    if table is ctx.page_table and tgen == table.gen \
-                            and ept is ctx.ept \
-                            and (ept is None or egen == ept.gen) \
-                            and (pte.user or not ctx.user):
-                        pkru = ctx.pkru
-                        if pkru is None or not ctx.user \
-                                or not (pkru >> (2 * pte.pkey)) & 0x1:
-                            self.perf.tlb_hits += 1
-                            return _WORD.unpack_from(frame, offset)[0]
-            _, frame = self._access(ctx, vaddr, "r")
-            return _WORD.unpack_from(frame, offset)[0]
+            return _WORD.unpack_from(self._access(ctx, vaddr, "r"), offset)[0]
         self.perf.word_slow += 1
         return _WORD.unpack(self.read(ctx, vaddr, WORD_SIZE, False))[0]
 
@@ -328,88 +315,29 @@ class MMU:
         offset = vaddr & PAGE_MASK
         if offset <= _WORD_FIT:
             self.perf.word_fast += 1
-            if self.inject is None:
-                entry = ctx.tlb.get((vaddr >> PAGE_SHIFT) * 4 + 1)
-                if entry is not None:
-                    pte, frame, table, tgen, ept, egen = entry
-                    if table is ctx.page_table and tgen == table.gen \
-                            and ept is ctx.ept \
-                            and (ept is None or egen == ept.gen) \
-                            and (pte.user or not ctx.user):
-                        pkru = ctx.pkru
-                        if pkru is None or not ctx.user \
-                                or (pkru >> (2 * pte.pkey)) & 0x3 == 0:
-                            self.perf.tlb_hits += 1
-                            _UWORD.pack_into(frame, offset,
-                                             value & 0xFFFFFFFFFFFFFFFF)
-                            return
-            _, frame = self._access(ctx, vaddr, "w")
-            _UWORD.pack_into(frame, offset, value & 0xFFFFFFFFFFFFFFFF)
+            _UWORD.pack_into(self._access(ctx, vaddr, "w"), offset,
+                             value & 0xFFFFFFFFFFFFFFFF)
             return
         self.perf.word_slow += 1
         self.write(ctx, vaddr, _WORD.pack(_wrap64(value)), False)
 
     def read_frame(self, ctx: TranslationContext, vaddr: int) -> bytearray:
-        """Checked read access returning the backing frame (for
-        single-page structure reads that unpack in place, e.g. slice
-        descriptors).  Open-codes the TLB-hit path like the word/byte
-        helpers above — counters and enforcement are exactly
-        :meth:`_access`'s."""
-        if self.inject is None:
-            entry = ctx.tlb.get((vaddr >> PAGE_SHIFT) * 4)
-            if entry is not None:
-                pte, frame, table, tgen, ept, egen = entry
-                if table is ctx.page_table and tgen == table.gen \
-                        and ept is ctx.ept \
-                        and (ept is None or egen == ept.gen) \
-                        and (pte.user or not ctx.user):
-                    pkru = ctx.pkru
-                    if pkru is None or not ctx.user \
-                            or not (pkru >> (2 * pte.pkey)) & 0x1:
-                        self.perf.tlb_hits += 1
-                        return frame
-        return self._access(ctx, vaddr, "r")[1]
+        """Checked, uncharged read access returning the backing frame
+        (for single-page structure reads that unpack in place, e.g.
+        slice descriptors)."""
+        return self._access(ctx, vaddr, "r")
 
     def read_byte(self, ctx: TranslationContext, vaddr: int,
                   charge: bool = True) -> int:
         if charge:
             self.clock.now_ns += COSTS.INSN_MEM
-        if self.inject is None:
-            entry = ctx.tlb.get((vaddr >> PAGE_SHIFT) * 4)
-            if entry is not None:
-                pte, frame, table, tgen, ept, egen = entry
-                if table is ctx.page_table and tgen == table.gen \
-                        and ept is ctx.ept \
-                        and (ept is None or egen == ept.gen) \
-                        and (pte.user or not ctx.user):
-                    pkru = ctx.pkru
-                    if pkru is None or not ctx.user \
-                            or not (pkru >> (2 * pte.pkey)) & 0x1:
-                        self.perf.tlb_hits += 1
-                        return frame[vaddr & PAGE_MASK]
-        _, frame = self._access(ctx, vaddr, "r")
-        return frame[vaddr & PAGE_MASK]
+        return self._access(ctx, vaddr, "r")[vaddr & PAGE_MASK]
 
     def write_byte(self, ctx: TranslationContext, vaddr: int, value: int,
                    charge: bool = True) -> None:
         if charge:
             self.clock.now_ns += COSTS.INSN_MEM
-        if self.inject is None:
-            entry = ctx.tlb.get((vaddr >> PAGE_SHIFT) * 4 + 1)
-            if entry is not None:
-                pte, frame, table, tgen, ept, egen = entry
-                if table is ctx.page_table and tgen == table.gen \
-                        and ept is ctx.ept \
-                        and (ept is None or egen == ept.gen) \
-                        and (pte.user or not ctx.user):
-                    pkru = ctx.pkru
-                    if pkru is None or not ctx.user \
-                            or (pkru >> (2 * pte.pkey)) & 0x3 == 0:
-                        self.perf.tlb_hits += 1
-                        frame[vaddr & PAGE_MASK] = value & 0xFF
-                        return
-        _, frame = self._access(ctx, vaddr, "w")
-        frame[vaddr & PAGE_MASK] = value & 0xFF
+        self._access(ctx, vaddr, "w")[vaddr & PAGE_MASK] = value & 0xFF
 
     def memcpy(self, ctx: TranslationContext, dst: int, src: int,
                size: int) -> None:

@@ -47,7 +47,7 @@ class VirtualMachine:
 
     The VM keeps the VMCS and provides the VM EXIT / VM RESUME cost
     accounting.  ``GPA == HVA`` is preserved: the EPT identity-maps
-    every guest-physical page that a registered guest table references,
+    every guest-physical page that a guest table references,
     mirroring the paper's simplification.
     """
 
@@ -59,17 +59,14 @@ class VirtualMachine:
 
     # -- guest page-table management --------------------------------------
 
-    def register_guest_table(self, table: PageTable) -> None:
-        """Extend the EPT so each physical frame a guest table
-        references is reachable (identity mapping)."""
+    def map_frames(self, pfns: list[int]) -> None:
+        """Extend the EPT so each physical frame in ``pfns`` is
+        reachable (identity mapping), charging one EPT update per frame
+        it lacked."""
         ept = self.vmcs.ept
-        assert ept is not None
-        for vpn in table.mapped_vpns():
-            pte = table.lookup(vpn)
-            assert pte is not None
-            gpa_page = pte.pfn
-            if ept.lookup(gpa_page) is None:
-                ept.map_page(gpa_page, PTE(gpa_page, Perm.RWX, user=True))
+        for pfn in pfns:
+            if ept.lookup(pfn) is None:
+                ept.map_page(pfn, PTE(pfn, Perm.RWX, user=True))
                 self.clock.charge(COSTS.EPT_UPDATE)
 
     # -- mode transitions --------------------------------------------------

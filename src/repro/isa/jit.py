@@ -611,8 +611,9 @@ def gen_source(region: Region, profiled: bool) -> str:
     Simulated time accumulates in a local ``now`` (the same individual
     float adds in the same order, so the value is bit-identical) and is
     stored back to ``clock.now_ns`` at every point something else can
-    observe it: before any MMU helper that charges the clock itself,
-    before a profiler drain, in the fault hook, and at the epilogue.
+    observe it: before every call into the MMU (a helper may charge it,
+    and a violation ``_access`` reports is stamped with it), before a
+    runtime or profiler call, in the fault hook, and at the epilogue.
     """
     entry = region.entry
     length = region.length
@@ -624,29 +625,30 @@ def gen_source(region: Region, profiled: bool) -> str:
     local_writes = any(i.op == Op.STOREL for i in instrs)
     uses_frame = uses_locals or any(i.op == Op.ADDRL for i in instrs)
     uses_word = any(i.op in (Op.LOAD, Op.STORE) for i in instrs)
-    uses_byte_r = any(i.op == Op.LOAD1 for i in instrs)
-    uses_byte_w = any(i.op == Op.STORE1 for i in instrs)
+    uses_byte = any(i.op in (Op.LOAD1, Op.STORE1) for i in instrs)
     uses_memcpy = any(i.op == Op.MEMCPY for i in instrs)
     uses_slice_r = any(i.op == Op.RTCALL and i.imm1 == _RT_SLICE_AT
                        for i in instrs)
     uses_slice_w = any(i.op == Op.RTCALL and i.imm1 == _RT_SLICE_PUT
                        for i in instrs)
     uses_slice = uses_slice_r or uses_slice_w
-    uses_ctx = uses_locals or uses_word or uses_byte_r or uses_byte_w \
-        or uses_memcpy or uses_slice
-    uses_hoists = uses_locals or uses_word or uses_slice
+    # Word and slice accesses count ``word_fast``; they and byte
+    # accesses probe the TLB through _hit and count ``tlb_hits``.
+    uses_wf = uses_word or uses_slice
+    uses_th = uses_wf or uses_byte
+    uses_ctx = uses_locals or uses_th or uses_memcpy
+    uses_hoists = uses_locals or uses_th
     uses_guarded = any(i.op == Op.RTCALL and i.imm1 in _RT_GUARDED
                        for i in instrs)
     uses_pure_rt = any(i.op == Op.RTCALL and i.imm1 not in _RT_GUARDED
                        for i in instrs)
-    uses_wfth = uses_word or uses_slice
 
     # Prevalidated locals: every LOADL/STOREL in the region touches the
     # frame's locals area; when the whole accessed span lies on one
-    # page whose r/w TLB entries validate (incl. PKRU) and no injector
-    # is armed, each access is one struct op — the exact fast path
-    # read_word/write_word would take, so word_fast/tlb_hits advance by
-    # the same constants.
+    # page whose r/w TLB entries pass _hit and no injector is armed,
+    # each access is one struct op — the hit read_word/write_word would
+    # take in ``_access``, so word_fast/tlb_hits advance by the same
+    # constants.
     local_offs = [8 * i.imm1 for i in instrs if i.op in _LOCALS]
 
     lines = ["def _trace(interp, cpu, left):"]
@@ -681,23 +683,20 @@ def gen_source(region: Region, profiled: bool) -> str:
         emit(f"        return {G_INJECTOR}")
         emit(f"    pg4 = ((fpb + {lo}) >> {PAGE_SHIFT}) * 4")
         if local_reads:
-            _emit_preval(emit, "pg4", "sfr", read=True)
+            _emit_preval(emit, "pg4", "sfr", write=False)
         if local_writes:
-            _emit_preval(emit, "pg4 + 1", "sfw", read=False)
+            _emit_preval(emit, "pg4 + 1", "sfw", write=True)
         emit(f"    sb = fpb - ((pg4 >> 2) << {PAGE_SHIFT})")
-    if uses_wfth:
+    if uses_th:
         emit("    inj = mmu.inject")
         emit("    acc = mmu._access")
-        emit("    wf = 0")
         emit("    th = 0")
+    if uses_wf:
+        emit("    wf = 0")
     if uses_word or uses_slice_r:
         emit("    rword = mmu.read_word")
     if uses_word or uses_slice_w:
         emit("    wword = mmu.write_word")
-    if uses_byte_r:
-        emit("    rbyte = mmu.read_byte")
-    if uses_byte_w:
-        emit("    wbyte = mmu.write_byte")
     if uses_memcpy:
         emit("    mcpy = mmu.memcpy")
     if uses_guarded:
@@ -794,9 +793,10 @@ def gen_source(region: Region, profiled: bool) -> str:
     emit("    except BaseException as exc:")
     emit("        if now > clock.now_ns:")
     emit("            clock.now_ns = now")
-    if uses_wfth:
+    if uses_th:
         emit("        perf = interp.perf")
-        emit("        perf.word_fast += wf")
+        if uses_wf:
+            emit("        perf.word_fast += wf")
         emit("        perf.tlb_hits += th")
     # The stack the interpreter would have left: the operands below
     # the faulting instruction's own, which it had already popped.  A
@@ -840,8 +840,9 @@ def gen_source(region: Region, profiled: bool) -> str:
 
     for slot in sorted(per_slot):
         emit(f"    oc[{slot}] += {total(per_slot[slot])}")
-    for counter, tally in (("word_fast", "wf"), ("tlb_hits", "th")):
-        terms = ([tally] if uses_wfth else []) + \
+    for counter, tally, used in (("word_fast", "wf", uses_wf),
+                                 ("tlb_hits", "th", uses_th)):
+        terms = ([tally] if used else []) + \
             ([total(per_local)] if per_local else [])
         if terms:
             emit(f"    perf.{counter} += {' + '.join(terms)}")
@@ -851,24 +852,25 @@ def gen_source(region: Region, profiled: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_preval(emit, key: str, frame_var: str, read: bool) -> None:
-    """Entry guard validating one locals-page TLB entry, mirroring the
-    hit conditions of read_word/write_word (including per-access PKRU);
-    any mismatch deopts to the interpreter, which owns the slow path."""
+def _hit(e: str, write: bool) -> str:
+    """The TLB-hit test of ``MMU._access`` as a generated expression
+    over the entry ``e`` (a ``ctx.tlb`` value, possibly None) and the
+    trace's hoisted context: the entry's table, generation, EPT and
+    privilege still match, and PKRU allows the page's key for a read
+    (AD clear) or a write (AD and WD clear).  Binds ``p`` to the PTE."""
+    deny = 3 if write else 1
+    return (f"{e} is not None and {e}[2] is table and {e}[3] == tgen "
+            f"and {e}[4] is ept and (ept is None or {e}[5] == egen) "
+            f"and ((p := {e}[0]).user or not user) and (pkru is None "
+            f"or not user or not (pkru >> (2 * p.pkey)) & {deny})")
+
+
+def _emit_preval(emit, key: str, frame_var: str, write: bool) -> None:
+    """Entry guard binding ``frame_var`` to the locals page's frame
+    when its TLB entry passes :func:`_hit`; any miss deopts to the
+    interpreter, which owns the slow path."""
     emit(f"    e = tget({key})")
-    emit("    if e is None or e[2] is not table or e[3] != tgen \\")
-    emit("            or e[4] is not ept \\")
-    emit("            or (ept is not None and e[5] != egen):")
-    emit(f"        return {G_TLB}")
-    emit("    p = e[0]")
-    emit("    if not p.user and user:")
-    emit(f"        return {G_TLB}")
-    if read:
-        emit("    if pkru is not None and user "
-             "and (pkru >> (2 * p.pkey)) & 1:")
-    else:
-        emit("    if pkru is not None and user "
-             "and (pkru >> (2 * p.pkey)) & 3 != 0:")
+    emit(f"    if not ({_hit('e', write)}):")
     emit(f"        return {G_TLB}")
     emit(f"    {frame_var} = e[1]")
 
@@ -882,8 +884,8 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
     order, on the local ``now``; ``cpu.pc`` is synced before anything
     that can fault, and the operands the fault leaves are recorded in
     ``restore``, so the fault observes the interpreter's exact state;
-    ``clock.now_ns`` is synced around MMU helpers that charge the clock
-    themselves (re-read after, since they advanced it)."""
+    ``clock.now_ns`` is synced before every MMU or runtime call and
+    re-read after one that charges it."""
     op = ins.op
     if op == Op.PUSH:
         emit(f"{I}now += {COSTS.INSN!r}")
@@ -897,28 +899,16 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
     elif op == Op.ADDRL:
         emit(f"{I}now += {COSTS.INSN!r}")
         st.push(f"(fpb + {8 * ins.imm1})")
-    elif op == Op.LOAD:
-        emit(f"{I}cpu.pc = {pc}")
-        emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        addr, = _operands(st, 1, pc, restore)
-        _emit_word_access(emit, I, addr, dest=st.push())
-    elif op == Op.STORE:
-        emit(f"{I}cpu.pc = {pc}")
-        emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        addr, value = _operands(st, 2, pc, restore)
-        _emit_word_access(emit, I, addr, value=value)
-    elif op == Op.LOAD1:
+    elif op in (Op.LOAD, Op.LOAD1):
         emit(f"{I}cpu.pc = {pc}")
         addr, = _operands(st, 1, pc, restore)
-        emit(f"{I}clock.now_ns = now")
-        emit(f"{I}{st.push()} = rbyte(ctx, {addr})")
-        emit(f"{I}now = clock.now_ns")
-    elif op == Op.STORE1:
+        access = _emit_word_access if op == Op.LOAD else _emit_byte_access
+        access(emit, I, addr, dest=st.push())
+    elif op in (Op.STORE, Op.STORE1):
         emit(f"{I}cpu.pc = {pc}")
         addr, value = _operands(st, 2, pc, restore)
-        emit(f"{I}clock.now_ns = now")
-        emit(f"{I}wbyte(ctx, {addr}, {value})")
-        emit(f"{I}now = clock.now_ns")
+        access = _emit_word_access if op == Op.STORE else _emit_byte_access
+        access(emit, I, addr, value=value)
     elif op == Op.MEMCPY:
         emit(f"{I}cpu.pc = {pc}")
         dst, src, count = _operands(st, 3, pc, restore)
@@ -967,6 +957,7 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
             if spill:
                 emit(f"{I}{spill}")
             emit(f"{I}gua(cpu, dor, {ins.imm1}, {ins.imm2})")
+            emit(f"{I}now = clock.now_ns")
             st.slots[:] = [None] * (len(st) - ins.imm2 + 1)
             for line in _fill(len(st)):
                 emit(f"{I}{line}")
@@ -980,7 +971,7 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
             emit(f"{I}clock.now_ns = now")
             args = ", ".join(args) + ("," if len(args) == 1 else "")
             emit(f"{I}{st.push()} = w64(dsp(cpu, {ins.imm1}, ({args})))")
-        emit(f"{I}now = clock.now_ns")
+            emit(f"{I}now = clock.now_ns")
     elif op == Op.NOP:
         emit(f"{I}now += {COSTS.INSN!r}")
     elif op in _CMP_EXPR:
@@ -1020,131 +1011,104 @@ def _emit_slice_access(emit, ins: Instr, pc: int, I: str, st: _Stack,
     """Open-coded SLICE_AT / SLICE_PUT (the stock ``Runtime`` handlers
     flattened into the trace).  Effect order mirrors ``_do_rtcall`` +
     ``_rt_slice_at``/``_rt_slice_put`` exactly: charge RTCALL, pop the
-    args, read the descriptor uncharged through the TLB (hit -> one
-    ``tlb_hits``; anything else -> ``_access``), bounds-check with the
-    canonical fault text, then one charged element access with the
-    word/byte helpers' own fast paths inlined (identical counters:
-    ``word_fast``/``tlb_hits`` on the word path, ``tlb_hits`` on the
-    byte path, ``_access`` fallback, ``word_slow`` via the real helper
-    for a page-spanning word).  Injector armed or a page-spanning
-    descriptor falls back to the generic dispatch call, which is the
+    args, read the descriptor uncharged through :func:`_emit_frame`,
+    bounds-check with the canonical fault text, then one charged
+    element access, :func:`_emit_byte_access` for a one-byte element
+    and :func:`_emit_word_access` for any other.  An element size the
+    codegen holds as a literal gets only its own arm.  A descriptor
+    that spans a page takes the generic dispatch call, which is the
     interpreter's own path."""
     put = ins.imm1 == _RT_SLICE_PUT
     emit(f"{I}now += {COSTS.RTCALL!r}")
     args = _operands(st, 4 if put else 3, pc, restore)
-    for name, atom in zip(("d2", "e2", "i2", "v2"), args):
-        emit(f"{I}{name} = {atom}")
-    res = st.push()
-    emit(f"{I}o2 = d2 & {PAGE_MASK}")
-    emit(f"{I}if inj is None and o2 <= {PAGE_SIZE - 24}:")
-    emit(f"{I}    t2 = tget((d2 >> {PAGE_SHIFT}) * 4)")
-    emit(f"{I}    if t2 is not None and t2[2] is table and t2[3] == tgen "
-         f"and t2[4] is ept and (ept is None or t2[5] == egen) "
-         f"and (t2[0].user or not user) and (pkru is None or not user "
-         f"or not (pkru >> (2 * t2[0].pkey)) & 1):")
-    emit(f"{I}        th += 1")
-    emit(f"{I}        f2 = t2[1]")
-    emit(f"{I}    else:")
-    emit(f"{I}        f2 = acc(ctx, d2, 'r')[1]")
-    emit(f"{I}    da, ln = desc2(f2, o2)")
-    emit(f"{I}    if not 0 <= i2 < ln:")
-    emit(f"{I}        raise Fault('arith', f'slice index {{i2}} "
+    desc, size, index = args[:3]
+    value = args[3] if put else None
+    # SLICE_PUT returns 0, which stays a literal on the stack.
+    res = st.push("0") if put else st.push()
+    dest = None if put else res
+    J = I + "    "
+    emit(f"{I}o2 = {desc} & {PAGE_MASK}")
+    emit(f"{I}if o2 <= {PAGE_SIZE - 24}:")
+    _emit_frame(emit, J, desc, write=False)
+    emit(f"{J}da, ln = desc2(f, o2)")
+    emit(f"{J}if not 0 <= {index} < ln:")
+    emit(f"{J}    raise Fault('arith', f'slice index {{{index}}} "
          f"out of range [0,{{ln}})')")
-    emit(f"{I}    now += {COSTS.INSN_MEM!r}")
-    key = "(a2 >> 12) * 4" if not put else "(a2 >> 12) * 4 + 1"
-    pkey_ok = ("not (pkru >> (2 * p2.pkey)) & 1" if not put
-               else "(pkru >> (2 * p2.pkey)) & 3 == 0")
-    probe = (f"t2 is not None and t2[2] is table and t2[3] == tgen "
-             f"and t2[4] is ept and (ept is None or t2[5] == egen) "
-             f"and ((p2 := t2[0]).user or not user) "
-             f"and (pkru is None or not user or {pkey_ok})")
-    kind = "'w'" if put else "'r'"
-    emit(f"{I}    if e2 == 1:")
-    emit(f"{I}        a2 = da + i2")
-    emit(f"{I}        t2 = tget({key})")
-    emit(f"{I}        if {probe}:")
-    emit(f"{I}            th += 1")
-    if put:
-        emit(f"{I}            t2[1][a2 & {PAGE_MASK}] = v2 & 255")
-        emit(f"{I}        else:")
-        emit(f"{I}            acc(ctx, a2, 'w')[1][a2 & {PAGE_MASK}]"
-             f" = v2 & 255")
+    try:  # a PUSH immediate stays a literal atom (see _Stack)
+        literal = int(size.strip("()"))
+    except ValueError:
+        literal = None
+    if literal is None:
+        emit(f"{J}if {size} == 1:")
+        _emit_byte_access(emit, J + "    ", f"da + {index}", value, dest)
+        emit(f"{J}else:")
+        _emit_word_access(emit, J + "    ", f"da + {index} * {size}",
+                          value, dest)
+    elif literal == 1:
+        _emit_byte_access(emit, J, f"da + {index}", value, dest)
     else:
-        emit(f"{I}            {res} = t2[1][a2 & {PAGE_MASK}]")
-        emit(f"{I}        else:")
-        emit(f"{I}            {res} = acc(ctx, a2, 'r')[1][a2 & {PAGE_MASK}]")
-    emit(f"{I}        clock.now_ns = now")
-    emit(f"{I}    else:")
-    emit(f"{I}        a2 = da + i2 * e2")
-    emit(f"{I}        o2 = a2 & {PAGE_MASK}")
-    emit(f"{I}        if o2 <= {PAGE_SIZE - 8}:")
-    emit(f"{I}            wf += 1")
-    emit(f"{I}            t2 = tget({key})")
-    emit(f"{I}            if {probe}:")
-    emit(f"{I}                th += 1")
-    if put:
-        emit(f"{I}                pack_into(t2[1], o2, v2 & {_M64})")
-        emit(f"{I}            else:")
-        emit(f"{I}                pack_into(acc(ctx, a2, {kind})[1], o2, "
-             f"v2 & {_M64})")
-    else:
-        emit(f"{I}                {res} = unpack_from(t2[1], o2)[0]")
-        emit(f"{I}            else:")
-        emit(f"{I}                {res} = unpack_from("
-             f"acc(ctx, a2, {kind})[1], o2)[0]")
-    emit(f"{I}            clock.now_ns = now")
-    emit(f"{I}        else:")
-    emit(f"{I}            clock.now_ns = now")
-    if put:
-        emit(f"{I}            wword(ctx, a2, v2, False)")
-        emit(f"{I}    {res} = 0")
-    else:
-        emit(f"{I}            {res} = rword(ctx, a2, False)")
+        _emit_word_access(emit, J, f"da + {index} * {literal}", value, dest)
     emit(f"{I}else:")
     emit(f"{I}    clock.now_ns = now")
-    args = "(d2, e2, i2, v2)" if put else "(d2, e2, i2)"
-    emit(f"{I}    {res} = w64(dsp(cpu, {ins.imm1}, {args}))")
+    call = f"dsp(cpu, {ins.imm1}, ({', '.join(args)}))"
+    emit(f"{I}    {call}" if put else f"{I}    {res} = w64({call})")
+    emit(f"{I}    now = clock.now_ns")
+
+
+def _emit_frame(emit, I: str, addr: str, write: bool) -> None:
+    """Bind ``f`` to the frame behind the address atom ``addr``, as
+    ``MMU._access`` returns it: a :func:`_hit` with no injector armed
+    counts one ``tlb_hits``; anything else calls ``_access`` itself,
+    which owns every fault, trace and counter slow path.  ``_access``
+    never charges, but a violation it reports is stamped with the
+    clock, so the clock is synced before the call."""
+    emit(f"{I}e = tget(({addr} >> {PAGE_SHIFT}) * 4{' + 1' if write else ''})")
+    emit(f"{I}if inj is None and {_hit('e', write)}:")
+    emit(f"{I}    th += 1")
+    emit(f"{I}    f = e[1]")
+    emit(f"{I}else:")
+    emit(f"{I}    clock.now_ns = now")
+    emit(f"{I}    f = acc(ctx, {addr}, {'w' if write else 'r'!r})")
 
 
 def _emit_word_access(emit, I: str, addr: str, value: str | None = None,
                       dest: str | None = None) -> None:
-    """Inline the read_word/write_word fast path for the address atom
-    ``addr``, loading into the local ``dest`` or storing the atom
-    ``value``: same fit check, same TLB-hit validation and per-access
-    PKRU test, same ``_access`` fallback that owns every
-    fault/trace/counter slow path (it never touches the clock, so no
-    sync is needed — the fault hook covers a raise), same page-spanning
-    fallback into the real helper (already charged)."""
-    read = dest is not None
+    """A charged word LOAD into the local ``dest``, or STORE of the atom
+    ``value``, at the address expression ``addr``: read_word/write_word
+    with the frame from :func:`_emit_frame` (same charge, fit check and
+    ``word_fast`` count), and for a word that spans a page the uncharged
+    helper, which counts ``word_slow``."""
     if not addr.isidentifier():
         emit(f"{I}a = {addr}")
         addr = "a"
-    kind = "'r'" if read else "'w'"
-    key = f"({addr} >> 12) * 4" if read else f"({addr} >> 12) * 4 + 1"
-    pkey_ok = ("not (pkru >> (2 * p.pkey)) & 1" if read
-               else "(pkru >> (2 * p.pkey)) & 3 == 0")
-    emit(f"{I}o = {addr} & {(1 << PAGE_SHIFT) - 1}")
-    emit(f"{I}if o <= {(1 << PAGE_SHIFT) - 8}:")
+    emit(f"{I}now += {COSTS.INSN_MEM!r}")
+    emit(f"{I}o = {addr} & {PAGE_MASK}")
+    emit(f"{I}if o <= {PAGE_SIZE - 8}:")
     emit(f"{I}    wf += 1")
-    emit(f"{I}    e = tget({key})")
-    emit(f"{I}    if (inj is None and e is not None and e[2] is table")
-    emit(f"{I}            and e[3] == tgen and e[4] is ept")
-    emit(f"{I}            and (ept is None or e[5] == egen)")
-    emit(f"{I}            and ((p := e[0]).user or not user)")
-    emit(f"{I}            and (pkru is None or not user")
-    emit(f"{I}                 or {pkey_ok})):")
-    emit(f"{I}        th += 1")
-    if read:
-        emit(f"{I}        {dest} = unpack_from(e[1], o)[0]")
-        emit(f"{I}    else:")
-        emit(f"{I}        {dest} = unpack_from(acc(ctx, {addr}, {kind})[1], "
-             f"o)[0]")
+    _emit_frame(emit, I + "    ", addr, write=dest is None)
+    if dest is None:
+        emit(f"{I}    pack_into(f, o, {value} & {_M64})")
         emit(f"{I}else:")
-        emit(f"{I}    {dest} = rword(ctx, {addr}, False)")
-    else:
-        emit(f"{I}        pack_into(e[1], o, {value} & {_M64})")
-        emit(f"{I}    else:")
-        emit(f"{I}        pack_into(acc(ctx, {addr}, {kind})[1], o, "
-             f"{value} & {_M64})")
-        emit(f"{I}else:")
+        emit(f"{I}    clock.now_ns = now")
         emit(f"{I}    wword(ctx, {addr}, {value}, False)")
+    else:
+        emit(f"{I}    {dest} = unpack_from(f, o)[0]")
+        emit(f"{I}else:")
+        emit(f"{I}    clock.now_ns = now")
+        emit(f"{I}    {dest} = rword(ctx, {addr}, False)")
+
+
+def _emit_byte_access(emit, I: str, addr: str, value: str | None = None,
+                      dest: str | None = None) -> None:
+    """A charged byte LOAD1 into the local ``dest``, or STORE1 of the
+    atom ``value``, at the address expression ``addr``: read_byte/
+    write_byte with the frame from :func:`_emit_frame`."""
+    if not addr.isidentifier():
+        emit(f"{I}a = {addr}")
+        addr = "a"
+    emit(f"{I}now += {COSTS.INSN_MEM!r}")
+    _emit_frame(emit, I, addr, write=dest is None)
+    if dest is None:
+        emit(f"{I}f[{addr} & {PAGE_MASK}] = {value} & 255")
+    else:
+        emit(f"{I}{dest} = f[{addr} & {PAGE_MASK}]")

@@ -249,6 +249,26 @@ class TestArtifacts:
         assert err.startswith(f"repro: mpk/{name}: ")
         assert err.count("repro: ") == 1
 
+    @pytest.mark.parametrize("damage", [
+        lambda summary: [], lambda summary: 1, lambda summary: "x",
+        lambda summary: None,
+        lambda summary: {env: {**row, "counts": []}
+                         for env, row in summary.items()},
+    ], ids=["list", "number", "string", "null", "counts-list"])
+    def test_mangled_trace_summary_is_named(self, tmp_path, capsys, damage):
+        """The breakdown printed for trace.json reads its summary, whose
+        shape is outside input too: a mangled one is named, never a
+        traceback."""
+        argv, _ = SMOKES["run"]
+        assert main(argv + ["--artifacts", str(tmp_path)]) == 0
+        path = tmp_path / "mpk" / "trace-summary.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "repro: mpk/trace.json: trace-summary.json: not an object of "
+            "per-environment rows, each with a counts object\n")
+
     def test_empty_dir_is_a_named_error(self, tmp_path, capsys):
         # A missing DIR is TestRun::test_missing_input_is_a_named_error.
         assert main(["report", str(tmp_path)]) == 2

@@ -194,12 +194,9 @@ class TestJitBitIdentity:
         assert on_perf.jit_insns / on_perf.instructions >= 0.95
         assert on_perf.jit_insns / on_perf.jit_trace_executions >= 100
 
-    def test_hot_trace_keeps_the_operand_stack_in_locals(self, monkeypatch):
-        """The async server's most-entered trace keeps its operand stack
-        in Python locals: inside its ``while True:`` loop it touches
-        ``cpu.operands`` (``ops``, or any prologue alias of its methods)
-        only where something else can see the stack — at exits, right
-        before ``break``, and around ``gua(...)`` channel calls."""
+    @pytest.fixture(scope="class")
+    def hottest_async_trace(self):
+        """The source of the async server's most-entered trace."""
         entered = collections.Counter()
         compile_entry = JitCompiler.compile_entry
 
@@ -212,10 +209,21 @@ class TestJitBitIdentity:
                     return fn(interp, cpu, left)
                 entry.fn = counted
 
-        monkeypatch.setattr(JitCompiler, "compile_entry", counting)
-        loadgen.run_level("mpk", 40_000.0, 60, 7,
-                          config=MachineConfig(backend="mpk", metrics=True))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(JitCompiler, "compile_entry", counting)
+            loadgen.run_level("mpk", 40_000.0, 60, 7, config=MachineConfig(
+                backend="mpk", metrics=True))
         (source, _), = entered.most_common(1)
+        return source
+
+    def test_hot_trace_keeps_the_operand_stack_in_locals(
+            self, hottest_async_trace):
+        """The async server's most-entered trace keeps its operand stack
+        in Python locals: inside its ``while True:`` loop it touches
+        ``cpu.operands`` (``ops``, or any prologue alias of its methods)
+        only where something else can see the stack — at exits, right
+        before ``break``, and around ``gua(...)`` channel calls."""
+        source = hottest_async_trace
         prologue, loop = source.split("        while True:\n", 1)
         loop = loop.split("    except BaseException", 1)[0]
         names = {"ops"} | set(re.findall(r"^    (\w+) = ops\.\w+$",
@@ -228,6 +236,16 @@ class TestJitBitIdentity:
             near = lines[max(0, i - 2):i + 3]
             assert any(line == "break" or line.startswith("gua(")
                        for line in near), lines[i]
+
+    def test_hot_trace_tests_no_literal_element_size(
+            self, hottest_async_trace):
+        """The async server's most-entered trace indexes byte slices
+        whose element size is a PUSH immediate: each open-coded slice
+        access emits that size's arm alone, with no run-time test of
+        the size against 1."""
+        assert "desc2(" in hottest_async_trace
+        assert not re.search(r"if (e2|\d+|\(-\d+\)) == 1:",
+                             hottest_async_trace)
 
     def test_jit_engages_on_macro_workloads(self):
         driver = run_http_server("mpk")

@@ -28,22 +28,19 @@ def table_with_pages(name, pfns, base=0x10000):
 
 class TestGuestTables:
     def test_register_extends_ept(self, vm):
-        table = table_with_pages("gpt.a", [3, 4, 5])
-        vm.register_guest_table(table)
+        vm.map_frames([3, 4, 5])
         for pfn in (3, 4, 5):
             assert vm.vmcs.ept.lookup(pfn) is not None
 
     def test_ept_identity_mapping(self, vm):
-        table = table_with_pages("gpt.a", [7])
-        vm.register_guest_table(table)
+        vm.map_frames([7])
         ept_pte = vm.vmcs.ept.lookup(7)
         assert ept_pte.pfn == 7  # GPA == HVA preserved
 
     def test_reregistration_idempotent(self, vm):
-        table = table_with_pages("gpt.a", [3])
-        vm.register_guest_table(table)
+        vm.map_frames([3])
         before = vm.clock.now_ns
-        vm.register_guest_table(table)
+        vm.map_frames([3])
         assert vm.clock.now_ns == before  # no duplicate EPT work
 
 

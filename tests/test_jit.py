@@ -9,18 +9,23 @@ guards, and fault points are built by hand.
 from __future__ import annotations
 
 import random
+import re
+import struct
 
 import pytest
 
 from repro.errors import ConfigError, Fault, MachineHalt, WouldBlock
+from repro.hw import PAGE_SIZE, make_pkru
 from repro.isa import INSTR_SIZE, Instr, Interpreter, Op
 from repro.isa.jit import JIT_MIN_LEN, JitEntry, build_region, leaders
 from repro.isa.opcodes import BINARY_ALU, FUSED_BASE
 from repro.machine import Machine, MachineConfig
+from repro.obs import Observer
+from repro.runtime.runtime import Runtime
 from repro.workloads.bild import build_bild_image
 from repro.workloads.fasthttp import run_fasthttp_server
 
-from tests.harness import DATA_BASE, TEXT_BASE, MiniMachine
+from tests.harness import DATA_BASE, DATA_SIZE, TEXT_BASE, MiniMachine
 
 
 def jit_mini(threshold: int = 1) -> MiniMachine:
@@ -251,13 +256,19 @@ class TestExecutionIdentity:
 
 
 def drive(program: list[Instr], threshold: int, budget: int = 512,
-          local0: int | None = None, runs: int = 1):
+          local0: int | None = None, runs: int = 1, setup=None):
     """Run ``program`` ``runs`` times slice by slice from its start, and
     snapshot everything a trace could get wrong: each slice's
     (executed, pc, sim-ns), how each run ended, then the final
-    ``op_counts``, ``word_fast``, ``tlb_hits``, pc and operand stack."""
+    ``op_counts``, ``word_fast``, ``word_slow``, ``tlb_hits``, pc and
+    operand stack.  RTCALLs reach a stock ``Runtime.dispatch``, so
+    traces open-code SLICE_AT/SLICE_PUT; ``setup(mm)`` runs after the
+    load."""
     mm = jit_mini(threshold)
     mm.load(program)
+    mm.cpu.rtcall_handler = Runtime(mm.mmu, None, None, None, []).dispatch
+    if setup is not None:
+        setup(mm)
     slices = []
     for _ in range(runs):
         if local0 is not None:
@@ -274,7 +285,8 @@ def drive(program: list[Instr], threshold: int, budget: int = 512,
             slices.append((executed, mm.cpu.pc, mm.clock.now_ns))
     perf = mm.interp.perf
     return mm, (slices, list(perf.op_counts), perf.word_fast,
-                perf.tlb_hits, mm.cpu.pc, list(mm.cpu.operands))
+                perf.word_slow, perf.tlb_hits, mm.cpu.pc,
+                list(mm.cpu.operands))
 
 
 class TestForwardRegions:
@@ -349,6 +361,18 @@ FAULTING = {
 }
 
 
+class ViolationStamps(Observer):
+    """Records each violation the MMU reports, with the simulated time
+    an observer reads when it is reported."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.stamps = []
+
+    def on_violation(self, kind, vaddr, detail, **extra):
+        self.stamps.append((kind, vaddr, detail, self.clock.now_ns))
+
+
 def fault_loop(fault: list[Instr]) -> list[Instr]:
     """A loop at instruction 3 whose region pops an entry operand (77,
     pushed before the loop) and keeps it, a DUP result, an unconsumed
@@ -385,6 +409,25 @@ class TestFaultRebuildsTheStack:
         assert on[1][-1] == [77, 77, 5, 9, 0]
         assert "Fault" in on[1][0][-1][0]
         assert on[0].interp.code[at(3)].min_depth >= 1
+        assert on[0].interp.perf.jit_deopts["fault"] == 1
+
+    @pytest.mark.parametrize("op", ["load", "load1", "store", "store1"])
+    def test_violation_is_reported_at_the_interpreters_clock(self, op):
+        """The MMU reports a violation to observers, which read the
+        clock: a trace stores its clock back before any call into the
+        MMU, so the tracer stamps the violation as interpreted."""
+        recorders = []
+
+        def setup(mm):
+            mm.mmu.obs = ViolationStamps(mm.clock)
+            recorders.append(mm.mmu.obs)
+
+        program = fault_loop(FAULTING[op])
+        on = drive(program, threshold=1, setup=setup)
+        off = drive(program, threshold=10 ** 9, setup=setup)
+        assert on[1] == off[1]
+        on_stamps, off_stamps = (recorder.stamps for recorder in recorders)
+        assert on_stamps == off_stamps and len(on_stamps) == 1
         assert on[0].interp.perf.jit_deopts["fault"] == 1
 
     def test_guarded_call_sees_and_leaves_the_interpreters_stack(self):
@@ -429,6 +472,174 @@ class TestFaultRebuildsTheStack:
         assert [stack for _, _, _, stack in stops] == [[77, 77, 5, 9, 2, 2],
                                                        [77, 77, 5, 9, 0]]
         assert on[0].interp.perf.jit_deopts == {"block": 1, "fault": 1}
+
+
+SLICE_LEN = 12
+#: The first address of DATA's third page; slice data runs across it.
+PAGE2 = DATA_BASE + 2 * PAGE_SIZE
+
+
+def slice_loop(elem: int, computed: bool, desc: int,
+               offset: int) -> list[Instr]:
+    """SLICE_PUT then SLICE_AT in a countdown loop: pass ``i`` (12 down
+    to 1) stores ``7 * i`` at index ``i - offset``, reads it back and
+    sums the reads into local 2, which HALT returns.  With ``computed``
+    the descriptor and the element size come from locals 3 and 1
+    (LOADL), else from PUSH immediates, which traces hold as
+    literals."""
+    operands = ([Instr(Op.LOADL, 3), Instr(Op.LOADL, 1)] if computed
+                else [Instr(Op.PUSH, desc), Instr(Op.PUSH, elem)])
+    operands += [Instr(Op.LOADL, 0), Instr(Op.PUSH, offset), Instr(Op.SUB)]
+    return [
+        Instr(Op.PUSH, SLICE_LEN), Instr(Op.STOREL, 0),
+        Instr(Op.PUSH, elem), Instr(Op.STOREL, 1),
+        Instr(Op.PUSH, 0), Instr(Op.STOREL, 2),
+        Instr(Op.PUSH, desc), Instr(Op.STOREL, 3),
+        *operands,                                           # 8  loop head
+        Instr(Op.LOADL, 0), Instr(Op.PUSH, 7), Instr(Op.MUL),
+        Instr(Op.RTCALL, 23, 4), Instr(Op.DROP),             # SLICE_PUT
+        Instr(Op.LOADL, 2), *operands,
+        Instr(Op.RTCALL, 22, 3),                             # SLICE_AT
+        Instr(Op.ADD), Instr(Op.STOREL, 2),
+        Instr(Op.LOADL, 0), Instr(Op.PUSH, 1), Instr(Op.SUB), Instr(Op.DUP),
+        Instr(Op.STOREL, 0), Instr(Op.JNZ, at(8)),
+        Instr(Op.LOADL, 2), Instr(Op.HALT),
+    ]
+
+
+#: layout -> (descriptor address, data address for an element size,
+#: index offset).  The data of every layout spans PAGE2, so compiled
+#: passes miss the TLB when the countdown crosses it.
+SLICE_LAYOUTS = {
+    "two-pages": (DATA_BASE + 64, lambda elem: PAGE2 - 5 * elem, 1),
+    # Index -1 on pass 11, which runs compiled.
+    "index-out-of-range": (DATA_BASE + 64, lambda elem: PAGE2 - 5 * elem, 3),
+    # Element 4 spans PAGE2 (word slices only).
+    "word-spans-page": (DATA_BASE + 64, lambda elem: PAGE2 - 36, 1),
+    # The descriptor spans DATA's first two pages: the generic call.
+    "descriptor-spans-page": (DATA_BASE + PAGE_SIZE - 8,
+                              lambda elem: PAGE2 - 5 * elem, 1),
+}
+
+
+class TestSliceAccess:
+    """Traces open-code SLICE_AT/SLICE_PUT against a stock runtime; on
+    every arm — byte and word elements, a literal or a computed
+    element size, the TLB missing mid-trace, an index out of range, a
+    word spanning a page, a descriptor spanning a page — they must
+    match the interpreter."""
+
+    @pytest.mark.parametrize("computed", [False, True],
+                             ids=["literal-size", "computed-size"])
+    @pytest.mark.parametrize("layout, elem", [
+        (layout, elem) for layout in sorted(SLICE_LAYOUTS) for elem in (1, 8)
+        if elem == 8 or layout != "word-spans-page"
+    ], ids=lambda value: {1: "byte", 8: "word"}.get(value, value))
+    def test_slice_loop_matches_interpreter(self, layout, elem, computed):
+        desc, data_at, offset = SLICE_LAYOUTS[layout]
+        data = data_at(elem)
+        program = slice_loop(elem, computed, desc, offset)
+
+        def setup(mm):
+            mm.poke_bytes(desc, struct.pack("<qqq", data, SLICE_LEN,
+                                            SLICE_LEN))
+
+        for budget in (64, 4096):
+            runs = [drive(program, threshold, budget, setup=setup)
+                    for threshold in (1, 10 ** 9)]
+            on, off = ([mm.peek_bytes(data, SLICE_LEN * elem),
+                        mm.peek_word(mm.cpu.fp + 32), snapshot]
+                       for mm, snapshot in runs)
+            assert on == off, budget
+        mm = runs[0][0]
+        source = mm.interp.code[at(8)].fn.__jit_source__
+        assert "desc2(" in source
+        # A computed size is tested against 1 at run time, a literal
+        # one never.
+        size_tests = [atom for atom in re.findall(r"if (\S+) == 1:", source)
+                      if atom != "bk"]
+        assert bool(size_tests) is computed
+        assert all(re.fullmatch(r"s\d+", atom) for atom in size_tests)
+        perf = mm.interp.perf
+        assert perf.jit_insns > perf.instructions // 2
+        assert "guard:rtcall" not in perf.jit_deopts
+        if layout == "index-out-of-range":
+            assert perf.jit_deopts["fault"] == 1
+            assert "slice index -1" in on[-1][0][-1][0]
+        if layout == "word-spans-page":
+            assert perf.word_slow > 0
+
+
+#: One access to DATA per op kind a trace open-codes, leaving the
+#: stack as it found it; the slice descriptor sits at DATA_BASE + 64.
+DATA_ACCESS = {
+    "load": [Instr(Op.PUSH, DATA_BASE + 8), Instr(Op.LOAD), Instr(Op.DROP)],
+    "store": [Instr(Op.PUSH, DATA_BASE + 8), Instr(Op.LOADL, 0),
+              Instr(Op.STORE)],
+    "load1": [Instr(Op.PUSH, DATA_BASE + 8), Instr(Op.LOAD1),
+              Instr(Op.DROP)],
+    "store1": [Instr(Op.PUSH, DATA_BASE + 8), Instr(Op.LOADL, 0),
+               Instr(Op.STORE1)],
+    "slice-at": [Instr(Op.PUSH, DATA_BASE + 64), Instr(Op.PUSH, 8),
+                 Instr(Op.PUSH, 1), Instr(Op.RTCALL, 22, 3), Instr(Op.DROP)],
+    "slice-put": [Instr(Op.PUSH, DATA_BASE + 64), Instr(Op.PUSH, 1),
+                  Instr(Op.PUSH, 1), Instr(Op.LOADL, 0),
+                  Instr(Op.RTCALL, 23, 4), Instr(Op.DROP)],
+}
+
+
+class TestTraceEnforcement:
+    """PKRU is not part of the TLB tag, in traces too: a WRPKRU between
+    two trace calls governs the very next access a hot trace makes
+    through a hot entry, exactly where and when the interpreter
+    faults."""
+
+    @pytest.mark.parametrize("rights", ["", "r"],
+                             ids=["access-disable", "write-disable"])
+    @pytest.mark.parametrize("op", sorted(DATA_ACCESS))
+    def test_pkru_revocation_reaches_a_hot_trace(self, op, rights):
+        program = [Instr(Op.PUSH, 4), Instr(Op.STOREL, 0),
+                   *DATA_ACCESS[op],                         # 2  loop head
+                   Instr(Op.LOADL, 0), Instr(Op.PUSH, 1), Instr(Op.SUB),
+                   Instr(Op.DUP), Instr(Op.STOREL, 0), Instr(Op.JNZ, at(2)),
+                   Instr(Op.PUSH, 0), Instr(Op.HALT)]
+
+        def run(threshold):
+            mm = jit_mini(threshold)
+            mm.load(program)
+            mm.cpu.rtcall_handler = Runtime(mm.mmu, None, None, None,
+                                            []).dispatch
+            mm.poke_bytes(DATA_BASE + 64,
+                          struct.pack("<qqq", DATA_BASE + 256, 4, 4))
+            mm.table.set_pkey_range(DATA_BASE, DATA_SIZE, 3)
+            mm.mmu.obs = ViolationStamps(mm.clock)
+            stops = []
+            for grant in ("rw", rights):
+                mm.cpu.ctx.pkru = make_pkru({0: "rw", 3: grant})
+                mm.cpu.pc = TEXT_BASE
+                mm.cpu.operands = []
+                while True:
+                    try:
+                        mm.interp.run_slice(mm.cpu, 512)
+                    except (MachineHalt, Fault) as stop:
+                        stops.append((repr(stop), mm.cpu.pc,
+                                      mm.clock.now_ns))
+                        break
+            perf = mm.interp.perf
+            return mm, (stops, mm.mmu.obs.stamps, list(perf.op_counts),
+                        perf.word_fast, perf.tlb_hits, perf.tlb_misses)
+
+        on, off = run(1), run(10 ** 9)
+        assert on[1] == off[1]
+        denied = rights == "" or op in ("store", "store1", "slice-put")
+        assert ("PkeyFault" in on[1][0][1][0]) is denied
+        # The second run entered the hot trace: it faulted in it or ran.
+        perf = on[0].interp.perf
+        if denied:
+            assert perf.jit_deopts["fault"] == 1
+        else:
+            assert "fault" not in perf.jit_deopts
+            assert perf.jit_trace_executions >= 2
 
 
 #: PUSH immediates for generated programs: small, negative, and at the

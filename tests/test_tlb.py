@@ -136,19 +136,20 @@ class TestPageTableEditInvalidation:
         assert tag[3] != ctx.page_table.gen
 
 
-class TestEPTInvalidation:
-    def _guest_ctx(self, mmu):
-        """Identity-EPT context over one RW page, like the VT-x backend's
-        GPA == HVA model."""
-        ctx = make_ctx(mmu)
-        gpa_page = ctx.page_table.lookup(BASE >> 12).pfn
-        ept = PageTable("ept")
-        ept.map_page(gpa_page, PTE(gpa_page, Perm.RWX))
-        ctx.ept = ept
-        return ctx, gpa_page
+def guest_ctx(mmu):
+    """Identity-EPT context over one RW page, like the VT-x backend's
+    GPA == HVA model; returns it with the guest-physical page."""
+    ctx = make_ctx(mmu)
+    gpa_page = ctx.page_table.lookup(BASE >> 12).pfn
+    ept = PageTable("ept")
+    ept.map_page(gpa_page, PTE(gpa_page, Perm.RWX))
+    ctx.ept = ept
+    return ctx, gpa_page
 
+
+class TestEPTInvalidation:
     def test_ept_remap_redirects_hot_entry(self, mmu):
-        ctx, gpa_page = self._guest_ctx(mmu)
+        ctx, gpa_page = guest_ctx(mmu)
         mmu.write(ctx, BASE, b"guest")
         assert mmu.read(ctx, BASE, 5) == b"guest"  # hot through the EPT
         shadow = mmu.physmem.alloc_frame()
@@ -157,7 +158,7 @@ class TestEPTInvalidation:
         assert mmu.read(ctx, BASE, 5) == b"host!"
 
     def test_ept_unmap_is_a_violation(self, mmu):
-        ctx, gpa_page = self._guest_ctx(mmu)
+        ctx, gpa_page = guest_ctx(mmu)
         mmu.read(ctx, BASE, 8)
         ctx.ept.unmap_page(gpa_page)
         with pytest.raises(PageFault, match="EPT"):
@@ -230,6 +231,125 @@ class TestPKRUNotInTag:
         mmu.check_exec(ctx, BASE)  # no fault
         with pytest.raises(PkeyFault):
             mmu.read(ctx, BASE, 1)
+
+
+def remap(mmu, ctx):
+    """Point the page at a fresh frame holding a byte pattern."""
+    pfn = mmu.physmem.alloc_frame()
+    mmu.physmem.write(pfn * PAGE_SIZE, bytes(range(256)) * (PAGE_SIZE // 256))
+    ctx.page_table.map_page(BASE >> 12, PTE(pfn, Perm.RW))
+
+
+def supervisor_ctx(mmu):
+    """A supervisor-mode context over one supervisor page."""
+    table = PageTable()
+    table.map_range(BASE, PAGE_SIZE, [mmu.physmem.alloc_frame()], Perm.RW,
+                    user=False)
+    return TranslationContext(page_table=table, user=False)
+
+
+def key3_ctx(mmu):
+    return make_ctx(mmu, pkey=3, pkru=make_pkru({0: "rw", 3: "rw"}))
+
+
+#: Edits that must take effect through a hot TLB entry: case ->
+#: (context, edit, fault on a read, fault on a write; None = the
+#: access goes through).
+HOT_ENTRY_EDITS = {
+    "remap": (make_ctx, remap, None, None),
+    "protect-read-only": (
+        make_ctx,
+        lambda mmu, ctx: ctx.page_table.protect_range(BASE, PAGE_SIZE, Perm.R),
+        None, PageFault),
+    "unmap": (make_ctx,
+              lambda mmu, ctx: ctx.page_table.unmap_range(BASE, PAGE_SIZE),
+              PageFault, PageFault),
+    "not-present": (
+        make_ctx,
+        lambda mmu, ctx: ctx.page_table.set_present_range(
+            BASE, PAGE_SIZE, False),
+        PageFault, PageFault),
+    "ept-unmap": (
+        lambda mmu: guest_ctx(mmu)[0],
+        lambda mmu, ctx: ctx.ept.unmap_page(
+            ctx.page_table.lookup(BASE >> 12).pfn),
+        PageFault, PageFault),
+    "supervisor-entry-to-user": (
+        supervisor_ctx, lambda mmu, ctx: setattr(ctx, "user", True),
+        PageFault, PageFault),
+    "pkru-access-disable": (
+        key3_ctx, lambda mmu, ctx: setattr(ctx, "pkru", make_pkru({0: "rw"})),
+        PkeyFault, PkeyFault),
+    "pkru-write-disable": (
+        key3_ctx,
+        lambda mmu, ctx: setattr(ctx, "pkru", make_pkru({0: "rw", 3: "r"})),
+        None, PkeyFault),
+}
+
+#: Where the helpers access (page offset, address), and the word they
+#: write.
+OFF = 16
+ADDR = BASE + OFF
+WORD = 0x0123456789ABCDEF
+
+#: MMU data helper -> (access kind, call, check of a successful access
+#: against the frame the page now maps).
+HELPERS = {
+    "read_word": ("r", lambda mmu, ctx: mmu.read_word(ctx, ADDR),
+                  lambda frame, got: got == int.from_bytes(
+                      frame[OFF:OFF + 8], "little", signed=True)),
+    "write_word": ("w", lambda mmu, ctx: mmu.write_word(ctx, ADDR, WORD),
+                   lambda frame, got: frame[OFF:OFF + 8] == WORD.to_bytes(
+                       8, "little")),
+    "read_byte": ("r", lambda mmu, ctx: mmu.read_byte(ctx, ADDR),
+                  lambda frame, got: got == frame[OFF]),
+    "write_byte": ("w", lambda mmu, ctx: mmu.write_byte(ctx, ADDR, 0xA5),
+                   lambda frame, got: frame[OFF] == 0xA5),
+    "read_frame": ("r", lambda mmu, ctx: mmu.read_frame(ctx, ADDR),
+                   lambda frame, got: got is frame),
+    "read": ("r", lambda mmu, ctx: mmu.read(ctx, ADDR, 8),
+             lambda frame, got: got == frame[OFF:OFF + 8]),
+    "write": ("w", lambda mmu, ctx: mmu.write(ctx, ADDR, b"written!"),
+              lambda frame, got: frame[OFF:OFF + 8] == b"written!"),
+}
+
+
+class TestHelpersEnforceLikeAccess:
+    """Every data helper enforces through a hot entry exactly as
+    ``_access`` does: warm the entry through the helper, edit, access
+    again — same fault class or the new mapping's data, and the same
+    ``tlb_hits``/``tlb_misses`` deltas as ``_access`` itself."""
+
+    @staticmethod
+    def _after_edit(build, edit, access):
+        mmu = MMU(PhysicalMemory(), SimClock())
+        ctx = build(mmu)
+        access(mmu, ctx)
+        assert ctx.tlb
+        edit(mmu, ctx)
+        perf = mmu.perf
+        hits, misses = perf.tlb_hits, perf.tlb_misses
+        try:
+            got = access(mmu, ctx)
+        except (PageFault, PkeyFault) as fault:
+            got = type(fault)
+        return mmu, ctx, got, (perf.tlb_hits - hits, perf.tlb_misses - misses)
+
+    @pytest.mark.parametrize("case", sorted(HOT_ENTRY_EDITS))
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
+    def test_hot_entry_edit(self, helper, case):
+        build, edit, read_fault, write_fault = HOT_ENTRY_EDITS[case]
+        kind, call, check = HELPERS[helper]
+        fault = read_fault if kind == "r" else write_fault
+        *_, reference, deltas = self._after_edit(
+            build, edit, lambda mmu, ctx: mmu._access(ctx, ADDR, kind))
+        mmu, ctx, got, helper_deltas = self._after_edit(build, edit, call)
+        assert helper_deltas == deltas
+        if fault is not None:
+            assert reference is fault and got is fault
+            return
+        frame = mmu.physmem.frame(ctx.page_table.lookup(BASE >> 12).pfn)
+        assert check(frame, got)
 
 
 ENCLOSED = """
