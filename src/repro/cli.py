@@ -33,7 +33,15 @@ from repro.machine import Machine, MachineConfig
 
 
 def _read_sources(paths: list[str]) -> list[str]:
-    return [pathlib.Path(p).read_text() for p in paths]
+    """Read UTF-8 source files; any other bytes are a ConfigError."""
+    sources = []
+    for path in paths:
+        try:
+            sources.append(pathlib.Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text ({err.reason} at "
+                              f"byte {err.start})") from None
+    return sources
 
 
 def _write_artifacts(dest: str, machines: list, **outputs) -> None:
@@ -105,14 +113,13 @@ def cmd_views(args: argparse.Namespace) -> int:
 
 def cmd_py(args: argparse.Namespace) -> int:
     from repro.pylite import Interpreter, PyMachine
+    *modules, main = _read_sources(args.files)
     machine = PyMachine(args.mode)
     interp = Interpreter(machine)
-    *modules, main = args.files
-    for path in modules:
-        interp.add_source(pathlib.Path(path).stem,
-                          pathlib.Path(path).read_text())
+    for path, source in zip(args.files, modules):
+        interp.add_source(pathlib.Path(path).stem, source)
     try:
-        interp.run_main(pathlib.Path(main).read_text())
+        interp.run_main(main)
     except SimError as err:
         print(f"pylite: aborted: {err}", file=sys.stderr)
         return 1

@@ -32,6 +32,8 @@ class Backend(abc.ABC):
     """One hardware enforcement mechanism."""
 
     name: str = "abstract"
+    #: Whether a later Init may register more of the program (§5.2).
+    incremental: bool = True
 
     def __init__(self) -> None:
         self.litterbox: "LitterBox | None" = None
@@ -45,7 +47,14 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def init(self, litterbox: "LitterBox") -> None:
-        """Create the execution environments from the computed views."""
+        """The first Init: create the environments from the views."""
+
+    def extend(self, grown: dict[int, dict[str, Access]]) -> None:
+        """A later Init: set up new environments and grown views."""
+
+    def boot(self, cpu: CPU) -> None:
+        """Start ``cpu`` in the trusted environment once the first Init
+        has run.  Default: the core keeps the loader's context."""
 
     @abc.abstractmethod
     def switch_to(self, cpu: CPU, env: Environment) -> None:
@@ -176,33 +185,48 @@ class TableBackend(Backend):
                 f"{self.name.upper()} backend requires the loaded master table")
         self.trusted_table = self._trusted_table(kernel.host_table)
         litterbox.trusted_env.table = self.trusted_table
-        for env in litterbox.envs.values():
-            if not env.trusted:
-                env.table = self._build_env_table(env)
+        self.extend({})
         kernel.mmap_hook = self._on_mmap
 
-    def _build_env_table(self, env: Environment) -> PageTable:
-        """Create one enclosure's page table from its view."""
-        host_table = self.litterbox.kernel.host_table
-        table = PageTable(f"{self.table_prefix}.{env.name}")
-        for pkg in self.litterbox.image.graph:
-            access = env.access_to(pkg.name)
-            if pkg.name == LITTERBOX_SUPER:
-                access = Access.U
-            for section in pkg.sections:
+    def extend(self, grown: dict[int, dict[str, Access]]) -> None:
+        """Build a table for each environment that has none, and map
+        into each grown one the packages it gained."""
+        for env in self.litterbox.envs.values():
+            if env.trusted:
+                continue
+            if env.table is None:
+                env.table = PageTable(f"{self.table_prefix}.{env.name}")
+                self._map(env, [pkg.name for pkg in self.litterbox.graph])
+            elif env.id in grown:
+                self._map(env, grown[env.id])
+
+    def _map(self, env: Environment, names) -> None:
+        """Map the sections of the packages ``names`` into ``env``'s
+        table under its view, then replay their Transfers, so that
+        their arenas read as in a table that existed all along."""
+        pages = []   # (section, perms, present)
+        for name in names:
+            access = Access.U if name == LITTERBOX_SUPER \
+                else env.access_to(name)
+            for section in self.litterbox.graph.get(name).sections:
                 perms = _perms_under(access, section.name.rsplit(".", 1)[-1],
                                      section.perms)
-                if perms is None:
-                    continue
-                for vpn in section.vpns():
-                    pte = host_table.lookup(vpn)
-                    if pte is None:
-                        raise ConfigError(
-                            f"section {section.name} not loaded")
-                    table.map_page(vpn, type(pte)(
-                        pfn=pte.pfn, perms=perms, pkey=pte.pkey,
-                        present=True, user=True))
-        return table
+                if perms is not None:
+                    pages.append((section, perms, True))
+        for record in self.litterbox.arenas:
+            if record.owner in names:
+                access = env.access_to(record.owner)
+                pages.append((record.section, Perm.RW if access.includes(
+                    Access.RW) else Perm.R, access is not Access.U))
+        host_table = self.litterbox.kernel.host_table
+        for section, perms, present in pages:
+            for vpn in section.vpns():
+                pte = host_table.lookup(vpn)
+                if pte is None:
+                    raise ConfigError(f"section {section.name} not loaded")
+                env.table.map_page(vpn, type(pte)(
+                    pfn=pte.pfn, perms=perms, pkey=pte.pkey,
+                    present=present, user=True))
 
     def _on_mmap(self, base: int, size: int, pfns: list[int]) -> None:
         """New mmap'd memory appears RW in the host table and

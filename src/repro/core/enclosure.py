@@ -8,7 +8,7 @@ enter an equal-or-more-restrictive environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.packages import DependenceGraph
 from repro.core.policy import Access, Policy
@@ -103,8 +103,6 @@ class Environment:
     # Backend state.
     pkru: int | None = None          # LBMPK
     table: PageTable | None = None   # LBVTX
-    #: Per-environment stack sections (base addresses), one per goroutine.
-    stacks: dict[int, int] = field(default_factory=dict)
 
     @property
     def trusted(self) -> bool:

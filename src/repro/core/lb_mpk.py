@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.backends import Backend
 from repro.core.enclosure import LITTERBOX_USER, Environment
-from repro.core.policy import Access
 from repro.errors import ConfigError, Fault
 from repro.hw.clock import COSTS
 from repro.hw.cpu import CPU
@@ -44,6 +43,8 @@ class MPKBackend(Backend):
     """Intel MPK enforcement."""
 
     name = "mpk"
+    #: Keys come from one clustering of the whole program (§5.3).
+    incremental = False
 
     def __init__(self, virtualize_keys: bool = False,
                  arg_rules: list[ArgRule] | None = None):
@@ -66,12 +67,11 @@ class MPKBackend(Backend):
 
     def init(self, litterbox: "LitterBox") -> None:
         self.litterbox = litterbox
-        image = litterbox.image
         kernel = litterbox.kernel
         if kernel.host_table is None:
             raise ConfigError("MPK backend requires the host page table")
 
-        self._scan_for_pkru_writers(image)
+        self._scan_for_pkru_writers(litterbox.image)
 
         metas = litterbox.clustering.metas
         hardware_keys = NUM_KEYS - 1  # key 0 stays the default key
@@ -89,7 +89,7 @@ class MPKBackend(Backend):
                 self._virtualized_metas.add(meta.id)
 
         # Tag every package's pages with its meta-package key.
-        for pkg in image.graph:
+        for pkg in litterbox.graph:
             meta_id = litterbox.clustering.meta_of[pkg.name]
             key = self.key_of_meta[meta_id]
             for section in pkg.sections:
@@ -167,7 +167,7 @@ class MPKBackend(Backend):
             litterbox.obs.on_retag(env.name)
         owner_meta = litterbox.clustering.meta_for(env.spec.pseudo_package)
         for pkg in owner_meta.packages:
-            for section in litterbox.image.graph.get(pkg).sections:
+            for section in litterbox.graph.get(pkg).sections:
                 litterbox.kernel.syscall(
                     SYS_PKEY_MPROTECT,
                     (section.base, section.size, int(section.perms),

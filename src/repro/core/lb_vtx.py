@@ -51,6 +51,13 @@ class VTXBackend(TableBackend):
                             for vpn in table.mapped_vpns()])
         self.vm.launch(table)
 
+    def boot(self, cpu: CPU) -> None:
+        """Entering guest mode installs the trusted table as CR3 and the
+        EPT: any translations cached before it are flushed."""
+        cpu.ctx.page_table = self.trusted_table
+        cpu.ctx.ept = self.vm.vmcs.ept
+        self.litterbox.mmu.flush_tlb(cpu.ctx)
+
     def _trusted_table(self, host_table: PageTable) -> PageTable:
         # Everything user-accessible except super, which stays
         # supervisor-only (the loader maps it user=False already).

@@ -13,16 +13,18 @@ lives behind supervisor-only pages and in host-level (Python) state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.backends import Backend
 from repro.core.clustering import Clustering, cluster_packages
 from repro.core.enclosure import (
+    EnclosureSpec,
     Environment,
     compute_view,
     make_trusted_environment,
 )
+from repro.core.packages import DependenceGraph
 from repro.errors import (
     CallSiteFault,
     ConfigError,
@@ -40,10 +42,20 @@ from repro.os.kernel import Kernel
 from repro.os.syscalls import SYS_MMAP
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.policy import Access
     from repro.runtime.scheduler import Goroutine
 
 STACK_SIZE = 16 * PAGE_SIZE
 _ARENA_PERMS = Perm.RW
+
+
+@dataclass
+class ProgramInfo:
+    """What one Init registers: a linked ElfImage's three fields."""
+
+    graph: DependenceGraph
+    enclosures: list[EnclosureSpec] = field(default_factory=list)
+    verif: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -63,7 +75,10 @@ class LitterBox:
         self.kernel = kernel
         self.mmu = mmu
         self.clock = clock
-        self.image: ElfImage | None = None
+        #: The first Init's program description (MPK scans its code).
+        self.image: ElfImage | ProgramInfo | None = None
+        #: Every package registered so far, with its imports and sections.
+        self.graph = DependenceGraph()
         self.trusted_env = make_trusted_environment()
         self.envs: dict[int, Environment] = {
             self.trusted_env.id: self.trusted_env}
@@ -99,37 +114,50 @@ class LitterBox:
 
     # ------------------------------------------------------------------ Init
 
-    def init(self, image: ElfImage) -> None:
-        """Validate the program description and create all environments.
+    def init(self, image: ElfImage | ProgramInfo) -> None:
+        """Register packages, enclosures and `.verif` call sites (§4.2):
+        the Go frontend's whole program once, the Python frontend's
+        partial information at every import and first call (§5.2).
 
         "LitterBox validates the configuration passed to Init by ensuring
         that sections are aligned and non-overlapping and that the memory
-        views and authorized system calls can be satisfied" (§5.3).
-        """
-        if self.initialized:
+        views and authorized system calls can be satisfied" (§5.3); a
+        call that fails changes nothing.  Existing views gain the new
+        packages that became their natural dependencies."""
+        if self.initialized and not self.backend.incremental:
             raise ConfigError("LitterBox.Init called twice for this program")
-        all_sections = [s for pkg in image.graph for s in pkg.sections]
-        check_disjoint(all_sections)
-        self.image = image
-        self.verif = dict(image.verif)
-
+        graph = self.graph.merged(image.graph)
+        check_disjoint([s for pkg in graph for s in pkg.sections])
+        added = {}
         for spec in image.enclosures:
-            view = compute_view(image.graph, spec)
-            env = Environment(
-                id=spec.id,
-                name=spec.name,
-                view=view,
-                syscalls=spec.policy.syscall_numbers,
-                spec=spec,
-            )
-            if spec.id in self.envs:
+            if spec.id in self.envs or spec.id in added:
                 raise ConfigError(f"duplicate enclosure id {spec.id}")
-            self.envs[spec.id] = env
+            added[spec.id] = Environment(
+                id=spec.id, name=spec.name, view=compute_view(graph, spec),
+                syscalls=spec.policy.syscall_numbers, spec=spec)
 
+        # §5.2: a view gains only packages new in this call, so an import
+        # never exposes a module loaded before (by trusted code, say).
+        fresh = {pkg.name for pkg in image.graph if pkg.name not in self.graph}
+        grown: dict[int, dict[str, Access]] = {}
+        for env in self.envs.values():
+            if env.spec is not None and fresh:
+                view = compute_view(graph, env.spec)
+                gained = {name: view[name] for name in fresh & view.keys()}
+                if gained:
+                    env.view = {**env.view, **gained}
+                    grown[env.id] = gained
+        self.graph = graph
+        self.verif.update(image.verif)
+        self.envs.update(added)
         self.clustering = cluster_packages(
-            image.graph.names(), list(self.envs.values()))
-        self.backend.init(self)
-        self.initialized = True
+            graph.names(), list(self.envs.values()))
+        if self.initialized:
+            self.backend.extend(grown)
+        else:
+            self.image = image
+            self.backend.init(self)
+            self.initialized = True
 
     def env(self, env_id: int) -> Environment:
         try:
@@ -301,7 +329,7 @@ class LitterBox:
             obs.on_transfer_begin(to_pkg, base, size, self.backend.name)
         moved = False
         try:
-            if self.image is not None and to_pkg not in self.image.graph:
+            if self.initialized and to_pkg not in self.graph:
                 raise ConfigError(f"transfer to unknown package {to_pkg!r}")
             section = Section(f"{to_pkg}.arena+{base:#x}", base, size,
                               perms=_ARENA_PERMS)

@@ -8,7 +8,7 @@ dependencies; a package outside that set is *foreign* to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
 from repro.hw.pages import Section
@@ -38,8 +38,10 @@ class PackageInfo:
 class DependenceGraph:
     """The program's directed package-dependence graph."""
 
-    def __init__(self) -> None:
+    def __init__(self, packages=()) -> None:
         self._packages: dict[str, PackageInfo] = {}
+        for package in packages:
+            self.add(package)
 
     def __contains__(self, name: str) -> bool:
         return name in self._packages
@@ -55,20 +57,40 @@ class DependenceGraph:
             raise ConfigError(f"duplicate package {package.name!r}")
         self._packages[package.name] = package
 
+    def merged(self, packages) -> "DependenceGraph":
+        """A copy of this graph with ``packages`` registered, as an Init
+        with partial information does (§5.2): a known package gains the
+        imports it brings, and no sections."""
+        graph = DependenceGraph(self)
+        for package in packages:
+            known = graph._packages.get(package.name)
+            if known is not None:
+                if package.sections:
+                    raise ConfigError(
+                        f"package {package.name!r} already registered")
+                package = replace(known, imports=tuple(
+                    dict.fromkeys(known.imports + package.imports)))
+            graph._packages[package.name] = package
+        graph._check_imports(packages)
+        return graph
+
     def get(self, name: str) -> PackageInfo:
         try:
             return self._packages[name]
         except KeyError:
             raise ConfigError(f"unknown package {name!r}") from None
 
-    def validate(self) -> None:
-        """Check import closure and reject import cycles (as Go does)."""
-        for package in self._packages.values():
+    def _check_imports(self, packages) -> None:
+        for package in packages:
             for dep in package.imports:
                 if dep not in self._packages:
                     raise ConfigError(
                         f"package {package.name!r} imports unknown "
                         f"package {dep!r}")
+
+    def validate(self) -> None:
+        """Check import closure and reject import cycles (as Go does)."""
+        self._check_imports(self._packages.values())
         state: dict[str, int] = {}  # 0 visiting, 1 done
 
         def visit(name: str, trail: tuple[str, ...]) -> None:

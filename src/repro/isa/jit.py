@@ -84,6 +84,7 @@ each trace once per process.
 
 from __future__ import annotations
 
+import re
 import struct
 
 from repro.errors import Fault
@@ -623,23 +624,9 @@ def gen_source(region: Region, profiled: bool) -> str:
     uses_locals = any(i.op in _LOCALS for i in instrs)
     local_reads = any(i.op == Op.LOADL for i in instrs)
     local_writes = any(i.op == Op.STOREL for i in instrs)
-    uses_frame = uses_locals or any(i.op == Op.ADDRL for i in instrs)
-    uses_word = any(i.op in (Op.LOAD, Op.STORE) for i in instrs)
-    uses_byte = any(i.op in (Op.LOAD1, Op.STORE1) for i in instrs)
-    uses_memcpy = any(i.op == Op.MEMCPY for i in instrs)
-    uses_slice_r = any(i.op == Op.RTCALL and i.imm1 == _RT_SLICE_AT
-                       for i in instrs)
-    uses_slice_w = any(i.op == Op.RTCALL and i.imm1 == _RT_SLICE_PUT
-                       for i in instrs)
-    uses_slice = uses_slice_r or uses_slice_w
-    # Word and slice accesses count ``word_fast``; they and byte
-    # accesses probe the TLB through _hit and count ``tlb_hits``.
-    uses_wf = uses_word or uses_slice
-    uses_th = uses_wf or uses_byte
-    uses_ctx = uses_locals or uses_th or uses_memcpy
-    uses_hoists = uses_locals or uses_th
-    uses_guarded = any(i.op == Op.RTCALL and i.imm1 in _RT_GUARDED
-                       for i in instrs)
+    uses_slice = any(i.op == Op.RTCALL
+                     and i.imm1 in (_RT_SLICE_AT, _RT_SLICE_PUT)
+                     for i in instrs)
     uses_pure_rt = any(i.op == Op.RTCALL and i.imm1 not in _RT_GUARDED
                        for i in instrs)
 
@@ -651,23 +638,10 @@ def gen_source(region: Region, profiled: bool) -> str:
     # constants.
     local_offs = [8 * i.imm1 for i in instrs if i.op in _LOCALS]
 
-    lines = ["def _trace(interp, cpu, left):"]
+    # The entry guards, the loop and the exits are emitted first; the
+    # prologue then hoists exactly the names they read (_HOISTS).
+    lines: list[str] = []
     emit = lines.append
-    emit("    ops = cpu.operands")
-    emit("    clock = cpu.clock")
-    if uses_ctx:
-        emit("    mmu = interp.mmu")
-        emit("    ctx = cpu.ctx")
-    if uses_frame:
-        emit("    fpb = cpu.fp + 16")
-    if uses_hoists:
-        emit("    table = ctx.page_table")
-        emit("    tgen = table.gen")
-        emit("    ept = ctx.ept")
-        emit("    egen = 0 if ept is None else ept.gen")
-        emit("    user = ctx.user")
-        emit("    pkru = ctx.pkru")
-        emit("    tget = ctx.tlb.get")
     # ``mmu.inject`` is set only while the injector has a fault armed.
     # Arming happens only in Prolog, an LBCALL, which regions exclude,
     # and disarming only in an access that then raises; so the value
@@ -687,21 +661,6 @@ def gen_source(region: Region, profiled: bool) -> str:
         if local_writes:
             _emit_preval(emit, "pg4 + 1", "sfw", write=True)
         emit(f"    sb = fpb - ((pg4 >> 2) << {PAGE_SHIFT})")
-    if uses_th:
-        emit("    inj = mmu.inject")
-        emit("    acc = mmu._access")
-        emit("    th = 0")
-    if uses_wf:
-        emit("    wf = 0")
-    if uses_word or uses_slice_r:
-        emit("    rword = mmu.read_word")
-    if uses_word or uses_slice_w:
-        emit("    wword = mmu.write_word")
-    if uses_memcpy:
-        emit("    mcpy = mmu.memcpy")
-    if uses_guarded:
-        emit("    dor = interp._do_rtcall")
-        emit("    gua = interp._guarded")
     if uses_pure_rt:
         # Unwired handler -> deopt; the interpreter raises the
         # canonical Fault("exec", "no runtime handler wired").
@@ -713,8 +672,6 @@ def gen_source(region: Region, profiled: bool) -> str:
             # Runtime semantics; a custom handler deopts the region.
             emit("    if getattr(dsp, '__func__', None) is not RTD:")
             emit(f"        return {G_RTCALL}")
-    if profiled:
-        emit("    prof = interp.profiler")
     for line in _fill(region.min_depth):
         emit(f"    {line}")
     emit("    now = clock.now_ns")
@@ -787,6 +744,14 @@ def gen_source(region: Region, profiled: bool) -> str:
         else:
             take(*ends[0], I, st)
 
+    # Word and slice accesses count ``word_fast`` in ``wf``; they and
+    # byte accesses probe the TLB through _hit and count ``tlb_hits``
+    # in ``th``.
+    read = _names(lines)
+    uses_wf = "wf" in read
+    uses_th = "th" in read
+    body = len(lines)
+
     # Fault hook: the clock local is authoritative unless the raise
     # came from inside an MMU helper that charged after our last sync
     # (then clock is already ahead — charges only ever advance time).
@@ -849,7 +814,42 @@ def gen_source(region: Region, profiled: bool) -> str:
     emit("    perf.jit_trace_executions += 1")
     emit("    perf.jit_insns += n")
     emit("    return n")
-    return "\n".join(lines) + "\n"
+
+    read |= _names(lines[body:])
+    hoists = []
+    for name, value in reversed(_HOISTS):
+        if name in read:
+            read |= _HOIST_READS[name]
+            hoists.append(f"    {name} = {value}")
+    return "\n".join(["def _trace(interp, cpu, left):", *reversed(hoists),
+                      *lines]) + "\n"
+
+
+#: The trace prologue's hoisted locals, in emission order: a name is
+#: hoisted only if the trace reads it, directly or through a later
+#: hoist's value.
+_HOISTS = (
+    ("ops", "cpu.operands"), ("clock", "cpu.clock"), ("mmu", "interp.mmu"),
+    ("ctx", "cpu.ctx"), ("fpb", "cpu.fp + 16"),
+    ("table", "ctx.page_table"), ("tgen", "table.gen"), ("ept", "ctx.ept"),
+    ("egen", "0 if ept is None else ept.gen"), ("user", "ctx.user"),
+    ("pkru", "ctx.pkru"), ("tget", "ctx.tlb.get"),
+    ("inj", "mmu.inject"), ("acc", "mmu._access"), ("th", "0"), ("wf", "0"),
+    ("rword", "mmu.read_word"), ("wword", "mmu.write_word"),
+    ("mcpy", "mmu.memcpy"), ("dor", "interp._do_rtcall"),
+    ("gua", "interp._guarded"), ("prof", "interp.profiler"),
+)
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def _names(lines: list[str]) -> set[str]:
+    """Every identifier the source ``lines`` mention."""
+    return set(_NAME.findall("\n".join(lines)))
+
+
+#: The names each hoist's value reads.
+_HOIST_READS = {name: _names([value]) for name, value in _HOISTS}
 
 
 def _hit(e: str, write: bool) -> str:

@@ -192,13 +192,7 @@ class Machine:
                                           pkru=pkru)
 
         self.litterbox.init(image)
-        if config.backend == "vtx":
-            vtx: VTXBackend = backend
-            # Entering guest mode installs a new CR3 and the EPT: any
-            # translations cached during loading are flushed.
-            self.cpu.ctx.page_table = vtx.trusted_table
-            self.cpu.ctx.ept = vtx.vm.vmcs.ept
-            self.mmu.flush_tlb(self.cpu.ctx)
+        backend.boot(self.cpu)
 
         # Further cores (SMP): each gets its own translation context —
         # a private software TLB and PKRU cell — starting from core 0's

@@ -2,10 +2,10 @@
 
 from repro.pylite.experiment import ExperimentResult, run_experiment
 from repro.pylite.interp import EnclosureFn, Interpreter, PyFunc
-from repro.pylite.machine import PyEnv, PyMachine, PyModule
+from repro.pylite.machine import PyMachine, PyModule
 
 __all__ = [
     "ExperimentResult", "run_experiment",
     "EnclosureFn", "Interpreter", "PyFunc",
-    "PyEnv", "PyMachine", "PyModule",
+    "PyMachine", "PyModule",
 ]

@@ -18,6 +18,7 @@ import ast
 import struct
 from dataclasses import dataclass, field
 
+from repro.core.enclosure import EnclosureSpec
 from repro.errors import PyliteError
 from repro.hw.clock import COSTS
 from repro.os.fs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
@@ -40,8 +41,7 @@ class PyFunc:
 class EnclosureFn:
     """A Pylite closure bound to an enclosure policy."""
 
-    name: str
-    env_id: int
+    spec: EnclosureSpec
     func: PyFunc
 
 
@@ -69,8 +69,6 @@ class Interpreter:
         self.sources: dict[str, str] = {}
         self.stdout: list[str] = []
         self._allocs_since_gc = 0
-        self._encl_seq = 0
-        machine.register_module("builtins", set())
         self.none = self._raw_new("builtins", obj.TYPE_NONE, b"")
         self.true = self._raw_new("builtins", obj.TYPE_BOOL,
                                   struct.pack("<q", 1))
@@ -82,16 +80,21 @@ class Interpreter:
     def add_source(self, name: str, source: str) -> None:
         self.sources[name] = source
 
-    def import_module(self, name: str) -> PyModule:
-        """Lazy import: parse, register with LitterBox, run top level."""
+    def import_module(self, name: str,
+                      importer: str | None = None) -> PyModule:
+        """Lazy import: register with LitterBox, parse, run top level."""
         module = self.machine.modules.get(name)
         if module is not None and module.namespace:
-            return module
+            return self.machine.register_module(name, importer)
         if name not in self.sources:
             raise PyliteError(f"no module named {name!r}")
         self.machine.clock.charge(COSTS.PY_IMPORT)
-        module = self.machine.register_module(name, set())
-        tree = ast.parse(self.sources[name])
+        module = self.machine.register_module(name, importer)
+        try:
+            tree = ast.parse(self.sources[name])
+        except SyntaxError as err:
+            raise PyliteError(
+                f"module {name!r}, line {err.lineno}: {err.msg}") from None
         frame = Frame(module=name, locals=module.namespace)
         for stmt in tree.body:
             self.exec_stmt(stmt, frame)
@@ -264,8 +267,7 @@ class Interpreter:
         self.machine.clock.charge(COSTS.PY_BYTECODE)
         if isinstance(node, ast.Import):
             for alias in node.names:
-                self.import_module(alias.name)
-                self.machine.register_module(frame.module, {alias.name})
+                self.import_module(alias.name, importer=frame.module)
                 frame.locals[alias.asname or alias.name] = \
                     ("module", alias.name)
         elif isinstance(node, ast.FunctionDef):
@@ -532,19 +534,16 @@ class Interpreter:
         func = self.eval_expr(node.args[1], frame)
         if not isinstance(func, PyFunc):
             raise PyliteError("enclosure() needs a function")
-        self._encl_seq += 1
-        name = f"pyencl_{self._encl_seq}"
-        env = self.machine.create_env(name, func.module, policy)
-        return EnclosureFn(name=name, env_id=env.id, func=func)
+        return EnclosureFn(
+            self.machine.create_enclosure(func.module, policy), func)
 
     def call_enclosure(self, encl: EnclosureFn, args: list) -> object:
         machine = self.machine
-        env = machine.envs[encl.env_id]
-        machine.enter_env(env)
+        machine.enter(encl.spec)
         try:
             return self.call_function(encl.func, args)
         finally:
-            machine.exit_env()
+            machine.leave()
 
 
 # ---------------------------------------------------------------- builtins

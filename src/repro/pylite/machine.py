@@ -1,44 +1,48 @@
 """The Pylite machine: a CPython-like runtime over simulated memory.
 
-Implements the paper's §5.2 CPython fork at simulation level:
+Implements the paper's §5.2 CPython fork at simulation level, on the
+same LitterBox as the Go frontend:
 
-* a **multi-segmented heap**: one allocator instance per module, with
-  module data and module code segregated in separate arenas;
-* **dynamic LitterBox registration**: modules register themselves and
-  their direct dependencies as they are imported (multiple ``Init``
-  calls with partial information); LitterBox — not the compiler —
-  computes transitive dependencies and full memory views;
-* **delayed environment initialization**: an enclosure's view and page
-  table (KVM state) are built at its first invocation, the cost §6.4
-  measures at 4.3% of the slowdown;
+* a **multi-segmented heap**: one allocator instance per module; its
+  code is the module package's text, and each data arena it grows is a
+  ``Transfer`` to the module;
+* **dynamic registration**: each import is an ``Init`` call with
+  partial information; LitterBox — not the compiler — computes
+  transitive dependencies and full memory views;
+* **delayed environment initialization**: an enclosure's first call is
+  the ``Init`` that builds its page table, the cost §6.4 measures;
 * **controlled trusted switches** for refcount/GC-metadata updates on
   objects mapped read-only (the conservative mode's ~18x), avoidable by
   mapping the data read-write (the optimized mode's ~1.4x).
 
-The enforcement backend is LBVTX, as in the paper's §6.4 experiment.
+Enclosure calls are ``Prolog``/``Epilog`` and system calls take the
+backend's FilterSyscall.  The enforcing backend is LBVTX, as in §6.4.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from repro.core.policy import Access, Policy, parse_policy
-from repro.errors import PyliteError, SyscallFault
+from repro.core.backends import BaselineBackend
+from repro.core.enclosure import EnclosureSpec
+from repro.core.lb_vtx import VTXBackend
+from repro.core.litterbox import LitterBox, ProgramInfo
+from repro.core.packages import DependenceGraph, PackageInfo
+from repro.core.policy import parse_policy
+from repro.errors import PyliteError
 from repro.hw.clock import COSTS, SimClock
+from repro.hw.cpu import CPU
 from repro.hw.mmu import MMU, TranslationContext
 from repro.hw.pages import PAGE_SIZE, Perm, Section
 from repro.hw.pagetable import PageTable
 from repro.hw.physmem import PhysicalMemory
+from repro.isa.opcodes import Hook
 from repro.os.kernel import Kernel
-from repro.os.syscalls import syscall_name
+from repro.runtime.scheduler import Goroutine
 
 ARENA_CHUNK = 16 * PAGE_SIZE
 CODE_CHUNK = 4 * PAGE_SIZE
-
-#: Cost of one environment switch (specialized guest syscall + CR3
-#: write), identical to LBVTX's switch path.
-SWITCH_NS = (COSTS.GUEST_SYSCALL + COSTS.VERIF_VTX + COSTS.CR3_WRITE
-             + COSTS.VTX_SWITCH_MISC)
 
 
 @dataclass
@@ -46,7 +50,6 @@ class PyModule:
     """Runtime state of one imported module."""
 
     name: str
-    deps: set[str] = field(default_factory=set)
     data_sections: list[Section] = field(default_factory=list)
     code_sections: list[Section] = field(default_factory=list)
     _cursor: int = 0
@@ -56,25 +59,11 @@ class PyModule:
     allocations: int = 0
 
 
-@dataclass
-class PyEnv:
-    """A dynamic execution environment for one Pylite enclosure."""
-
-    id: int
-    name: str
-    entry_module: str
-    policy: Policy
-    view: dict[str, Access] = field(default_factory=dict)
-    table: PageTable | None = None
-    initialized: bool = False
-    init_ns: float = 0.0
-
-
 class PyMachine:
-    """Memory, kernel, and the dynamic LitterBox for Pylite programs.
+    """Memory, kernel, and LitterBox for Pylite programs.
 
     ``mode``:
-      * ``python``       — stock CPython: no enforcement, no switches;
+      * ``python``       — stock CPython: the unenforced baseline;
       * ``conservative`` — LBVTX with trusted switches on every
                            refcount/GC write to read-only pages;
       * ``optimized``    — LBVTX, caller maps shared data RW so
@@ -85,7 +74,6 @@ class PyMachine:
         if mode not in ("python", "conservative", "optimized"):
             raise PyliteError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.enforcing = mode != "python"
         self.clock = SimClock()
         self.physmem = PhysicalMemory()
         self.mmu = MMU(self.physmem, self.clock)
@@ -93,48 +81,56 @@ class PyMachine:
         self.host_table = PageTable("py.host")
         self.kernel.host_table = self.host_table
         self.trusted_ctx = TranslationContext(page_table=self.host_table)
-        self.ctx = TranslationContext(page_table=self.host_table)
+        self.backend = BaselineBackend() if mode == "python" \
+            else VTXBackend()
+        self.litterbox = LitterBox(self.backend, self.kernel, self.mmu,
+                                   self.clock)
+        self.litterbox.trusted_ctx = self.trusted_ctx
+        self.cpu = CPU(mmu=self.mmu, clock=self.clock)
+        self.cpu.ctx = TranslationContext(page_table=self.host_table)
+        #: The interpreter's one thread: Prolog/Epilog keep its env stack.
+        self.thread = Goroutine(id=0, env=self.litterbox.trusted_env,
+                                entry=0)
         self.modules: dict[str, PyModule] = {}
-        self.envs: dict[int, PyEnv] = {}
-        self._env_stack: list[PyEnv] = []
-        self._next_env = 1
+        self._env_ids = itertools.count(1)
         self.syscall_ns = 0.0
         self.init_ns = 0.0
+        # The first Init: the trusted builtins (interned singletons, in
+        # every view), whose text holds the interpreter's two call gates.
+        text = self._new_module("builtins").code_sections[0]
+        self.prolog_gate, self.epilog_gate = text.base, text.base + 8
+        self.litterbox.init(ProgramInfo(
+            DependenceGraph([PackageInfo("builtins", sections=[text],
+                                         trusted=True)]),
+            verif={self.prolog_gate: int(Hook.PROLOG),
+                   self.epilog_gate: int(Hook.EPILOG)}))
+        self.backend.boot(self.cpu)
 
     # ------------------------------------------------------------- modules
 
-    def register_module(self, name: str, deps: set[str]) -> PyModule:
-        """One partial ``Init`` call: a module and its direct deps (§5.2).
-
-        Newly imported modules also become visible to currently active
-        enclosures ("the execution of an enclosure can trigger new
-        imports, so LitterBox's default policy makes these new packages
-        available to the executing enclosure").
-        """
+    def register_module(self, name: str,
+                        importer: str | None = None) -> PyModule:
+        """One import as one partial ``Init`` (§5.2): module ``name``
+        with its code if it is new, and ``importer``'s import of it."""
+        packages = []
         module = self.modules.get(name)
         if module is None:
-            module = PyModule(name=name)
-            self.modules[name] = module
-            self._grow_code(module)
-        module.deps |= deps
-        for env in self._env_stack:
-            if env.initialized and name not in env.view:
-                env.view[name] = Access.RWX
-                self._map_module_into(env, name)
+            module = self._new_module(name)
+            packages.append(PackageInfo(
+                name, sections=list(module.code_sections)))
+        if importer is not None and \
+                name not in self.litterbox.graph.get(importer).imports:
+            packages.append(PackageInfo(importer, imports=(name,)))
+        if packages:
+            self.litterbox.init(ProgramInfo(DependenceGraph(packages)))
         return module
 
-    def transitive_deps(self, name: str) -> set[str]:
-        """LitterBox computes transitive dependencies itself (§5.2)."""
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.modules[current].deps
-                         if current in self.modules else ())
-        return seen
+    def _new_module(self, name: str) -> PyModule:
+        module = PyModule(name=name)
+        self.modules[name] = module
+        module.code_sections.append(
+            self._mmap_section(f"py.{name}.text", CODE_CHUNK, Perm.RX))
+        return module
 
     # ------------------------------------------------------------- memory
 
@@ -144,7 +140,11 @@ class PyMachine:
             raise PyliteError("arena mmap failed")
         section = Section(label, base, size, perms)
         if perms != Perm.RW:
-            self.host_table.protect_range(base, size, perms)
+            # New memory is RW in the host table and, under LBVTX, in
+            # the trusted guest table cloned from it.
+            for table in (self.host_table, self.litterbox.trusted_env.table):
+                if table is not None:
+                    table.protect_range(base, size, perms)
         return section
 
     def _grow_data(self, module: PyModule) -> None:
@@ -154,17 +154,7 @@ class PyMachine:
         module.data_sections.append(section)
         module._cursor = section.base
         module._remaining = section.size
-        self.clock.tick("transfers")
-        # Map into every initialized environment per its view.
-        for env in self.envs.values():
-            if env.initialized:
-                self._map_section_into(env, module.name, section)
-
-    def _grow_code(self, module: PyModule) -> None:
-        section = self._mmap_section(
-            f"py.{module.name}.code{len(module.code_sections)}",
-            CODE_CHUNK, Perm.RX)
-        module.code_sections.append(section)
+        self.litterbox.transfer(section.base, section.size, module.name)
 
     def alloc(self, module_name: str, size: int) -> int:
         """Allocate from the module's own allocator instance (§5.2)."""
@@ -182,101 +172,38 @@ class PyMachine:
         module.allocations += 1
         return addr
 
-    # ---------------------------------------------------------- environments
+    # ---------------------------------------------------------- enclosures
 
-    def create_env(self, name: str, entry_module: str,
-                   policy_text: str) -> PyEnv:
-        env = PyEnv(id=self._next_env, name=name, entry_module=entry_module,
-                    policy=parse_policy(policy_text))
-        self._next_env += 1
-        self.envs[env.id] = env
-        return env
+    def create_enclosure(self, module: str,
+                         policy_text: str) -> EnclosureSpec:
+        """Describe an enclosure over a function of ``module``; LitterBox
+        learns of it at its first call."""
+        env_id = next(self._env_ids)
+        return EnclosureSpec(id=env_id, name=f"pyencl_{env_id}",
+                             owner=module, policy=parse_policy(policy_text),
+                             refs=(module,))
 
-    def _initialize_env(self, env: PyEnv) -> None:
-        """Delayed initialization at first invocation (§6.4): compute
-        the transitive view, build the page table, configure KVM."""
-        before = self.clock.now_ns
-        self.clock.charge(COSTS.PY_INIT_BASE)
-        env.view = {dep: Access.RWX
-                    for dep in self.transitive_deps(env.entry_module)}
-        # The builtins module (interned singletons) is available in
-        # every environment, like litterbox.user in the Go frontend.
-        env.view.setdefault("builtins", Access.RWX)
-        for mod, access in env.policy.modifiers.items():
-            if mod not in self.modules:
-                raise PyliteError(
-                    f"policy names unknown module {mod!r}")
-            if access is Access.U:
-                env.view.pop(mod, None)
-            else:
-                env.view[mod] = access
-        env.table = PageTable(f"py.env.{env.name}")
-        for name in env.view:
-            self._map_module_into(env, name)
-        env.initialized = True
-        env.init_ns = self.clock.now_ns - before
-        self.init_ns += env.init_ns
+    def enter(self, spec: EnclosureSpec) -> None:
+        """Prolog into the enclosure; its first call is the ``Init``
+        that registers it, the delayed initialization of §6.4."""
+        if spec.id not in self.litterbox.envs:
+            before = self.clock.now_ns
+            self.clock.charge(COSTS.PY_INIT_BASE)
+            self.litterbox.init(ProgramInfo(
+                DependenceGraph([PackageInfo(spec.pseudo_package,
+                                             imports=spec.refs)]),
+                enclosures=[spec]))
+            self.init_ns += self.clock.now_ns - before
+        self.litterbox.prolog(self.cpu, self.thread, spec.id,
+                              self.prolog_gate)
 
-    def _map_module_into(self, env: PyEnv, name: str) -> None:
-        module = self.modules.get(name)
-        if module is None:
-            return
-        for section in module.data_sections:
-            self._map_section_into(env, name, section)
-        access = env.view.get(name, Access.U)
-        if access is Access.RWX:
-            # Functions (code) are visible only with execute rights;
-            # an R/RW module's code stays hidden (§5.2).
-            for section in module.code_sections:
-                self._map_section_into(env, name, section)
-
-    def _map_section_into(self, env: PyEnv, name: str,
-                          section: Section) -> None:
-        access = env.view.get(name, Access.U)
-        if access is Access.U or env.table is None:
-            return
-        if section.perms == Perm.RX:
-            perms = Perm.RX
-        else:
-            perms = Perm.RW if access.includes(Access.RW) else Perm.R
-        for vpn in section.vpns():
-            pte = self.host_table.lookup(vpn)
-            if pte is not None:
-                env.table.map_page(vpn, type(pte)(
-                    pfn=pte.pfn, perms=perms, pkey=pte.pkey,
-                    present=True, user=True))
-                self.clock.charge(COSTS.PTE_UPDATE)
-
-    # ------------------------------------------------------------- switches
-
-    @property
-    def current_env(self) -> PyEnv | None:
-        return self._env_stack[-1] if self._env_stack else None
-
-    def enter_env(self, env: PyEnv) -> None:
-        if not env.initialized:
-            self._initialize_env(env)
-        self._charge_switch()
-        self._env_stack.append(env)
-        if self.enforcing:
-            self.ctx = TranslationContext(page_table=env.table)
-
-    def exit_env(self) -> None:
-        self._env_stack.pop()
-        self._charge_switch()
-        if self.enforcing:
-            table = (self.current_env.table if self.current_env
-                     else self.host_table)
-            self.ctx = TranslationContext(page_table=table)
-
-    def _charge_switch(self) -> None:
-        if self.enforcing:
-            self.clock.tick("switches", SWITCH_NS)
+    def leave(self) -> None:
+        self.litterbox.epilog(self.cpu, self.thread, self.epilog_gate)
 
     def _writable(self, addr: int) -> bool:
-        if not self.enforcing or self.current_env is None:
+        if not self.thread.env_stack:
             return True
-        pte = self.ctx.page_table.lookup(addr >> 12)
+        pte = self.cpu.ctx.page_table.lookup(addr >> 12)
         return pte is not None and pte.present and bool(pte.perms & Perm.W)
 
     def meta_write(self, addr: int, value: int) -> None:
@@ -289,34 +216,27 @@ class PyMachine:
         """
         self.clock.charge(COSTS.PY_INCREF)
         if self._writable(addr):
-            self.mmu.write_word(self.ctx, addr, value, charge=False)
+            self.mmu.write_word(self.cpu.ctx, addr, value, charge=False)
             return
         self.clock.tick("refcount_switches")
-        self.clock.tick("switches", SWITCH_NS)   # to trusted
-        self.mmu.write_word(self.trusted_ctx, addr, value, charge=False)
-        self.clock.tick("switches", SWITCH_NS)   # back to the enclosure
+        self.clock.tick("switches")   # each switch ticks, as Prolog's does
+        self.backend.switch_to(self.cpu, self.litterbox.trusted_env)
+        self.mmu.write_word(self.cpu.ctx, addr, value, charge=False)
+        self.clock.tick("switches")
+        self.backend.switch_to(self.cpu, self.thread.env)   # back
 
     def data_read(self, addr: int, size: int) -> bytes:
-        return self.mmu.read(self.ctx, addr, size, charge=False)
+        return self.mmu.read(self.cpu.ctx, addr, size, charge=False)
 
     def data_write(self, addr: int, data: bytes) -> None:
-        self.mmu.write(self.ctx, addr, data, charge=False)
+        self.mmu.write(self.cpu.ctx, addr, data, charge=False)
 
     # -------------------------------------------------------------- syscalls
 
     def do_syscall(self, nr: int, args: tuple[int, ...]) -> int:
-        """A system call from Pylite code, subject to the environment's
-        SysFilter and (when enforcing) the VM-exit cost of LBVTX."""
-        env = self.current_env
+        """A system call from Pylite code, through the backend's
+        FilterSyscall path (LBVTX: the guest OS filter, then a VM exit)."""
         before = self.clock.now_ns
-        if self.enforcing:
-            self.clock.charge(COSTS.GUEST_SYSCALL)
-            if env is not None and not env.policy.allow_all_syscalls and \
-                    nr not in env.policy.syscall_numbers:
-                raise SyscallFault(
-                    f"guest OS rejected {syscall_name(nr)} in "
-                    f"Pylite enclosure {env.name!r}", nr)
-            self.clock.tick("vm_exits", COSTS.VMEXIT_ROUNDTRIP)
-        result = self.kernel.syscall(nr, args, self.ctx, pkru=0)
+        result = self.backend.syscall(self.cpu, nr, args)
         self.syscall_ns += self.clock.now_ns - before
         return result

@@ -64,6 +64,16 @@ class TestRun:
         assert "No such file or directory" in err and str(missing) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "layout", "views", "py"])
+    def test_non_utf8_input_is_a_named_error(self, tmp_path, capsys,
+                                             command):
+        bad = tmp_path / "main.go"
+        bad.write_bytes(b"\xff\xfe")
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and str(bad) in err
+        assert len(err.splitlines()) == 1
+
 
 class TestOutOfRangeInputs:
     @pytest.mark.parametrize("argv", [
@@ -120,6 +130,15 @@ class TestPylite:
         assert main(["py", str(mod), str(app),
                      "--mode", "conservative"]) == 1
         assert "aborted" in capsys.readouterr().err
+
+    def test_py_syntax_error_is_a_named_abort(self, tmp_path, capsys):
+        app = tmp_path / "app.py"
+        app.write_text("x = 1\ndef f(:\n")
+        assert main(["py", str(app)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pylite: aborted: ")
+        assert "'__main__', line 2" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 class TestMicro:

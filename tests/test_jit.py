@@ -759,6 +759,40 @@ class TestGeneratedRegions:
         assert faults > 0
 
 
+def unused_hoists(source: str) -> list[str]:
+    """The trace-prologue locals that ``source`` never reads: a name
+    assigned before ``now = clock.now_ns`` and mentioned in no later
+    line other than a ``perf.<counter> += ...`` flush."""
+    lines = source.splitlines()
+    start = lines.index("    now = clock.now_ns")
+    unused = []
+    for k in range(1, start):
+        match = re.fullmatch(r"    ([A-Za-z_]\w*) = .*", lines[k])
+        if match is None:
+            continue
+        name = re.compile(rf"\b{match[1]}\b")
+        if not any(name.search(line) for line in lines[k + 1:]
+                   if not line.lstrip().startswith("perf.")):
+            unused.append(match[1])
+    return unused
+
+
+class TestHoists:
+    def test_every_hoisted_name_is_read(self):
+        """The prologue hoists what the emitted trace reads, not what
+        its ops might need: over the traces an async server compiles
+        under load, no hoisted local goes unused (``wf`` summed into
+        ``perf.word_fast`` but never incremented counts as unused)."""
+        from repro.workloads.loadgen import run_level
+        machine = run_level("mpk", 40_000, 60, 1).machine
+        sources = [fn.__jit_source__
+                   for _region, fn in machine.image.jit_memo.values()
+                   if fn is not None]
+        assert len(sources) >= 40
+        assert not [names for names in map(unused_hoists, sources)
+                    if names]
+
+
 class TestGuardsAndDeopts:
     def _warm_countdown(self) -> MiniMachine:
         mm = jit_mini(threshold=1)

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core.enclosure import LITTERBOX_SUPER
-from repro.errors import CallSiteFault, ConfigError, PageFault
-from repro.hw.pages import PAGE_SIZE, Perm
+from repro.core.enclosure import LITTERBOX_SUPER, EnclosureSpec
+from repro.core.litterbox import ProgramInfo
+from repro.core.packages import DependenceGraph, PackageInfo
+from repro.core.policy import Access, parse_policy
+from repro.errors import CallSiteFault, ConfigError, PageFault, PolicyError
+from repro.hw.pages import PAGE_SIZE, Perm, Section
 from repro.isa.opcodes import Hook
 from repro.machine import Machine, MachineConfig
 from repro.os.syscalls import SYS_MMAP
@@ -77,6 +80,131 @@ class TestInit:
             assert env.table.lookup(load.section.base >> 12) is None
             host_pte = machine.host_table.lookup(load.section.base >> 12)
             assert host_pte is not None and not host_pte.user
+
+
+def mmap_pages(machine, pages):
+    return machine.kernel.syscall(SYS_MMAP, (0, pages * PAGE_SIZE, 3, 0),
+                                  None, pkru=0)
+
+
+def later_init(machine, *packages, enclosures=()):
+    """A second Init, as the Python frontend makes at each import and
+    at each enclosure's first call."""
+    machine.litterbox.init(ProgramInfo(DependenceGraph(packages),
+                                       list(enclosures)))
+
+
+def entries(table):
+    return {vpn: table.lookup(vpn) for vpn in table.mapped_vpns()}
+
+
+@pytest.mark.parametrize("backend", ["vtx", "lwc"])
+class TestIncrementalInit:
+    """Init with partial information (§5.2) on the page-table backends:
+    each call adds packages and enclosures and extends what exists."""
+
+    def _extra(self, machine, enclosure_id=2, policy="none"):
+        """A new package with one data page, and an enclosure over it."""
+        base = mmap_pages(machine, 1)
+        package = PackageInfo(
+            "extra", sections=[Section("extra.data", base, PAGE_SIZE,
+                                       Perm.RW)])
+        spec = EnclosureSpec(id=enclosure_id, name="e2", owner="extra",
+                             policy=parse_policy(policy), refs=("extra",))
+        pseudo = PackageInfo(spec.pseudo_package, imports=("extra",))
+        return base, (package, pseudo), spec
+
+    def test_builds_only_the_new_environments_table(self, backend):
+        machine = machine_for(backend)
+        base, packages, spec = self._extra(machine)
+        rcl = machine.litterbox.env(1)
+        table, before, gen = rcl.table, entries(rcl.table), rcl.table.gen
+        later_init(machine, *packages, enclosures=[spec])
+        e2 = machine.litterbox.env(2)
+        assert e2.table is not None and e2.table is not table
+        assert e2.table.lookup(base >> 12).perms == Perm.RW
+        # rcl's view did not grow: its table was left alone.
+        assert rcl.table is table and rcl.table.gen == gen
+        assert entries(rcl.table) == before
+        assert not rcl.table.lookup(base >> 12).present
+
+    def test_a_grown_view_maps_the_new_package(self, backend):
+        machine = machine_for(backend)
+        rcl = machine.litterbox.env(1)
+        table = rcl.table
+        arena = mmap_pages(machine, 1)
+        machine.litterbox.transfer(arena, PAGE_SIZE, "secrets")
+        arena_pte = rcl.table.lookup(arena >> 12)
+        base, (extra, _pseudo), _spec = self._extra(machine)
+        # extra arrives with libfx's import of it: libfx is a natural
+        # dependency of rcl, so extra becomes one too.
+        later_init(machine, extra, PackageInfo("libfx", imports=("extra",)))
+        assert rcl.view["extra"] is Access.RWX
+        assert rcl.table is table
+        pte = rcl.table.lookup(base >> 12)
+        assert pte.present and pte.perms == Perm.RW
+        # Only the gained package was mapped: secrets' arena was not
+        # replayed.
+        assert rcl.table.lookup(arena >> 12) is arena_pte
+
+    def test_an_import_of_a_known_package_grows_no_view(self, backend):
+        """§5.2 makes only *new* packages available: a package that was
+        registered before never joins an existing view, although an
+        import makes it a natural dependency."""
+        machine = machine_for(backend)
+        rcl = machine.litterbox.env(1)
+        base, packages, spec = self._extra(machine)
+        later_init(machine, *packages, enclosures=[spec])
+        before = entries(rcl.table)
+        later_init(machine, PackageInfo("libfx", imports=("extra",)))
+        assert "extra" in machine.litterbox.graph.natural_dependencies(
+            "libfx")
+        assert "extra" not in rcl.view
+        assert entries(rcl.table) == before
+        assert not rcl.table.lookup(base >> 12).present
+
+    def test_sections_for_a_known_package_rejected(self, backend):
+        machine = machine_for(backend)
+        base = mmap_pages(machine, 1)
+        more = PackageInfo("libfx", sections=[Section(
+            "libfx.more", base, PAGE_SIZE, Perm.RW)])
+        with pytest.raises(ConfigError, match="already registered"):
+            later_init(machine, more)
+        assert machine.litterbox.graph.get("libfx").sections == [
+            load.section for load in machine.image.sections_of("libfx")]
+
+    def test_a_new_table_sees_earlier_transfers(self, backend):
+        machine = machine_for(backend)
+        arena = mmap_pages(machine, 2)
+        machine.litterbox.transfer(arena, 2 * PAGE_SIZE, "secrets")
+        _base, packages, spec = self._extra(machine, policy="secrets:R")
+        later_init(machine, *packages, enclosures=[spec])
+        pte = machine.litterbox.env(2).table.lookup(arena >> 12)
+        assert pte.present and pte.perms == Perm.R
+
+    def test_overlapping_section_rejected(self, backend):
+        machine = machine_for(backend)
+        main_data = machine.image.section_named("main.data").section
+        clash = PackageInfo("clash", sections=[Section(
+            "clash.data", main_data.base, PAGE_SIZE, Perm.RW)])
+        with pytest.raises(ConfigError, match="overlap"):
+            later_init(machine, clash)
+        assert "clash" not in machine.litterbox.graph
+
+    def test_duplicate_enclosure_id_rejected(self, backend):
+        machine = machine_for(backend)
+        _base, packages, spec = self._extra(machine, enclosure_id=1)
+        with pytest.raises(ConfigError, match="duplicate enclosure id"):
+            later_init(machine, *packages, enclosures=[spec])
+        assert machine.litterbox.env(1).name == "rcl"
+        assert "extra" not in machine.litterbox.graph
+
+    def test_modifier_naming_unknown_package_rejected(self, backend):
+        machine = machine_for(backend)
+        _base, packages, spec = self._extra(machine, policy="ghost:R")
+        with pytest.raises(PolicyError, match="unknown package 'ghost'"):
+            later_init(machine, *packages, enclosures=[spec])
+        assert set(machine.litterbox.envs) == {0, 1}
 
 
 class TestCallSiteVerification:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.policy import Access
-from repro.errors import PyliteError, SyscallFault
+from repro.errors import PageFault, PyliteError, SyscallFault
+from repro.hw.clock import COSTS
+from repro.hw.pages import Perm
 from repro.pylite import Interpreter, PyMachine, run_experiment
 
 
@@ -89,8 +91,9 @@ class TestModules:
             "import a\nout = a.f()\n",
             a="import b\ndef f():\n    return b.g()\n",
             b="def g():\n    return 1\n")
-        assert "b" in machine.modules["a"].deps
-        assert machine.transitive_deps("a") == {"a", "b"}
+        graph = machine.litterbox.graph
+        assert "b" in graph.get("a").imports
+        assert graph.natural_dependencies("a") == {"b"}
 
     def test_module_globals(self):
         _, interp = run_pylite(
@@ -197,6 +200,97 @@ class TestPyliteEnclosures:
             helper="def bump(x):\n    return x + 1\n")
         assert result_of(interp) == 11
 
+    def test_denied_syscall_is_attributed_to_the_enclosure(self):
+        """FilterSyscall runs on the issuing environment and pins the
+        denial on it, as for the Go frontend."""
+        leaky = ('def run(data):\n'
+                 '    write_file("/stolen", "x")\n'
+                 '    return 0\n')
+        with pytest.raises(SyscallFault) as denied:
+            run_pylite(
+                "import secret\nimport worker\n"
+                'f = enclosure("secret:R, none", worker.run)\n'
+                "out = f(secret.data)\n",
+                mode="conservative", secret=self.SECRET, worker=leaky)
+        assert denied.value.env_name == "pyencl_1"
+        assert denied.value.origin() == "env 'pyencl_1'"
+
+    LATE_MAIN = ("import worker\n"
+                 'f = enclosure("none", worker.total)\n'
+                 "a = f(worker.data)\n"
+                 "{load}"
+                 "b = f({late}.data)\n")
+    VIEWED = ("data = [1, 2]\n"
+              "def total(xs):\n"
+              "    s = 0\n"
+              "    for v in xs:\n"
+              "        s = s + v\n"
+              "    return s\n"
+              "def load():\n"
+              "    import helper\n"
+              "    return helper\n")
+
+    def test_module_imported_by_trusted_code_stays_unmapped(self):
+        """A module that only trusted code imports after the enclosure's
+        first call is no natural dependency of the enclosure, so it
+        never joins the enclosure's view."""
+        machine = PyMachine("conservative")
+        interp = Interpreter(machine)
+        interp.add_source("worker", self.VIEWED)
+        interp.add_source("late", "data = [3, 4]\n")
+        with pytest.raises(PageFault):
+            interp.run_main(self.LATE_MAIN.format(load="import late\n",
+                                                  late="late"))
+        assert result_of(interp, "a") == 3
+        assert "late" not in machine.litterbox.env(1).view
+
+    def test_module_imported_by_a_viewed_module_joins_the_view(self):
+        """An import made by a module of the enclosure's view, even by
+        trusted code after the first call, makes the imported module a
+        natural dependency: it joins the view as RWX (§5.2)."""
+        machine, interp = run_pylite(
+            self.LATE_MAIN.format(load="helper = worker.load()\n",
+                                  late="helper"),
+            mode="conservative", worker=self.VIEWED,
+            helper="data = [3, 4]\n")
+        assert (result_of(interp, "a"), result_of(interp, "b")) == (3, 7)
+        assert machine.litterbox.env(1).view["helper"] is Access.RWX
+
+    def test_import_of_a_loaded_module_does_not_widen_the_view(self):
+        """An enclosure that imports a module trusted code loaded before
+        gets no access to it: §5.2 makes only new modules available."""
+        grabber = ("def run():\n"
+                   "    import secret\n"
+                   "    secret.data[0] = 666\n"
+                   "    return secret.data[0]\n")
+        machine = PyMachine("conservative")
+        interp = Interpreter(machine)
+        interp.add_source("secret", self.SECRET)
+        interp.add_source("worker", grabber)
+        with pytest.raises(PageFault) as fault:
+            interp.run_main("import secret\nimport worker\n"
+                            'f = enclosure("none", worker.run)\n'
+                            "out = f()\n")
+        assert any(arena.contains(fault.value.addr)
+                   for arena in machine.litterbox.arena_of("secret"))
+        assert "secret" in machine.litterbox.graph.get("worker").imports
+        assert "secret" not in machine.litterbox.env(1).view
+        data = machine.modules["secret"].namespace["data"]
+        assert interp.to_python(data) == [10, 20, 30]
+
+    @pytest.mark.parametrize("mode", ["python", "conservative"])
+    def test_module_text_is_read_execute_to_trusted_code(self, mode):
+        """A module imported after start-up has RX text in the table
+        trusted code runs on (under LBVTX, the trusted guest table)."""
+        machine, _ = run_pylite("import late\n", mode=mode,
+                                late="x = 1\n")
+        text = machine.modules["late"].code_sections[0]
+        assert machine.cpu.ctx.page_table is \
+            (machine.litterbox.trusted_env.table or machine.host_table)
+        for table in (machine.host_table, machine.cpu.ctx.page_table):
+            for vpn in text.vpns():
+                assert table.lookup(vpn).perms == Perm.RX
+
     def test_refcount_switches_counted(self):
         machine, interp = run_pylite(
             "import secret\nimport worker\n"
@@ -221,9 +315,9 @@ class TestPyliteEnclosures:
             "a = f(secret.data)\nb = f(secret.data)\nout = a + b\n",
             mode="conservative", secret=self.SECRET, worker=self.WORKER)
         assert result_of(interp) == 120
-        envs = [e for e in machine.envs.values() if e.initialized]
-        assert len(envs) == 1 and envs[0].init_ns > 0
-        assert machine.init_ns == envs[0].init_ns
+        envs = [e for e in machine.litterbox.envs.values() if not e.trusted]
+        assert len(envs) == 1 and envs[0].table is not None
+        assert machine.init_ns == COSTS.PY_INIT_BASE
 
 
 class TestExperiment:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PyliteError
+from repro.errors import PolicyError, PyliteError
 from repro.pylite import Interpreter, PyMachine
 
 from tests.test_pylite import result_of, run_pylite
@@ -109,7 +109,7 @@ class TestMachineBehaviour:
         assert machine.clock.now_ns > before
 
     def test_policy_with_unknown_module_rejected_at_first_call(self):
-        with pytest.raises(PyliteError, match="unknown module"):
+        with pytest.raises(PolicyError, match="unknown package"):
             run_pylite(
                 "import w\n"
                 'f = enclosure("ghost:R, none", w.f)\n'
