@@ -243,11 +243,12 @@ class TableBackend(Backend):
     # --------------------------------------------------------------- switches
 
     def _install(self, cpu: CPU, env: Environment) -> None:
-        """Make ``env``'s table the core's root.  That is a CR3 write,
-        which flushes the TLB (no PCID in this model); the subclass's
-        switch charge already holds the write's simulated cost."""
+        """Make ``env``'s table the core's root.  That is a CR3 write;
+        the subclass's switch charge (``CR3_WRITE``) already holds its
+        simulated cost, hardware TLB flush included.  The software TLB
+        needs no flush: its entries are tagged with their table, so the
+        old table's entries miss until that table is installed again."""
         cpu.ctx.page_table = env.table
-        self.litterbox.mmu.flush_tlb(cpu.ctx)
         # Per-core state: SMP syscall filtering reads the environment
         # last installed on the issuing core, not a backend global.
         cpu.current_env = env

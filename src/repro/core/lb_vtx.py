@@ -53,10 +53,10 @@ class VTXBackend(TableBackend):
 
     def boot(self, cpu: CPU) -> None:
         """Entering guest mode installs the trusted table as CR3 and the
-        EPT: any translations cached before it are flushed."""
+        EPT.  Translations cached before it carry the host table and no
+        EPT in their tags, so they miss from here on."""
         cpu.ctx.page_table = self.trusted_table
         cpu.ctx.ept = self.vm.vmcs.ept
-        self.litterbox.mmu.flush_tlb(cpu.ctx)
 
     def _trusted_table(self, host_table: PageTable) -> PageTable:
         # Everything user-accessible except super, which stays

@@ -97,10 +97,6 @@ class LitterBox:
         #: Optional deterministic fault injector (repro.inject), wired
         #: by the machine; ``None`` keeps Prolog injection-free.
         self.injector = None
-        #: Optional callback invalidating the interpreter's compiled
-        #: JIT traces, wired by the machine; quarantine and revival call
-        #: it, and it is the enforcement boundary's only cache flush.
-        self.jit_flush = None
         #: Containment policy state (set by the machine from its config).
         self.fault_policy = "abort"
         self.quarantine_threshold = 1
@@ -286,13 +282,6 @@ class LitterBox:
         self.quarantined[env_id] = f"{count} contained fault(s), " \
                                    f"last: fault[{fault.kind}]"
         self.backend.quarantine(env)
-        # Compiled JIT traces are revoked with the environment: a trace
-        # compiled before the quarantine must never be re-entered under
-        # the new policy (the cache generation bump makes that
-        # structural).  The TLB needs nothing here: MPK re-checks keys
-        # per access, and VTX/LWC revoke_all bumps the table generation.
-        if self.jit_flush is not None:
-            self.jit_flush()
         if self.obs is not None:
             self.obs.on_quarantine(env.name, fault, count)
 
@@ -300,12 +289,7 @@ class LitterBox:
         """Supervised revival of a quarantined environment (the tenant
         lifecycle manager's restart path).  Undoes the hardware
         revocation and clears the trip-wire count; returns ``False`` if
-        the environment was not quarantined.
-
-        The quarantine's JIT flush applies here too: compiled traces
-        may encode "env X is quarantined" decisions and must not replay
-        them after the revival.
-        """
+        the environment was not quarantined."""
         if env_id not in self.quarantined:
             return False
         env = self.envs.get(env_id)
@@ -314,8 +298,6 @@ class LitterBox:
         del self.quarantined[env_id]
         self.fault_counts[env_id] = 0
         self.backend.unquarantine(env)
-        if self.jit_flush is not None:
-            self.jit_flush()
         if self.obs is not None:
             self.obs.on_revive(env.name)
         return True

@@ -15,11 +15,12 @@ Each :class:`TranslationContext` carries a software TLB: a dict mapping
 ept_gen)`` tuple, filled only after a walk fully passes the present /
 user / permission checks — a denied translation is never cached.  A hit
 revalidates the tag (same page table object, same generation, same EPT
-and generation) so that any ``map``/``unmap``/``protect`` edit — which
-bumps :attr:`PageTable.gen` — invalidates stale entries with no
-shootdown, and explicit :meth:`flush_tlb` calls model the places real
-hardware flushes (CR3 writes, environment switches in the VT-x/LWC
-backends).
+and generation), and that test is the TLB's only invalidation: any
+``map``/``unmap``/``protect`` edit bumps :attr:`PageTable.gen`, and
+under the table a CR3 write installs (a VT-x/LWC switch) the old
+table's entries miss, then hit again once it is back unless a fill
+replaced them (one entry per page and kind).  Nothing flushes; the
+``CR3_WRITE`` charge holds the hardware flush's simulated cost.
 
 PKRU is deliberately **not** part of the TLB tag: as on real MPK
 hardware, protection keys are checked on every data access against the
@@ -212,9 +213,10 @@ class MMU:
     def flush_tlb(self, ctx: TranslationContext) -> None:
         """Drop every cached translation for ``ctx``.
 
-        Called where real hardware flushes: CR3 writes (VT-x / LWC
-        environment switches) and guest-mode entry.  Page-table edits do
-        not need it — the generation tag already invalidates them.
+        Nothing in the simulator calls it: the tag test in
+        :meth:`_access` already rejects an entry from another table or
+        an older generation.  It stays, with ``tlb_flushes``, only
+        because perfbench wraps it by name.
         """
         ctx.tlb.clear()
         self.perf.tlb_flushes += 1

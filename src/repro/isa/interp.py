@@ -89,7 +89,7 @@ class Interpreter:
     """Executes instructions against a :class:`CPU`."""
 
     def __init__(self, mmu: MMU, clock: SimClock, fusion: bool = True,
-                 jit: bool = False):
+                 jit: bool = False, profiler=None):
         self.mmu = mmu
         self.clock = clock
         self.perf = mmu.perf
@@ -112,22 +112,12 @@ class Interpreter:
         #: Architectural instructions retired by the most recent
         #: :meth:`run_slice` call (valid even if it raised).
         self.slice_executed = 0
-        #: Sim-time sampling profiler, wired by the machine; drained by
-        #: :meth:`run_slice` at retire boundaries.
-        self._profiler = None
+        #: Sim-time sampling profiler, passed by the machine; drained by
+        #: :meth:`run_slice` at retire boundaries.  Fixed for the
+        #: interpreter's life, because compiled traces bake in whether
+        #: they drain it at group boundaries.
+        self.profiler = profiler
         self._dispatch = _build_dispatch()
-
-    @property
-    def profiler(self):
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        # Compiled traces bake in whether they drain the profiler at
-        # group boundaries, so changing the profiler invalidates them.
-        if value is not self._profiler and self.jit is not None:
-            self.jit.flush()
-        self._profiler = value
 
     def register_code(self, base: int, instrs: list[Instr]) -> None:
         code = self.code
@@ -228,7 +218,7 @@ class Interpreter:
         perf = self.perf
         op_counts = perf.op_counts
         mmu = self.mmu
-        profiler = self._profiler
+        profiler = self.profiler
         clock = self.clock
         jit_op = JIT_OP
         self._jit_partial = 0
@@ -344,13 +334,6 @@ class Interpreter:
         perf.tlb_hits += fast
         perf.jit_insns += retired
         self._jit_partial = retired
-
-    def flush_jit(self) -> None:
-        """Invalidate all compiled traces (no-op when the JIT is off).
-        Wired to quarantine trips; any page-policy edit site may call
-        it."""
-        if self.jit is not None:
-            self.jit.flush()
 
     # -- helpers -------------------------------------------------------------
 

@@ -70,16 +70,21 @@ Regions are built along *dispatch groups* (a fused pair is one group):
 profiled variant drains the sampling profiler at group boundaries with
 the group-start pc — both exactly what ``run_slice`` does with a
 profiler attached.  A region and its trace depend only on the image's
-code, so they are built once per linked image: the machine hands its
-:class:`JitCompiler` the image's memo, and every machine built from
-that image links the same function.  :meth:`JitCompiler.flush` (quarantine
-trips, profiler changes) turns every entry cold, so nothing compiled
-before an enforcement change is re-entered without re-warming
-(per-dispatch safety additionally rests on ``run_slice``'s
-generation-checked exec tag, which the JIT does not bypass).  Compiled
-function objects are also shared process-wide through a source-keyed
-cache (:data:`_COMPILED`), so fresh images of the same program compile
-each trace once per process.
+code and on whether the interpreter has a profiler, which is fixed for
+its life, so they are built once per linked image: the machine hands
+its :class:`JitCompiler` the image's memo, and every machine built from
+that image links the same function.
+
+A trace encodes no policy.  Each call hoists the context, its table and
+generation, the EPT and PKRU, and every access passes :func:`_hit`, the
+tag test of ``MMU._access``, so a CR3 write, a page-table edit or a
+PKRU change made between two calls (nothing inside a region makes one)
+reaches the next call's first access.  A linked trace therefore stays
+linked for the interpreter's life: quarantine, revival and environment
+switches leave it alone.  Compiled function objects are also shared
+process-wide through a cache keyed by everything :func:`gen_source`
+reads from a region (:data:`_COMPILED`), so fresh images of the same
+program generate and compile each trace once per process.
 """
 
 from __future__ import annotations
@@ -399,10 +404,9 @@ class JitCompiler:
     switch is on).  :meth:`register` installs a cold entry at every
     leader; a leader that reaches the threshold gets its region and
     trace from :attr:`memo`, building them on a miss, or is handed back
-    to the interpreter when no region qualifies.  A :meth:`flush` —
-    wired to quarantine trips and available to any policy-edit site —
-    turns every entry cold again, so each trace is re-warmed before it
-    runs after an enforcement change.
+    to the interpreter when no region qualifies.  A linked trace is
+    never unlinked: it checks its translation state on every call (see
+    the module docstring).
     """
 
     def __init__(self, interp):
@@ -455,24 +459,16 @@ class JitCompiler:
         entry.fn = fn
         interp.perf.jit_traces_compiled += 1
 
-    def flush(self) -> None:
-        """Unlink every trace (quarantine / policy edit).
-
-        Entries stay installed but cold; re-warming re-links."""
-        for entry in self.entries.values():
-            entry.fn = None
-            entry.count = 0
-        self.interp.perf.jit_flushes += 1
-
 
 # -- codegen ------------------------------------------------------------------
 
-#: Process-global compiled-trace cache, keyed by generated source.
-#: Identical code generates byte-identical source, so the expensive
-#: ``compile`` step is paid once per process even across fresh images
-#: of one program.  Traces carry no per-machine state — everything
-#: reaches them through their arguments — so the function objects are
-#: safely shareable.
+#: Process-global compiled-trace cache, keyed by everything
+#: :func:`gen_source` reads: the region's entry, length, entry depth,
+#: blocks, edges and code, and ``profiled``.  Equal keys generate
+#: byte-identical source, so source generation and ``compile`` are paid
+#: once per process even across fresh images of one program.  Traces
+#: carry no per-machine state — everything reaches them through their
+#: arguments — so the function objects are safely shareable.
 _COMPILED: dict = {}
 _COMPILED_MAX = 4096
 
@@ -488,10 +484,13 @@ def compile_region(region: Region, profiled: bool):
     pass.  A negative return is the :data:`GUARDS` code of the entry
     guard that failed; nothing observable happened (the interpreter
     runs the region instead)."""
-    source = gen_source(region, profiled)
-    fn = _COMPILED.get(source)
+    key = (region.entry, region.length, region.min_depth,
+           tuple(map(tuple, region.blocks)), tuple(region.ends),
+           tuple(region.code.items()), profiled)
+    fn = _COMPILED.get(key)
     if fn is not None:
         return fn
+    source = gen_source(region, profiled)
     namespace = {
         "Fault": Fault,
         "unpack_from": _WORD.unpack_from,
@@ -506,7 +505,7 @@ def compile_region(region: Region, profiled: bool):
     fn.__jit_source__ = source  # for tests / debugging
     if len(_COMPILED) >= _COMPILED_MAX:
         _COMPILED.clear()
-    _COMPILED[source] = fn
+    _COMPILED[key] = fn
     return fn
 
 

@@ -165,10 +165,9 @@ class Machine:
         self.kernel.host_table = self.host_table
         self.interp = Interpreter(self.mmu, self.clock,
                                   fusion=config.fuse_superinstructions,
-                                  jit=config.jit)
+                                  jit=config.jit, profiler=self.profiler)
         if self.interp.jit is not None:
             self.interp.jit.memo = image.jit_memo
-        self.interp.profiler = self.profiler
         self.cpu = CPU(mmu=self.mmu, clock=self.clock)
         self.fault: Fault | None = None
 
@@ -183,7 +182,6 @@ class Machine:
         self.backend = backend
         self.litterbox = LitterBox(backend, self.kernel, self.mmu, self.clock)
         self.mmu.obs = self.kernel.obs = self.litterbox.obs = self.obs
-        self.litterbox.jit_flush = self.interp.flush_jit
         self.litterbox.trusted_ctx = TranslationContext(
             page_table=self.host_table, pkru=None)
 

@@ -1,7 +1,7 @@
 """Interpreter performance counters (wall-clock observability).
 
 :class:`PerfStats` counts what the *simulator's* hot path does — TLB
-hits/misses/flushes, fetch fast-path behaviour, per-opcode dispatch
+hits/misses, fetch fast-path behaviour, per-opcode dispatch
 frequencies, superinstruction fusion and the trace JIT.  These are
 observability counters for the interpreter itself; they are deliberately
 disjoint from :class:`~repro.hw.clock.SimClock`, whose simulated-nanosecond
@@ -37,8 +37,7 @@ class PerfStats:
     __slots__ = ("tlb_hits", "tlb_misses", "tlb_flushes",
                  "fetch_slow", "word_fast", "word_slow", "op_counts",
                  "jit_traces_compiled", "jit_trace_executions",
-                 "jit_insns", "jit_deopts", "jit_flushes",
-                 "runs")
+                 "jit_insns", "jit_deopts", "runs")
 
     #: Always zero, and read-only: the transition and verdict memos
     #: these counted are gone, but ``perfbench/bench.py::perf_counters``
@@ -62,7 +61,8 @@ class PerfStats:
         self.tlb_hits = 0
         #: Translations that required a full page-table (and EPT) walk.
         self.tlb_misses = 0
-        #: Explicit whole-context flushes (CR3 writes, env switches).
+        #: ``MMU.flush_tlb`` calls, which nothing makes (the TLB's tags
+        #: invalidate), so 0; perfbench still reads it.
         self.tlb_flushes = 0
         #: Instruction fetches that missed the per-page exec cache and
         #: went through ``check_exec`` (fast fetches = instructions
@@ -72,8 +72,9 @@ class PerfStats:
         #: frame route vs. the generic page-by-page loop.
         self.word_fast = 0
         self.word_slow = 0
-        #: Traces linked to a hot leader this run (re-linking after a
-        #: flush counts again; re-entering a linked trace does not).
+        #: Traces linked to a hot leader this run.  A leader is linked
+        #: once per interpreter, and re-entering a linked trace does
+        #: not count.
         self.jit_traces_compiled = 0
         #: Completed executions of compiled traces.
         self.jit_trace_executions = 0
@@ -86,8 +87,6 @@ class PerfStats:
         #: ``repro.isa.jit.GUARDS``), "fault" (trace raised a fault),
         #: "block" (a channel op in the trace would block).
         self.jit_deopts = {}
-        #: Whole-cache invalidations (quarantine trips, policy edits).
-        self.jit_flushes = 0
         #: Executed-instruction counts indexed by opcode value; slots at
         #: and above ``FUSED_BASE`` count fused-pair executions, one per
         #: fusion kind.  JIT traces batch into the same slots (the
@@ -168,7 +167,6 @@ class PerfStats:
             "jit_trace_executions": self.jit_trace_executions,
             "jit_insns": self.jit_insns,
             "jit_deopts": dict(sorted(self.jit_deopts.items())),
-            "jit_flushes": self.jit_flushes,
             "ops": self.expanded_ops(),
         }
 
@@ -182,13 +180,9 @@ class PerfStats:
                f"{self.jit_trace_executions} executions covering "
                f"{self.jit_insns} instructions ({100 * share:.1f}%), "
                f"deopts {deopts}")
-        if self.jit_flushes:
-            jit += f", {self.jit_flushes} cache flushes"
         lines = [
             f"tlb: {self.tlb_hits} hits / {self.tlb_misses} misses "
-            f"({100 * self.tlb_hit_rate:.1f}% hit rate), "
-            f"{self.tlb_flushes} flushes "
-            f"(context switches + CR3 writes)",
+            f"({100 * self.tlb_hit_rate:.1f}% hit rate)",
             f"fetch: {insns - self.fetch_slow} fast / "
             f"{self.fetch_slow} checked of {insns} instructions",
             f"word access: {self.word_fast} fast / {self.word_slow} generic "

@@ -82,14 +82,19 @@ class Interpreter:
 
     def import_module(self, name: str,
                       importer: str | None = None) -> PyModule:
-        """Lazy import: register with LitterBox, parse, run top level."""
+        """Lazy import: register with LitterBox, parse, run top level.
+
+        A module counts as imported once its import starts, so a later
+        import neither runs it nor charges ``PY_IMPORT`` again, and an
+        import cycle gets the partly run module, as in CPython."""
         module = self.machine.modules.get(name)
-        if module is not None and module.namespace:
+        if module is not None and module.imported:
             return self.machine.register_module(name, importer)
         if name not in self.sources:
             raise PyliteError(f"no module named {name!r}")
         self.machine.clock.charge(COSTS.PY_IMPORT)
         module = self.machine.register_module(name, importer)
+        module.imported = True
         try:
             tree = ast.parse(self.sources[name])
         except SyntaxError as err:
@@ -102,7 +107,10 @@ class Interpreter:
 
     def run_main(self, source: str) -> None:
         self.add_source("__main__", source)
-        self.import_module("__main__")
+        try:
+            self.import_module("__main__")
+        except RecursionError:
+            raise PyliteError("maximum recursion depth exceeded") from None
 
     # ----------------------------------------------------- object plumbing
 
@@ -154,11 +162,11 @@ class Interpreter:
             module.gc_head = 0
 
     def incref(self, addr: int) -> None:
-        count = self._read_word(addr + obj.OFF_REFCOUNT)
+        count = self._read_word(self.address(addr) + obj.OFF_REFCOUNT)
         self.machine.meta_write(addr + obj.OFF_REFCOUNT, count + 1)
 
     def decref(self, addr: int) -> None:
-        count = self._read_word(addr + obj.OFF_REFCOUNT)
+        count = self._read_word(self.address(addr) + obj.OFF_REFCOUNT)
         self.machine.meta_write(addr + obj.OFF_REFCOUNT, count - 1)
 
     def touch(self, value) -> None:
@@ -170,8 +178,27 @@ class Interpreter:
     def _read_word(self, addr: int) -> int:
         return struct.unpack("<q", self.machine.data_read(addr, 8))[0]
 
+    @staticmethod
+    def address(value) -> int:
+        """``value`` as the heap address of the object an object slot
+        holds.  Functions, enclosures, modules, ranges and bound
+        methods live outside the heap and fit no slot."""
+        if isinstance(value, int):
+            return value
+        if isinstance(value, PyFunc):
+            what = f"function {value.name!r}"
+        elif isinstance(value, EnclosureFn):
+            what = f"enclosure of {value.func.name!r}"
+        elif isinstance(value, _Range):
+            what = "range"
+        elif value[0] == "module":
+            what = f"module {value[1]!r}"
+        else:
+            what = f"bound method {value[2]!r}"
+        raise PyliteError(f"{what} is not a heap object")
+
     def type_of(self, addr: int) -> int:
-        return self._read_word(addr + obj.OFF_TYPE)
+        return self._read_word(self.address(addr) + obj.OFF_TYPE)
 
     # Constructors (allocate in the given module's arena).
 
@@ -188,8 +215,8 @@ class Interpreter:
         cap = max(4, len(items))
         items_addr = self.machine.alloc(module, 8 * cap)
         if items:
-            self.machine.data_write(
-                items_addr, b"".join(struct.pack("<q", a) for a in items))
+            self.machine.data_write(items_addr, b"".join(
+                struct.pack("<q", self.address(a)) for a in items))
         payload = struct.pack("<qqq", len(items), cap, items_addr)
         addr = self.new_object(module, obj.TYPE_LIST, payload)
         for item in items:
@@ -232,7 +259,7 @@ class Interpreter:
                                machine.data_read(items_addr, 8 * length))
             items_addr, cap = new_items, new_cap
         machine.data_write(items_addr + 8 * length,
-                           struct.pack("<q", item))
+                           struct.pack("<q", self.address(item)))
         machine.data_write(addr + obj.OFF_PAYLOAD,
                            struct.pack("<qqq", length + 1, cap, items_addr))
         self.incref(item)
@@ -563,11 +590,13 @@ def _bi_range(interp, frame, args):
 
 
 def _bi_str(interp, frame, args):
-    return interp.new_str(frame.module, str(interp.to_python(args[0])))
+    return interp.new_str(frame.module,
+                          str(interp.to_python(interp.address(args[0]))))
 
 
 def _bi_print(interp: Interpreter, frame: Frame, args):
-    text = " ".join(str(interp.to_python(a)) for a in args) + "\n"
+    text = " ".join(str(interp.to_python(interp.address(a)))
+                    for a in args) + "\n"
     addr = interp.new_str(frame.module, text)
     interp.machine.do_syscall(
         SYS_WRITE, (1, addr + obj.OFF_PAYLOAD + 8, len(text.encode())))
@@ -596,7 +625,7 @@ def _materialize(interp: Interpreter, module: str, value):
 
 
 def _bi_write_file(interp: Interpreter, frame: Frame, args):
-    path, data = args
+    path, data = map(interp.address, args)
     machine = interp.machine
     path_len = interp._read_word(path + obj.OFF_PAYLOAD)
     fd = machine.do_syscall(SYS_OPEN, (path + obj.OFF_PAYLOAD + 8, path_len,
@@ -611,7 +640,7 @@ def _bi_write_file(interp: Interpreter, frame: Frame, args):
 
 def _bi_read_file(interp: Interpreter, frame: Frame, args):
     """Read a whole file into a str (open/read/close, all filtered)."""
-    path = args[0]
+    path = interp.address(args[0])
     machine = interp.machine
     path_len = interp._read_word(path + obj.OFF_PAYLOAD)
     fd = machine.do_syscall(SYS_OPEN, (path + obj.OFF_PAYLOAD + 8, path_len,
@@ -634,6 +663,7 @@ def _bi_connect_send(interp: Interpreter, frame: Frame, args):
     exfiltration primitive — socket/connect/sendto, all filtered)."""
     from repro.os.syscalls import SYS_CONNECT, SYS_SENDTO, SYS_SOCKET
     ip, port, data = args
+    data = interp.address(data)
     machine = interp.machine
     sock = machine.do_syscall(SYS_SOCKET, (2, 1, 0))
     r = machine.do_syscall(

@@ -55,6 +55,8 @@ class PyModule:
     _cursor: int = 0
     _remaining: int = 0
     namespace: dict[str, object] = field(default_factory=dict)
+    #: Whether the interpreter has started running its top level.
+    imported: bool = False
     gc_head: int = 0
     allocations: int = 0
 

@@ -540,7 +540,8 @@ class TenantLoadGen(OpenLoopLoadGen):
         super()._resume()
         if self.manager is not None:
             # Supervision runs between scheduler drives, never inside
-            # one: revival flushes fast-path caches, which must not
+            # one: revival edits the page tables and PKRU values that a
+            # running JIT trace hoisted at its entry, which must not
             # happen under a goroutine's feet mid-slice.
             self.manager.poll()
 

@@ -140,6 +140,24 @@ class TestPylite:
         assert "'__main__', line 2" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("program, message", [
+        ("import m\nk = [m.g]\n", "function 'g' is not a heap object"),
+        ("import m\nx = m.g + 1\n", "function 'g' is not a heap object"),
+        ("import m\nprint(m.g)\n", "function 'g' is not a heap object"),
+        ("def f(n):\n    return f(n + 1)\nf(0)\n",
+         "maximum recursion depth exceeded"),
+    ], ids=["function-in-list", "function-operand", "function-printed",
+            "unbounded-recursion"])
+    def test_py_program_errors_are_named_aborts(self, tmp_path, capsys,
+                                                program, message):
+        mod = tmp_path / "m.py"
+        mod.write_text("def g(v):\n    return v + 1\n")
+        app = tmp_path / "app.py"
+        app.write_text(program)
+        assert main(["py", str(mod), str(app)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pylite: aborted: {message}\n"
+
 
 class TestMicro:
     def test_micro_runs_outside_the_checkout(self, tmp_path):

@@ -1,5 +1,5 @@
 """Tracing JIT internals: region building, guards, deopt accounting,
-and cache invalidation (INTERNALS.md §13).
+and traces outliving enforcement changes (INTERNALS.md §13).
 
 Macro-level bit-identity lives in test_fastpaths.py; this file drives
 the compiler through :class:`MiniMachine` programs where the regions,
@@ -15,8 +15,8 @@ import struct
 import pytest
 
 from repro.errors import ConfigError, Fault, MachineHalt, WouldBlock
-from repro.hw import PAGE_SIZE, make_pkru
-from repro.isa import INSTR_SIZE, Instr, Interpreter, Op
+from repro.hw import PAGE_SIZE, Perm, make_pkru
+from repro.isa import INSTR_SIZE, Instr, Interpreter, Op, jit
 from repro.isa.jit import JIT_MIN_LEN, JitEntry, build_region, leaders
 from repro.isa.opcodes import BINARY_ALU, FUSED_BASE
 from repro.machine import Machine, MachineConfig
@@ -24,7 +24,9 @@ from repro.obs import Observer
 from repro.runtime.runtime import Runtime
 from repro.workloads.bild import build_bild_image
 from repro.workloads.fasthttp import run_fasthttp_server
+from repro.workloads.httpserver import run_http_server
 
+from tests.golite_helpers import run_golite
 from tests.harness import DATA_BASE, DATA_SIZE, TEXT_BASE, MiniMachine
 
 
@@ -244,8 +246,8 @@ class TestExecutionIdentity:
         assert "while True:" in entry.fn.__jit_source__
 
     def test_traces_are_shared_across_machines(self):
-        """Identical generated source resolves to one process-global
-        function object (compile once, run everywhere)."""
+        """An identical region resolves to one process-global function
+        object (compile once, run everywhere)."""
         fns = []
         for _ in range(2):
             mm = jit_mini(threshold=1)
@@ -253,6 +255,24 @@ class TestExecutionIdentity:
             run_slices(mm)
             fns.append(mm.interp.code[TEXT_BASE + 2 * INSTR_SIZE].fn)
         assert fns[0] is fns[1]
+
+    def test_fresh_image_links_without_generating_source(self, monkeypatch):
+        """The process-wide trace cache is keyed by what the source is
+        generated from, so a second fresh image of one program links
+        its hot trace without generating the source again."""
+        program = ("package main\nfunc main() {\n    sum := 0\n"
+                   "    for i := 0; i < 200; i = i + 1 {\n"
+                   "        sum = sum + i\n    }\n    println(sum)\n}\n")
+        first, _ = run_golite(program, config=MachineConfig(jit=True))
+        generated = []
+        real = jit.gen_source
+        monkeypatch.setattr(jit, "gen_source", lambda region, profiled: (
+            generated.append(region.entry) or real(region, profiled)))
+        second, _ = run_golite(program, config=MachineConfig(jit=True))
+        assert second.image is not first.image
+        assert second.stdout == first.stdout == b"19900\n"
+        assert second.perf.jit_traces_compiled >= 1
+        assert generated == []
 
 
 def drive(program: list[Instr], threshold: int, budget: int = 512,
@@ -588,43 +608,113 @@ DATA_ACCESS = {
 }
 
 
+def data_loop(op: str) -> list[Instr]:
+    """A four-pass countdown loop making one ``DATA_ACCESS[op]`` per
+    pass, then halting with 0."""
+    return [Instr(Op.PUSH, 4), Instr(Op.STOREL, 0),
+            *DATA_ACCESS[op],                                # 2  loop head
+            Instr(Op.LOADL, 0), Instr(Op.PUSH, 1), Instr(Op.SUB),
+            Instr(Op.DUP), Instr(Op.STOREL, 0), Instr(Op.JNZ, at(2)),
+            Instr(Op.PUSH, 0), Instr(Op.HALT)]
+
+
+def data_loop_machine(op: str, threshold: int) -> MiniMachine:
+    """``data_loop(op)`` loaded with a stock runtime, the slice
+    descriptor at DATA_BASE + 64 and violations stamped."""
+    mm = jit_mini(threshold)
+    mm.load(data_loop(op))
+    mm.cpu.rtcall_handler = Runtime(mm.mmu, None, None, None, []).dispatch
+    mm.poke_bytes(DATA_BASE + 64, struct.pack("<qqq", DATA_BASE + 256, 4, 4))
+    mm.mmu.obs = ViolationStamps(mm.clock)
+    return mm
+
+
+def run_program(mm: MiniMachine) -> tuple:
+    """Run the loaded program once from its start, slice by slice; how
+    it stopped, at which pc and sim-ns."""
+    mm.cpu.pc = TEXT_BASE
+    mm.cpu.operands = []
+    while True:
+        try:
+            mm.interp.run_slice(mm.cpu, 512)
+        except (MachineHalt, Fault) as stop:
+            return repr(stop), mm.cpu.pc, mm.clock.now_ns
+
+
+#: Tables a CR3 write may install over the data page: name -> edit of
+#: a clone of the loader's table.
+SWITCHED_TABLES = {
+    "not-present": lambda table: table.set_present_range(
+        DATA_BASE, PAGE_SIZE, False),
+    "read-only": lambda table: table.protect_range(DATA_BASE, PAGE_SIZE,
+                                                   Perm.R),
+}
+
+
 class TestTraceEnforcement:
     """PKRU is not part of the TLB tag, in traces too: a WRPKRU between
     two trace calls governs the very next access a hot trace makes
     through a hot entry, exactly where and when the interpreter
-    faults."""
+    faults.  A CR3 write between two calls needs no flush either: the
+    hot entries carry the old table, so the trace declines its entry
+    or misses, and faults where the interpreter does."""
+
+    @pytest.mark.parametrize("warm", [False, True],
+                             ids=["cold-locals", "warm-locals"])
+    @pytest.mark.parametrize("table", sorted(SWITCHED_TABLES))
+    @pytest.mark.parametrize("op", sorted(DATA_ACCESS))
+    def test_cr3_switch_reaches_a_hot_trace(self, op, table, warm):
+        def run(threshold):
+            mm = data_loop_machine(op, threshold)
+            stops = [run_program(mm)]
+            before = dict(mm.interp.perf.jit_deopts)
+            switched = mm.table.clone("switched")
+            SWITCHED_TABLES[table](switched)
+            mm.cpu.ctx.page_table = switched
+            if warm:
+                # The locals page's entries under the new table, so the
+                # trace passes its entry guard and meets the old data
+                # entries itself.
+                mm.poke_word(mm.cpu.fp + 16, mm.peek_word(mm.cpu.fp + 16))
+            stops.append(run_program(mm))
+            perf = mm.interp.perf
+            deopts = {reason: count - before.get(reason, 0)
+                      for reason, count in perf.jit_deopts.items()}
+            return mm, deopts, (stops, mm.mmu.obs.stamps,
+                                list(perf.op_counts), perf.word_fast,
+                                perf.word_slow, perf.tlb_hits,
+                                perf.tlb_misses)
+
+        (mm, deopts, on), (_, _, off) = run(1), run(10 ** 9)
+        assert on == off
+        denied = table == "not-present" or op in ("store", "store1",
+                                                 "slice-put")
+        assert ("PageFault" in on[0][1][0]) is denied
+        perf = mm.interp.perf
+        assert perf.tlb_flushes == 0
+        # With the locals page cold under the new table, each trace
+        # declines its first call after the switch and the interpreter
+        # faults; with it warm, the trace meets the old data entry.
+        if not warm:
+            assert deopts["guard:tlb"] >= 1 and "fault" not in deopts
+        elif denied:
+            assert deopts == {"fault": 1}
+        else:
+            assert deopts == {}
+        if not denied:
+            assert perf.jit_trace_executions >= 2
 
     @pytest.mark.parametrize("rights", ["", "r"],
                              ids=["access-disable", "write-disable"])
     @pytest.mark.parametrize("op", sorted(DATA_ACCESS))
     def test_pkru_revocation_reaches_a_hot_trace(self, op, rights):
-        program = [Instr(Op.PUSH, 4), Instr(Op.STOREL, 0),
-                   *DATA_ACCESS[op],                         # 2  loop head
-                   Instr(Op.LOADL, 0), Instr(Op.PUSH, 1), Instr(Op.SUB),
-                   Instr(Op.DUP), Instr(Op.STOREL, 0), Instr(Op.JNZ, at(2)),
-                   Instr(Op.PUSH, 0), Instr(Op.HALT)]
-
         def run(threshold):
-            mm = jit_mini(threshold)
-            mm.load(program)
-            mm.cpu.rtcall_handler = Runtime(mm.mmu, None, None, None,
-                                            []).dispatch
-            mm.poke_bytes(DATA_BASE + 64,
-                          struct.pack("<qqq", DATA_BASE + 256, 4, 4))
+            mm = data_loop_machine(op, threshold)
             mm.table.set_pkey_range(DATA_BASE, DATA_SIZE, 3)
-            mm.mmu.obs = ViolationStamps(mm.clock)
             stops = []
             for grant in ("rw", rights):
                 mm.cpu.ctx.pkru = make_pkru({0: "rw", 3: grant})
-                mm.cpu.pc = TEXT_BASE
-                mm.cpu.operands = []
-                while True:
-                    try:
-                        mm.interp.run_slice(mm.cpu, 512)
-                    except (MachineHalt, Fault) as stop:
-                        stops.append((repr(stop), mm.cpu.pc,
-                                      mm.clock.now_ns))
-                        break
+                stops.append(run_program(mm))
             perf = mm.interp.perf
             return mm, (stops, mm.mmu.obs.stamps, list(perf.op_counts),
                         perf.word_fast, perf.tlb_hits, perf.tlb_misses)
@@ -910,36 +1000,56 @@ class TestGuardsAndDeopts:
         assert "fault" not in deopts
 
 
-class TestInvalidation:
-    def test_flush_discards_traces_and_recompiles(self):
-        mm = jit_mini(threshold=1)
-        mm.load(COUNTDOWN)
-        run_slices(mm)
-        interp = mm.interp
-        compiled = interp.perf.jit_traces_compiled
-        assert compiled >= 1
-        interp.flush_jit()
-        assert interp.perf.jit_flushes == 1
-        assert all(e.fn is None and e.count == 0
-                   for e in interp.jit.entries.values())
-        # Re-warming under the new generation compiles again and the
-        # program still runs to the same exit code.
-        assert run_slices(mm) == 42
-        assert interp.perf.jit_traces_compiled > compiled
+def serve_through_a_revival(backend: str, use_jit: bool):
+    """The HTTP macro with one injected pkey violation in ``main_1``:
+    12 clean requests warm its traces, the 13th trips the quarantine,
+    ``LitterBox.revive`` lifts it, and 12 more clean requests follow.
+    Returns the machine, the responses, and the trace counters and
+    links read before the trip."""
+    config = MachineConfig(backend=backend, fault_policy="quarantine",
+                           quarantine_threshold=1,
+                           inject="pkey@main_1:after=12,count=1",
+                           inject_seed=7, jit=use_jit)
+    driver = run_http_server(backend, config=config)
+    machine = driver.machine
+    responses = [driver.request() for _ in range(12)]
+    perf = machine.perf
+    linked = {pc: entry.fn for pc, entry in machine.interp.jit.entries.items()
+              if entry.fn is not None} if use_jit else {}
+    before = (perf.jit_traces_compiled, perf.jit_trace_executions, linked)
+    responses.append(driver.request())
+    lb = machine.litterbox
+    (env_id,) = lb.quarantined
+    assert lb.revive(env_id)
+    responses += [driver.request() for _ in range(12)]
+    return machine, responses, before
 
-    def test_quarantine_trip_flushes_traces(self):
-        machine = Machine(build_bild_image(8, 8, 1),
-                          MachineConfig(backend="mpk",
-                                        fault_policy="quarantine",
-                                        quarantine_threshold=1))
-        assert machine.litterbox.jit_flush is not None
-        lb = machine.litterbox
-        env = lb.env(1)
-        fault = Fault("mem", "contained violation")
-        fault.attribute(env)
-        lb.note_contained_fault(fault)
-        assert env.id in lb.quarantined
-        assert machine.perf.jit_flushes == 1
+
+class TestInvalidation:
+    """Nothing invalidates a linked trace: each call re-checks the
+    translation state it hoists, so quarantine and revival leave the
+    JIT's links alone."""
+
+    @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
+    def test_hot_traces_outlive_a_quarantine_and_revival(self, backend):
+        on, on_responses, (compiled, executions, linked) = \
+            serve_through_a_revival(backend, use_jit=True)
+        off, off_responses, _ = serve_through_a_revival(backend, use_jit=False)
+        assert on_responses == off_responses
+        assert sum(r.startswith(b"HTTP/1.1 200 OK")
+                   for r in on_responses) == 24
+        assert on.clock.now_ns == off.clock.now_ns
+        assert on.clock.counters == off.clock.counters
+        assert on.stdout == off.stdout
+        assert on.containment_report() == off.containment_report()
+        # Every trace linked before the trip stayed linked through it
+        # and the revival, and nothing was linked again.
+        perf = on.perf
+        assert linked and compiled == len(linked)
+        assert perf.jit_traces_compiled == compiled
+        assert perf.jit_trace_executions > executions
+        entries = on.interp.jit.entries
+        assert all(entries[pc].fn is fn for pc, fn in linked.items())
 
     def test_discovery_api_is_pure(self):
         """build_region inspects but never mutates the code dict

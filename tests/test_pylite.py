@@ -110,6 +110,26 @@ class TestModules:
         b_pages = {s.base >> 12 for s in machine.modules["b"].data_sections}
         assert a_pages and b_pages and not (a_pages & b_pages)
 
+    def test_import_cycle_gets_the_partly_run_module(self):
+        """``a`` imports ``b``, which imports ``a`` back while ``a`` is
+        still running its top level: ``b`` gets ``a`` as it stands, as
+        in CPython, instead of running it again."""
+        machine, interp = run_pylite(
+            "import a\nout = a.x + a.b.y\n",
+            a="import b\nx = 40\n",
+            b="import a\ny = 2\n")
+        assert result_of(interp) == 42
+        assert machine.litterbox.graph.get("b").imports == ("a",)
+
+    def test_module_without_names_is_imported_once(self):
+        """A module that binds no name still counts as imported: later
+        imports neither run it nor charge ``PY_IMPORT`` again."""
+        once, _ = run_pylite("import e\n", e="pass\n")
+        thrice, _ = run_pylite("import e\nimport e\nimport e\n",
+                               e="pass\n")
+        extra = thrice.clock.now_ns - once.clock.now_ns
+        assert 0 < extra < COSTS.PY_IMPORT
+
     def test_code_and_data_arenas_split(self):
         machine, _ = run_pylite("import a\n",
                                 a="v = 1\ndef f():\n    return 0\n")

@@ -205,7 +205,8 @@ class TestDeterminism:
 
     def test_cores4_jit_invariant(self):
         """The simulated timeline is bit-identical with the JIT on and
-        off on SMP too (trace cache flushes are coherence-safe)."""
+        off on SMP too (each trace call checks its own core's
+        translation state)."""
         on = run_golite(PINGPONG,
                         config=MachineConfig(backend="mpk", cores=4))
         off = run_golite(PINGPONG,

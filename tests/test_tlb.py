@@ -13,8 +13,12 @@ contract of that cache:
   very next data access through a hot entry, and a grant is honored
   without any flush.
 
-Plus end-to-end runs under the MPK and VT-x backends, where switches
-and transfers exercise the flush points for real.
+* a CR3 write needs no flush: an entry cached under one table is
+  never served under another, and hits again once its table is back
+  unless a fill under the other replaced it.
+
+Plus end-to-end runs under every backend, where switches and transfers
+run for real and nothing flushes.
 """
 
 import pytest
@@ -80,6 +84,57 @@ class TestTLBCounters:
         assert mmu.perf.tlb_flushes == 1
         mmu.read(ctx, BASE, 8)
         assert mmu.perf.tlb_misses == 2
+
+
+class TestTableSwitch:
+    """A CR3 write installs another table and flushes nothing.  An
+    entry cached under table A is never served under table B, whatever
+    B maps at the page.  Once A is back, each of its entries that no
+    fill under B replaced (the TLB keeps one entry per page and kind)
+    hits again with no new miss."""
+
+    #: case -> (B's outcome for a read and for a write, how many of A's
+    #: two entries B's fills replace)
+    CASES = {"remap": ((b"B!", None), 2),
+             "read-only": ((b"A!", PageFault), 1),
+             "not-mapped": ((PageFault, PageFault), 0)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_entry_stays_with_its_table(self, mmu, case):
+        outcome, replaced = self.CASES[case]
+        ctx = make_ctx(mmu)
+        table_a = ctx.page_table
+        mmu.write(ctx, BASE, b"A!")
+        assert mmu.read(ctx, BASE, 2) == b"A!"  # both kinds now hot
+        table_b = PageTable("b")
+        if case == "remap":
+            pfn = mmu.physmem.alloc_frame()
+            mmu.physmem.write(pfn * PAGE_SIZE, b"B!")
+            table_b.map_page(BASE >> 12, PTE(pfn, Perm.RW))
+        elif case == "read-only":
+            table_b.map_page(BASE >> 12,
+                             PTE(table_a.lookup(BASE >> 12).pfn, Perm.R))
+        perf = mmu.perf
+
+        def attempt(access):
+            try:
+                return access()
+            except PageFault:
+                return PageFault
+
+        ctx.page_table = table_b
+        hits, misses = perf.tlb_hits, perf.tlb_misses
+        assert (attempt(lambda: mmu.read(ctx, BASE, 2)),
+                attempt(lambda: mmu.write(ctx, BASE, b"b?"))) == outcome
+        assert (perf.tlb_hits - hits, perf.tlb_misses - misses) == (0, 2)
+
+        ctx.page_table = table_a
+        hits, misses = perf.tlb_hits, perf.tlb_misses
+        assert mmu.read(ctx, BASE, 2) == b"A!"
+        mmu.write(ctx, BASE, b"A!")
+        assert (perf.tlb_hits - hits, perf.tlb_misses - misses) == \
+            (2 - replaced, replaced)
+        assert perf.tlb_flushes == 0
 
 
 class TestPageTableEditInvalidation:
@@ -377,7 +432,7 @@ func Id(x int) int { return x }
 
 
 class TestBackendsEndToEnd:
-    """The flush points live in the backends; run them for real."""
+    """Switches and transfers run for real in the backends."""
 
     @pytest.mark.parametrize("backend", ["mpk", "vtx"])
     def test_enclosed_program_correct_with_hot_tlb(self, backend):
@@ -387,15 +442,17 @@ class TestBackendsEndToEnd:
         perf = machine.perf
         assert perf.tlb_hits > perf.tlb_misses  # the cache actually works
 
-    def test_vtx_switches_flush_mpk_switches_do_not(self):
-        """Every VT-x switch writes CR3 and must flush; MPK switches
-        are PKRU writes and must not flush at all."""
-        vtx, _ = run_golite(ENCLOSED, LIB, backend="vtx")
-        assert vtx.clock.count("switches") > 0
-        assert vtx.perf.tlb_flushes >= vtx.clock.count("switches")
-        mpk, _ = run_golite(ENCLOSED, LIB, backend="mpk")
-        assert mpk.clock.count("switches") > 0
-        assert mpk.perf.tlb_flushes == 0
+    @pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
+    def test_no_backend_flushes_the_tlb(self, backend):
+        """An MPK switch is a PKRU write and a VT-x/LWC switch a CR3
+        write; neither flushes, because the TLB's tags already tell the
+        tables apart."""
+        machine, result = run_golite(ENCLOSED, LIB, backend=backend)
+        assert result.status == "exited", machine.fault
+        assert machine.stdout == b"325\n"
+        if backend != "baseline":
+            assert machine.clock.count("switches") > 0
+        assert machine.perf.tlb_flushes == 0
 
     def test_vtx_transfer_visible_through_hot_entry(self):
         """A VT-x Transfer edits live guest tables (presence/rights
