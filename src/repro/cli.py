@@ -27,7 +27,7 @@ import pathlib
 import sys
 
 from repro import artifacts
-from repro.errors import ConfigError, SimError
+from repro.errors import ConfigError, SimError, require_at_least
 from repro.golite import build_program
 from repro.machine import Machine, MachineConfig
 
@@ -142,6 +142,7 @@ def cmd_macro(args: argparse.Namespace) -> int:
     """
     from repro.workloads.httpserver import run_http_server
 
+    require_at_least(0, requests=args.requests)
     observed = args.artifacts is not None
     config = MachineConfig(backend=args.backend,
                            trace=observed, metrics=observed,

@@ -17,6 +17,14 @@ class ConfigError(SimError):
     """An invalid configuration was passed to a simulated component."""
 
 
+def require_at_least(minimum: int, **values: int) -> None:
+    """Raise a :class:`ConfigError` naming the first of ``values``
+    below ``minimum``."""
+    for name, value in values.items():
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
 class Fault(SimError):
     """A hardware-detected access violation.
 

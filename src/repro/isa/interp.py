@@ -299,12 +299,14 @@ class Interpreter:
         faulting block's groups up to and including the faulting one,
         is counted, while :attr:`slice_executed` (via ``_jit_partial``)
         covers complete groups only — a faulting fused pair contributes
-        neither half, exactly as in ``run_slice``.  Prevalidated locals
-        retired before the fault each took the word fast path, so their
-        ``word_fast``/``tlb_hits`` are replayed here too (the trace's
-        dynamic-word tallies were already flushed by its except hook).
-        A channel ``WouldBlock`` is a ``block`` deopt, anything else a
-        ``fault``.
+        neither half, exactly as in ``run_slice``.  Each LOADL and
+        STOREL retired before the fault stands for a word fast-path
+        access, so their ``word_fast``/``tlb_hits`` are replayed here
+        too (the trace's dynamic-word tallies were already flushed by
+        its except hook, which has also written the frame slots it
+        caches back to memory, so the frame already holds what those
+        STORELs wrote).  A channel ``WouldBlock`` is a ``block`` deopt,
+        anything else a ``fault``.
         """
         perf = self.perf
         deopts = perf.jit_deopts

@@ -44,11 +44,17 @@ every observable point:
   (its MMU hook is attached only then), the TLB can't prevalidate the
   locals page, or a slice-specialized trace meets a non-stock rtcall
   handler — plus a per-call prevalidation of the frame's locals page
-  hoist the per-access work.  The trace protocol is ``fn(interp, cpu,
-  left) -> int``: a positive return is the architectural instructions
-  retired; anything else means the interpreter executes the region
-  instruction-by-instruction — a pure wall-clock *deopt*, never a
-  semantic difference, because the interpreter is the reference.
+  hoist the per-access work.  The frame slots the region names live in
+  Python locals between one load of their span at entry and one
+  write-back at the exit; every other access that can reach that page
+  (an open-coded access to its frame, or a call that touches memory
+  without handing the trace a frame) writes them back first and, after
+  a write or a call, reloads them (see :class:`_Slots`).  The trace
+  protocol is ``fn(interp, cpu, left) -> int``: a positive return is
+  the architectural instructions retired; anything else means the
+  interpreter executes the region instruction-by-instruction — a pure
+  wall-clock *deopt*, never a semantic difference, because the
+  interpreter is the reference.
 * **Precise fault deopt.**  ``cpu.pc`` is synced before every
   instruction that can fault (memory ops, DIV/MOD, MEMCPY, RTCALL), so
   a fault observes the same pc and accumulated sim-ns as interpreted
@@ -58,7 +64,9 @@ every observable point:
   instruction's own, which stay popped; a ``_guarded`` channel call
   gets nothing put back, because the trace wrote the whole stack back
   before the call and ``_guarded`` restored or consumed it.  The hook
-  then flushes the clock and counter tallies and re-raises after
+  then flushes the clock and counter tallies, writes the stored frame
+  slots back (the interpreter's STORELs before the fault reached
+  memory), and re-raises after
   :meth:`Interpreter._jit_fault` replays the per-dispatch-group
   ``op_counts`` and slice accounting the interpreter would have
   recorded from the trace's per-block pass counts (a dispatch whose
@@ -89,6 +97,7 @@ program generate and compile each trace once per process.
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 
@@ -206,6 +215,102 @@ _CMP_EXPR = {Op.EQ: "==", Op.NE: "!=", Op.LT: "<",
 
 #: Ops that read or write the frame's prevalidated locals page.
 _LOCALS = (Op.LOADL, Op.STOREL)
+
+
+@functools.cache
+def _span(count: int) -> struct.Struct:
+    """The struct that moves ``count`` consecutive frame slots."""
+    return struct.Struct(f"<{count}q")
+
+
+def _slot(k: int) -> str:
+    """The Python local that caches frame slot ``k``."""
+    return f"l{k}" if k >= 0 else f"lm{-k}"
+
+
+class _Slots:
+    """The frame slots a region caches in Python locals ``l<k>``.
+
+    On entry the trace loads the span from the lowest to the highest
+    slot its LOADLs and STORELs name, with one ``u<N>`` unpack from the
+    prevalidated frame ``sfr``; the write-back packs the span of the
+    stored slots into ``sfw`` with one ``p<M>``, gap slots as loaded.
+    Every other access to the frame must see the slots as the
+    interpreter would: :meth:`read` and :meth:`write` wrap an
+    open-coded access to the frame ``f`` in an ``f is sfr`` test, and
+    :meth:`call` wraps a call that touches memory without handing the
+    trace a frame.  A region without LOADL/STOREL emits none of it."""
+
+    __slots__ = ("used", "count", "lo", "load", "store", "names")
+
+    def __init__(self, instrs):
+        #: ``used``: the region names a slot; ``lo``/``count``: the
+        #: loaded span; ``load``/``store``: the statements that load it
+        #: and write the stored span back (``None`` when there is
+        #: none); ``names``: the struct methods they call, for the
+        #: trace's globals.
+        loads = {i.imm1 for i in instrs if i.op == Op.LOADL}
+        stores = {i.imm1 for i in instrs if i.op == Op.STOREL}
+        used = loads | stores
+        self.used = bool(used)
+        self.count = 0 if not used else max(used) - min(used) + 1
+        self.lo = min(used, default=0)
+        self.load = self.store = None
+        self.names = {}
+        if not used or self.count > PAGE_SIZE // 8:
+            return
+        wlo, whi = (min(stores), max(stores)) if stores else (0, -1)
+        cached = [k if k in used or wlo <= k <= whi else None
+                  for k in range(self.lo, self.lo + self.count)]
+        targets = ", ".join("_" if k is None else _slot(k) for k in cached)
+        head = f"u{self.count}(sfr, sb + {8 * self.lo})"
+        self.load = (f"{targets} = {head}" if self.count > 1
+                     else f"{targets} = {head}[0]")
+        self.names[f"u{self.count}"] = _span(self.count).unpack_from
+        if stores:
+            m = whi - wlo + 1
+            values = ", ".join(_slot(k) for k in range(wlo, whi + 1))
+            self.store = f"p{m}(sfw, sb + {8 * wlo}, {values})"
+            self.names[f"p{m}"] = _span(m).pack_into
+
+    def read(self, emit, I: str) -> None:
+        """Before an open-coded read of the frame ``f``: if it is the
+        locals frame, write the stored slots back first."""
+        if self.store:
+            emit(f"{I}if f is sfr:")
+            emit(f"{I}    {self.store}")
+
+    def write(self, emit, I: str, stmt: str) -> None:
+        """The open-coded write ``stmt`` to the frame ``f``; if it is
+        the locals frame, write the stored slots back, write, and
+        reload the span."""
+        if not self.used:
+            emit(f"{I}{stmt}")
+            return
+        emit(f"{I}if f is sfr:")
+        if self.store:
+            emit(f"{I}    {self.store}")
+        emit(f"{I}    {stmt}")
+        emit(f"{I}    {self.load}")
+        emit(f"{I}else:")
+        emit(f"{I}    {stmt}")
+
+    def call(self, emit, I: str, lines: list[str]) -> None:
+        """A call (``lines``) that may read or write memory the trace
+        holds no frame for: the stored slots go back before it, and the
+        span is reloaded after it, whether it returns or raises (so the
+        fault hook's write-back cannot undo a partial write)."""
+        if not self.used:
+            for line in lines:
+                emit(f"{I}{line}")
+            return
+        emit(f"{I}try:")
+        if self.store:
+            emit(f"{I}    {self.store}")
+        for line in lines:
+            emit(f"{I}    {line}")
+        emit(f"{I}finally:")
+        emit(f"{I}    {self.load}")
 
 
 class Region:
@@ -498,6 +603,7 @@ def compile_region(region: Region, profiled: bool):
         "w64": wrap64,
         "desc2": _DESC2.unpack_from,
         "RTD": _runtime_dispatch(),
+        **_Slots(region.code.values()).names,
     }
     code = compile(source, f"<jit:{region.entry:#x}>", "exec")
     exec(code, namespace)
@@ -507,6 +613,20 @@ def compile_region(region: Region, profiled: bool):
         _COMPILED.clear()
     _COMPILED[key] = fn
     return fn
+
+
+#: A stack slot whose local may hold an int outside the signed 64-bit
+#: range: an operand taken from ``cpu.operands``, or a settled literal.
+_WIDE = 1
+
+
+def _immediate(atom: str) -> int | None:
+    """The int a PUSH immediate's literal atom stands for, or ``None``
+    for any other atom."""
+    try:
+        return int(atom.strip("()"))
+    except ValueError:
+        return None
 
 
 class _Stack:
@@ -519,12 +639,14 @@ class _Stack:
     assigned to its own slot's local (DUP and SWAP copy, never alias),
     so once a block's leftover literals are settled into locals at its
     end, every path enters the next block with one layout: all
-    locals."""
+    locals.  Each local also records whether it may be :data:`_WIDE`,
+    because a cached frame slot must hold what LOADL would read back."""
 
     __slots__ = ("slots",)
 
     def __init__(self, slots: list):
-        #: Per slot: ``None`` (the value is in ``s<k>``) or a literal.
+        #: Per slot: ``None`` (the value is in ``s<k>`` and signed
+        #: 64-bit), :data:`_WIDE` (in ``s<k>``, any int) or a literal.
         self.slots = slots
 
     def __len__(self) -> int:
@@ -535,16 +657,16 @@ class _Stack:
 
     def atom(self, k: int) -> str:
         literal = self.slots[k]
-        return f"s{k}" if literal is None else literal
+        return literal if isinstance(literal, str) else f"s{k}"
 
     def pop(self) -> str:
         atom = self.atom(len(self.slots) - 1)
         self.slots.pop()
         return atom
 
-    def push(self, literal: str | None = None) -> str:
-        """Push ``literal``, or (by default) a computed value that the
-        caller assigns to the returned local."""
+    def push(self, literal: str | int | None = None) -> str:
+        """Push ``literal``, or (by default) a signed 64-bit computed
+        value that the caller assigns to the returned local."""
         self.slots.append(literal)
         return f"s{len(self.slots) - 1}"
 
@@ -554,9 +676,24 @@ class _Stack:
     def settle(self, emit, indent: str) -> None:
         """Move the literals into their slots' locals."""
         for k, literal in enumerate(self.slots):
-            if literal is not None:
+            if isinstance(literal, str):
                 emit(f"{indent}s{k} = {literal}")
-                self.slots[k] = None
+                value = _immediate(literal)
+                narrow = value is not None and -_S63 <= value < _S63
+                self.slots[k] = None if narrow else _WIDE
+
+    def pop_signed(self, emit, I: str) -> str:
+        """Pop the top value as an atom wrapped to signed 64 bits, the
+        value a STOREL then LOADL would return."""
+        literal = self.slots[-1]
+        atom = self.pop()
+        if literal is None:
+            return atom
+        value = _immediate(atom) if isinstance(literal, str) else None
+        if value is not None:
+            return repr(wrap64(value))
+        emit(f"{I}v = {atom} & {_M64}")
+        return f"v - {_W64} if v >= {_S63} else v"
 
 
 def _spill(values: list[str]) -> str | None:
@@ -608,6 +745,16 @@ def gen_source(region: Region, profiled: bool) -> str:
     puts back the operands below the faulting instruction's own, as
     the interpreter leaves them.
 
+    The frame slots the region's LOADLs and STORELs name live in
+    locals too (:class:`_Slots`): one unpack of their span from the
+    prevalidated locals frame after the entry guards, each LOADL a
+    read of ``l<k>``, each STOREL an assignment of the value wrapped to
+    signed 64 bits, and one pack of the stored span at the epilogue and
+    in the fault hook.  A read whose frame ``f is sfr`` writes the
+    stored slots back first; a write to it writes back, writes and
+    reloads; and ``rword``/``wword``, ``mcpy``, ``dsp`` and ``gua``
+    calls write back before and reload after.
+
     Simulated time accumulates in a local ``now`` (the same individual
     float adds in the same order, so the value is bit-identical) and is
     stored back to ``clock.now_ns`` at every point something else can
@@ -620,22 +767,22 @@ def gen_source(region: Region, profiled: bool) -> str:
     code = region.code
     instrs = list(code.values())
 
-    uses_locals = any(i.op in _LOCALS for i in instrs)
-    local_reads = any(i.op == Op.LOADL for i in instrs)
-    local_writes = any(i.op == Op.STOREL for i in instrs)
     uses_slice = any(i.op == Op.RTCALL
                      and i.imm1 in (_RT_SLICE_AT, _RT_SLICE_PUT)
                      for i in instrs)
     uses_pure_rt = any(i.op == Op.RTCALL and i.imm1 not in _RT_GUARDED
                        for i in instrs)
 
-    # Prevalidated locals: every LOADL/STOREL in the region touches the
-    # frame's locals area; when the whole accessed span lies on one
-    # page whose r/w TLB entries pass _hit and no injector is armed,
-    # each access is one struct op — the hit read_word/write_word would
-    # take in ``_access``, so word_fast/tlb_hits advance by the same
-    # constants.
-    local_offs = [8 * i.imm1 for i in instrs if i.op in _LOCALS]
+    # Cached frame slots: every LOADL/STOREL in the region touches the
+    # frame's locals area; when the whole span lies on one page whose
+    # r (and, if the region stores, w) TLB entries pass _hit and no
+    # injector is armed, the span moves between that page and the
+    # locals ``l<k>`` in one struct op each way, and each LOADL/STOREL
+    # counts the word_fast/tlb_hits its read_word/write_word hit would.
+    slots = _Slots(instrs)
+    if slots.used and slots.load is None:
+        # No page holds the span, so the locals-page guard always fails.
+        return f"def _trace(interp, cpu, left):\n    return {G_LOCALS_PAGE}\n"
 
     # The entry guards, the loop and the exits are emitted first; the
     # prologue then hoists exactly the names they read (_HOISTS).
@@ -646,18 +793,17 @@ def gen_source(region: Region, profiled: bool) -> str:
     # and disarming only in an access that then raises; so the value
     # read at entry (the guard below, the hoisted ``inj``) holds for the
     # whole trace.
-    if uses_locals:
-        lo = min(local_offs)
-        hi = max(local_offs)
+    if slots.used:
+        lo = 8 * slots.lo
+        hi = lo + 8 * slots.count - 8
         emit(f"    if (fpb + {lo}) >> {PAGE_SHIFT} "
              f"!= (fpb + {hi + 7}) >> {PAGE_SHIFT}:")
         emit(f"        return {G_LOCALS_PAGE}")
         emit("    if mmu.inject is not None:")
         emit(f"        return {G_INJECTOR}")
         emit(f"    pg4 = ((fpb + {lo}) >> {PAGE_SHIFT}) * 4")
-        if local_reads:
-            _emit_preval(emit, "pg4", "sfr", write=False)
-        if local_writes:
+        _emit_preval(emit, "pg4", "sfr", write=False)
+        if slots.store:
             _emit_preval(emit, "pg4 + 1", "sfw", write=True)
         emit(f"    sb = fpb - ((pg4 >> 2) << {PAGE_SHIFT})")
     if uses_pure_rt:
@@ -673,13 +819,17 @@ def gen_source(region: Region, profiled: bool) -> str:
             emit(f"        return {G_RTCALL}")
     for line in _fill(region.min_depth):
         emit(f"    {line}")
+    if slots.used:
+        emit(f"    {slots.load}")
     emit("    now = clock.now_ns")
     counts = [f"c{b}" for b in range(len(region.blocks))]
     emit(f"    n = bk = {' = '.join(counts)} = 0")
     emit("    try:")
     emit("        while True:")
     I = " " * 16
-    depth_of = {0: region.min_depth}    # block id -> stack slots on entry
+    # Block id -> its stack on entry, one _Stack state per slot: the
+    # entry operands came from cpu.operands, so they may be wide.
+    layout_of = {0: [_WIDE] * region.min_depth}
     restore: dict[int, list[str]] = {}  # faultable pc -> operands below it
 
     def drain(gpc: int, indent: str) -> None:
@@ -709,18 +859,20 @@ def gen_source(region: Region, profiled: bool) -> str:
             leave(entry, indent + "    ", st)
             emit(f"{indent}bk = 0")
         else:
-            depth_of[to] = len(st)
+            seen = layout_of.setdefault(to, st.slots)
+            layout_of[to] = [a if a == b else _WIDE
+                             for a, b in zip(seen, st.slots)]
             emit(f"{indent}bk = {to}")
 
     for bid, (groups, ends) in enumerate(zip(region.blocks, region.ends)):
-        st = _Stack([None] * depth_of[bid])
+        st = _Stack(list(layout_of[bid]))
         emit(f"            if bk == {bid}:")
         emit(f"{I}c{bid} += 1")
         emit(f"{I}n += {sum(arch for _slot, _pc, arch in groups)}")
         for _slot, gpc, arch in groups:
             for pc in range(gpc, gpc + arch * INSTR_SIZE, INSTR_SIZE):
                 if code[pc].op not in _TERM:
-                    _emit_instr(emit, code[pc], pc, I, st, restore)
+                    _emit_instr(emit, code[pc], pc, I, st, restore, slots)
             last = code[pc]
             if last.op not in _TERM:
                 drain(gpc, I)
@@ -778,13 +930,19 @@ def gen_source(region: Region, profiled: bool) -> str:
                     else f"pc in ({', '.join(map(str, pcs))})")
             emit(f"        {'elif' if k else 'if'} {test}:")
             emit(f"            {spill}")
+    # The interpreter's STORELs before the fault reached the frame.
+    if slots.store:
+        emit(f"        {slots.store}")
     emit(f"        interp._jit_fault(cpu, {entry}, bk, "
          f"({', '.join(counts)},), exc)")
     emit("        raise")
 
-    # Success epilogue: batch the counters the interpreter would have
-    # bumped one dispatch at a time (integer adds commute): each
-    # block's pass count times its per-pass tally.
+    # Success epilogue: write the stored slots back, then batch the
+    # counters the interpreter would have bumped one dispatch at a time
+    # (integer adds commute): each block's pass count times its
+    # per-pass tally.
+    if slots.store:
+        emit(f"    {slots.store}")
     emit("    clock.now_ns = now")
     emit("    perf = interp.perf")
     emit("    oc = perf.op_counts")
@@ -875,7 +1033,7 @@ def _emit_preval(emit, key: str, frame_var: str, write: bool) -> None:
 
 
 def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
-                restore: dict) -> None:
+                restore: dict, slots: _Slots) -> None:
     """Emit one architectural instruction at indent ``I`` (inside try),
     taking its operands from and leaving its result on ``st``.
 
@@ -884,17 +1042,19 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
     that can fault, and the operands the fault leaves are recorded in
     ``restore``, so the fault observes the interpreter's exact state;
     ``clock.now_ns`` is synced before every MMU or runtime call and
-    re-read after one that charges it."""
+    re-read after one that charges it.  LOADL and STOREL read and
+    assign the cached frame slots, and every other access that may
+    reach the frame goes through ``slots``."""
     op = ins.op
     if op == Op.PUSH:
         emit(f"{I}now += {COSTS.INSN!r}")
         st.push(repr(ins.imm1) if ins.imm1 >= 0 else f"({ins.imm1!r})")
     elif op == Op.LOADL:
         emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        emit(f"{I}{st.push()} = unpack_from(sfr, sb + {8 * ins.imm1})[0]")
+        emit(f"{I}{st.push()} = {_slot(ins.imm1)}")
     elif op == Op.STOREL:
         emit(f"{I}now += {COSTS.INSN_MEM!r}")
-        emit(f"{I}pack_into(sfw, sb + {8 * ins.imm1}, {st.pop()} & {_M64})")
+        emit(f"{I}{_slot(ins.imm1)} = {st.pop_signed(emit, I)}")
     elif op == Op.ADDRL:
         emit(f"{I}now += {COSTS.INSN!r}")
         st.push(f"(fpb + {8 * ins.imm1})")
@@ -902,19 +1062,19 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
         emit(f"{I}cpu.pc = {pc}")
         addr, = _operands(st, 1, pc, restore)
         access = _emit_word_access if op == Op.LOAD else _emit_byte_access
-        access(emit, I, addr, dest=st.push())
+        access(emit, I, slots, addr, dest=st.push())
     elif op in (Op.STORE, Op.STORE1):
         emit(f"{I}cpu.pc = {pc}")
         addr, value = _operands(st, 2, pc, restore)
         access = _emit_word_access if op == Op.STORE else _emit_byte_access
-        access(emit, I, addr, value=value)
+        access(emit, I, slots, addr, value=value)
     elif op == Op.MEMCPY:
         emit(f"{I}cpu.pc = {pc}")
         dst, src, count = _operands(st, 3, pc, restore)
         emit(f"{I}if {count} < 0:")
         emit(f"{I}    raise Fault('arith', 'negative MEMCPY length')")
         emit(f"{I}clock.now_ns = now")
-        emit(f"{I}mcpy(ctx, {dst}, {src}, {count})")
+        slots.call(emit, I, [f"mcpy(ctx, {dst}, {src}, {count})"])
         emit(f"{I}now = clock.now_ns")
     elif op == Op.DROP:
         emit(f"{I}now += {COSTS.INSN!r}")
@@ -924,17 +1084,18 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
         k = len(st) - 1
         literal = st.slots[k]
         dest = st.push(literal)
-        if literal is None:
+        if not isinstance(literal, str):
             emit(f"{I}{dest} = s{k}")
     elif op == Op.SWAP:
         emit(f"{I}now += {COSTS.INSN!r}")
         k = len(st) - 2
         lo, hi = st.slots[k], st.slots[k + 1]
-        if lo is None and hi is None:
+        lo_local, hi_local = (not isinstance(x, str) for x in (lo, hi))
+        if lo_local and hi_local:
             emit(f"{I}s{k}, s{k + 1} = s{k + 1}, s{k}")
-        elif lo is None:
+        elif lo_local:
             emit(f"{I}s{k + 1} = s{k}")
-        elif hi is None:
+        elif hi_local:
             emit(f"{I}s{k} = s{k + 1}")
         st.slots[k], st.slots[k + 1] = hi, lo
     elif op == Op.NEG:
@@ -950,18 +1111,16 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
         if ins.imm1 in _RT_GUARDED:
             # CHAN_SEND/RECV keep _guarded's WouldBlock stack restore
             # around the real _do_rtcall, exactly as _op_rtcall does,
-            # so they see the whole stack in cpu.operands.
+            # so they see the whole stack in cpu.operands; the slots
+            # refilled from it after the call may be wide.
             emit(f"{I}clock.now_ns = now")
             spill = _spill(st.values())
-            if spill:
-                emit(f"{I}{spill}")
-            emit(f"{I}gua(cpu, dor, {ins.imm1}, {ins.imm2})")
+            st.slots[:] = [_WIDE] * (len(st) - ins.imm2 + 1)
+            slots.call(emit, I, ([spill] if spill else []) + [
+                f"gua(cpu, dor, {ins.imm1}, {ins.imm2})", *_fill(len(st))])
             emit(f"{I}now = clock.now_ns")
-            st.slots[:] = [None] * (len(st) - ins.imm2 + 1)
-            for line in _fill(len(st)):
-                emit(f"{I}{line}")
         elif ins.imm1 in (_RT_SLICE_AT, _RT_SLICE_PUT):
-            _emit_slice_access(emit, ins, pc, I, st, restore)
+            _emit_slice_access(emit, ins, pc, I, st, restore, slots)
         else:
             # Pure services inline _do_rtcall's body: charge, popn,
             # dispatch, wrap-push — same effect order, one less frame.
@@ -969,7 +1128,8 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
             args = _operands(st, ins.imm2, pc, restore)
             emit(f"{I}clock.now_ns = now")
             args = ", ".join(args) + ("," if len(args) == 1 else "")
-            emit(f"{I}{st.push()} = w64(dsp(cpu, {ins.imm1}, ({args})))")
+            slots.call(emit, I, [
+                f"{st.push()} = w64(dsp(cpu, {ins.imm1}, ({args})))"])
             emit(f"{I}now = clock.now_ns")
     elif op == Op.NOP:
         emit(f"{I}now += {COSTS.INSN!r}")
@@ -1006,7 +1166,7 @@ def _emit_instr(emit, ins: Instr, pc: int, I: str, st: _Stack,
 
 
 def _emit_slice_access(emit, ins: Instr, pc: int, I: str, st: _Stack,
-                       restore: dict) -> None:
+                       restore: dict, slots: _Slots) -> None:
     """Open-coded SLICE_AT / SLICE_PUT (the stock ``Runtime`` handlers
     flattened into the trace).  Effect order mirrors ``_do_rtcall`` +
     ``_rt_slice_at``/``_rt_slice_put`` exactly: charge RTCALL, pop the
@@ -1029,28 +1189,28 @@ def _emit_slice_access(emit, ins: Instr, pc: int, I: str, st: _Stack,
     emit(f"{I}o2 = {desc} & {PAGE_MASK}")
     emit(f"{I}if o2 <= {PAGE_SIZE - 24}:")
     _emit_frame(emit, J, desc, write=False)
+    slots.read(emit, J)
     emit(f"{J}da, ln = desc2(f, o2)")
     emit(f"{J}if not 0 <= {index} < ln:")
     emit(f"{J}    raise Fault('arith', f'slice index {{{index}}} "
          f"out of range [0,{{ln}})')")
-    try:  # a PUSH immediate stays a literal atom (see _Stack)
-        literal = int(size.strip("()"))
-    except ValueError:
-        literal = None
+    literal = _immediate(size)  # a PUSH immediate stays a literal atom
     if literal is None:
         emit(f"{J}if {size} == 1:")
-        _emit_byte_access(emit, J + "    ", f"da + {index}", value, dest)
+        _emit_byte_access(emit, J + "    ", slots, f"da + {index}", value,
+                          dest)
         emit(f"{J}else:")
-        _emit_word_access(emit, J + "    ", f"da + {index} * {size}",
+        _emit_word_access(emit, J + "    ", slots, f"da + {index} * {size}",
                           value, dest)
     elif literal == 1:
-        _emit_byte_access(emit, J, f"da + {index}", value, dest)
+        _emit_byte_access(emit, J, slots, f"da + {index}", value, dest)
     else:
-        _emit_word_access(emit, J, f"da + {index} * {literal}", value, dest)
+        _emit_word_access(emit, J, slots, f"da + {index} * {literal}",
+                          value, dest)
     emit(f"{I}else:")
     emit(f"{I}    clock.now_ns = now")
     call = f"dsp(cpu, {ins.imm1}, ({', '.join(args)}))"
-    emit(f"{I}    {call}" if put else f"{I}    {res} = w64({call})")
+    slots.call(emit, J, [call if put else f"{res} = w64({call})"])
     emit(f"{I}    now = clock.now_ns")
 
 
@@ -1070,7 +1230,8 @@ def _emit_frame(emit, I: str, addr: str, write: bool) -> None:
     emit(f"{I}    f = acc(ctx, {addr}, {'w' if write else 'r'!r})")
 
 
-def _emit_word_access(emit, I: str, addr: str, value: str | None = None,
+def _emit_word_access(emit, I: str, slots: _Slots, addr: str,
+                      value: str | None = None,
                       dest: str | None = None) -> None:
     """A charged word LOAD into the local ``dest``, or STORE of the atom
     ``value``, at the address expression ``addr``: read_word/write_word
@@ -1080,24 +1241,27 @@ def _emit_word_access(emit, I: str, addr: str, value: str | None = None,
     if not addr.isidentifier():
         emit(f"{I}a = {addr}")
         addr = "a"
+    J = I + "    "
     emit(f"{I}now += {COSTS.INSN_MEM!r}")
     emit(f"{I}o = {addr} & {PAGE_MASK}")
     emit(f"{I}if o <= {PAGE_SIZE - 8}:")
-    emit(f"{I}    wf += 1")
-    _emit_frame(emit, I + "    ", addr, write=dest is None)
+    emit(f"{J}wf += 1")
+    _emit_frame(emit, J, addr, write=dest is None)
     if dest is None:
-        emit(f"{I}    pack_into(f, o, {value} & {_M64})")
+        slots.write(emit, J, f"pack_into(f, o, {value} & {_M64})")
         emit(f"{I}else:")
-        emit(f"{I}    clock.now_ns = now")
-        emit(f"{I}    wword(ctx, {addr}, {value}, False)")
+        emit(f"{J}clock.now_ns = now")
+        slots.call(emit, J, [f"wword(ctx, {addr}, {value}, False)"])
     else:
-        emit(f"{I}    {dest} = unpack_from(f, o)[0]")
+        slots.read(emit, J)
+        emit(f"{J}{dest} = unpack_from(f, o)[0]")
         emit(f"{I}else:")
-        emit(f"{I}    clock.now_ns = now")
-        emit(f"{I}    {dest} = rword(ctx, {addr}, False)")
+        emit(f"{J}clock.now_ns = now")
+        slots.call(emit, J, [f"{dest} = rword(ctx, {addr}, False)"])
 
 
-def _emit_byte_access(emit, I: str, addr: str, value: str | None = None,
+def _emit_byte_access(emit, I: str, slots: _Slots, addr: str,
+                      value: str | None = None,
                       dest: str | None = None) -> None:
     """A charged byte LOAD1 into the local ``dest``, or STORE1 of the
     atom ``value``, at the address expression ``addr``: read_byte/
@@ -1108,6 +1272,7 @@ def _emit_byte_access(emit, I: str, addr: str, value: str | None = None,
     emit(f"{I}now += {COSTS.INSN_MEM!r}")
     _emit_frame(emit, I, addr, write=dest is None)
     if dest is None:
-        emit(f"{I}f[{addr} & {PAGE_MASK}] = {value} & 255")
+        slots.write(emit, I, f"f[{addr} & {PAGE_MASK}] = {value} & 255")
     else:
+        slots.read(emit, I)
         emit(f"{I}{dest} = f[{addr} & {PAGE_MASK}]")

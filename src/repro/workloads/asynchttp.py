@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from repro.errors import require_at_least
 from repro.golite import compile_program
 from repro.image.linker import link
 from repro.machine import Machine, MachineConfig
@@ -251,6 +252,7 @@ def run_async_server(backend: str,
                      backlog: int = DEFAULT_BACKLOG,
                      workers: int = 1) -> Machine:
     """Boot the async server until it parks in poll; returns the machine."""
+    require_at_least(0, maxconns=maxconns, backlog=backlog)
     if config is None:
         config = MachineConfig(backend=backend)
     machine = Machine(build_async_image(maxconns, backlog, workers), config)

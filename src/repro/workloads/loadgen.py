@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_at_least
 from repro.machine import MachineConfig
 from repro.os.net import LOCALHOST
 from repro.workloads import asynchttp
@@ -223,7 +223,7 @@ class OpenLoopLoadGen:
         self.ports = list(ports) if ports else [port]
         self.port = self.ports[0]
         self.slots = [_Slot(self.ports[i % len(self.ports)])
-                      for i in range(max(1, pool))]
+                      for i in range(pool)]
         self.ok = 0
         self.shed = 0
         self.refused = 0
@@ -439,6 +439,10 @@ def run_level(backend: str, offered_rps: float, requests: int, seed: int,
     recorder (trace ids derive from ``seed``), which flags a trace
     slower than ``slo_ms``; ``inject`` forwards a fault-injection spec
     so the flight recorder has faults to dump."""
+    require_at_least(0, requests=requests)
+    require_at_least(1, pool=pool)
+    if not 0.0 < slo_ms < float("inf"):
+        raise ConfigError(f"slo_ms must be a positive latency, got {slo_ms}")
     arrivals = ARRIVAL_PROCESSES[process](offered_rps, requests, seed)
     workers = max(1, cores)
     if config is None:

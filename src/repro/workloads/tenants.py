@@ -35,7 +35,7 @@ covered by committed sim-ns baselines and stay bit-identical.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_at_least
 from repro.golite import compile_program
 from repro.image.linker import link
 from repro.machine import Machine, MachineConfig
@@ -623,6 +623,8 @@ def tenants_study(backend: str, tenants: int = 100,
     ``spans`` arms the request-span recorder on both legs (the report
     itself never changes shape).
     """
+    require_at_least(0, requests=requests, revive_limit=revive_limit)
+    require_at_least(1, pool=pool)
     if profiles is None:
         profiles = assign_profiles(tenants, faulty_frac, cpuhog_frac,
                                    memhog_frac)

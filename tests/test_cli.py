@@ -84,16 +84,34 @@ class TestOutOfRangeInputs:
          "--span-sample", "-0.5"],
         ["loadtest", "--backends", "mpk", "--offered", "1000",
          "--span-sample", "2"],
+        ["loadtest", "--backends", "mpk", "--maxconns", "-1"],
+        ["loadtest", "--backends", "mpk", "--backlog", "-1"],
+        ["loadtest", "--backends", "mpk", "--slo-ms", "-1"],
+        ["loadtest", "--backends", "mpk", "--pool", "0"],
         ["tenants", "--tenants", "0"],
         ["tenants", "--tenants", "10", "--rate", "0"],
         ["tenants", "--tenants", "10", "--faulty-frac", "2"],
+        ["tenants", "--tenants", "10", "--pool", "0"],
+        ["tenants", "--tenants", "10", "--revive-limit", "-1"],
     ], ids=["offered-abc", "offered-0", "offered-neg",
-            "span-sample-neg", "span-sample-2", "tenants-0", "rate-0",
-            "faulty-frac-2"])
+            "span-sample-neg", "span-sample-2", "maxconns-neg",
+            "backlog-neg", "slo-ms-neg", "loadtest-pool-0", "tenants-0",
+            "rate-0", "faulty-frac-2", "tenants-pool-0", "revive-limit-neg"])
     def test_out_of_range_input_is_a_named_error(self, capsys, argv):
         assert main(argv + ["--requests", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["loadtest", "--backends", "mpk", "--requests", "-5"],
+        ["tenants", "--tenants", "10", "--requests", "-5"],
+        ["macro", "--requests", "-1"],
+    ], ids=["loadtest", "tenants", "macro"])
+    def test_negative_request_count_is_a_named_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: requests must be >= 0")
         assert "Traceback" not in err
 
 

@@ -237,6 +237,29 @@ class TestJitBitIdentity:
             assert any(line == "break" or line.startswith("gua(")
                        for line in near), lines[i]
 
+    def test_hot_trace_keeps_frame_slots_in_locals(self, hottest_async_trace):
+        """The async server's most-entered trace keeps the frame slots it
+        names in Python locals: it loads them once per call, and inside
+        its ``while True:`` loop it reads or writes the locals frame
+        (``sfr``, ``sfw``) only right after an ``f is sfr`` alias test or
+        around a call that reaches memory without handing the trace a
+        frame (``gua``, ``dsp``, ``mcpy``, ``rword``, ``wword``)."""
+        source = hottest_async_trace
+        prologue, loop = source.split("        while True:\n", 1)
+        loop = loop.split("    except BaseException", 1)[0]
+        assert re.search(r"^    [\w, ]+ = u\d+\(sfr, sb \+ \d+\)", prologue,
+                         re.M)
+        lines = [line.strip() for line in loop.splitlines()]
+        assert any(re.fullmatch(r"s\d+ = l\d+", line) for line in lines)
+        frame = re.compile(r"\bsf[rw]\b")
+        calls = re.compile(r"\b(gua|dsp|mcpy|rword|wword)\(")
+        for i, line in enumerate(lines):
+            if not frame.search(line) or line == "if f is sfr:":
+                continue
+            tested = "if f is sfr:" in lines[max(0, i - 3):i]
+            near = lines[max(0, i - 4):i + 5]
+            assert tested or any(calls.search(other) for other in near), line
+
     def test_hot_trace_tests_no_literal_element_size(
             self, hottest_async_trace):
         """The async server's most-entered trace indexes byte slices

@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ConfigError, Fault, MachineHalt, WouldBlock
 from repro.hw import PAGE_SIZE, Perm, make_pkru
+from repro.hw.mmu import wrap64
 from repro.isa import INSTR_SIZE, Instr, Interpreter, Op, jit
 from repro.isa.jit import JIT_MIN_LEN, JitEntry, build_region, leaders
 from repro.isa.opcodes import BINARY_ALU, FUSED_BASE
@@ -27,7 +28,14 @@ from repro.workloads.fasthttp import run_fasthttp_server
 from repro.workloads.httpserver import run_http_server
 
 from tests.golite_helpers import run_golite
-from tests.harness import DATA_BASE, DATA_SIZE, TEXT_BASE, MiniMachine
+from tests.harness import (
+    DATA_BASE,
+    DATA_SIZE,
+    STACK_BASE,
+    STACK_SIZE,
+    TEXT_BASE,
+    MiniMachine,
+)
 
 
 def jit_mini(threshold: int = 1) -> MiniMachine:
@@ -276,16 +284,22 @@ class TestExecutionIdentity:
 
 
 def drive(program: list[Instr], threshold: int, budget: int = 512,
-          local0: int | None = None, runs: int = 1, setup=None):
+          local0: int | None = None, runs: int = 1, setup=None,
+          encoded: bool = True):
     """Run ``program`` ``runs`` times slice by slice from its start, and
     snapshot everything a trace could get wrong: each slice's
     (executed, pc, sim-ns), how each run ended, then the final
     ``op_counts``, ``word_fast``, ``word_slow``, ``tlb_hits``, pc and
     operand stack.  RTCALLs reach a stock ``Runtime.dispatch``, so
     traces open-code SLICE_AT/SLICE_PUT; ``setup(mm)`` runs after the
-    load."""
+    load.  Without ``encoded`` the program is registered as built, as
+    an ``Instr`` list whose immediates need not fit the encoding."""
     mm = jit_mini(threshold)
-    mm.load(program)
+    if encoded:
+        mm.load(program)
+    else:
+        mm._map(TEXT_BASE, PAGE_SIZE, Perm.RX)
+        mm.interp.register_code(TEXT_BASE, program)
     mm.cpu.rtcall_handler = Runtime(mm.mmu, None, None, None, []).dispatch
     if setup is not None:
         setup(mm)
@@ -847,6 +861,241 @@ class TestGeneratedRegions:
         assert traced / total >= self.COVERAGE_FLOOR, traced / total
         assert BINARY_ALU <= ops
         assert faults > 0
+
+
+#: Where :func:`slot_loop` puts the loop head, after ``before``.
+LOOP_HEAD = 8
+
+
+def slot_loop(body: list[Instr], before: tuple = ()) -> list[Instr]:
+    """``body`` in a six-pass countdown loop over local 3, entered after
+    ``before``; locals 0-2 start at 5, 6 and 7, and HALT's exit code
+    folds them together."""
+    out = [Instr(Op.PUSH, 6), Instr(Op.STOREL, 3)]
+    for k in (0, 1, 2):
+        out += [Instr(Op.PUSH, 5 + k), Instr(Op.STOREL, k)]
+    out += before
+    head = len(out)
+    out += body
+    out += [Instr(Op.LOADL, 3), Instr(Op.PUSH, 1), Instr(Op.SUB),
+            Instr(Op.DUP), Instr(Op.STOREL, 3), Instr(Op.JNZ, at(head)),
+            Instr(Op.LOADL, 0), Instr(Op.LOADL, 1), Instr(Op.XOR),
+            Instr(Op.LOADL, 2), Instr(Op.ADD), Instr(Op.HALT)]
+    return out
+
+
+def pass_times(k: int) -> list[Instr]:
+    """Push the loop counter (local 3) times ``k``."""
+    return [Instr(Op.LOADL, 3), Instr(Op.PUSH, k), Instr(Op.MUL)]
+
+
+def add_to(slot: int) -> list[Instr]:
+    """Pop a value and add it to local ``slot``."""
+    return [Instr(Op.LOADL, slot), Instr(Op.ADD), Instr(Op.STOREL, slot)]
+
+
+#: Descriptors and data for the slot-aliasing programs, in DATA.
+SRC_DATA = DATA_BASE + 8        # 8 words MEMCPY copies into a slot
+OUT_DATA = DATA_BASE + 128      # 8 words copied out of a slot
+COPY_SRC = DATA_BASE + 600      # a word SLICE_COPY copies into a slot
+COPY_OUT = DATA_BASE + 640      # a word SLICE_COPY copies out of a slot
+DESC_SLOT1 = DATA_BASE + 512    # 1-word slices over local 1, ...
+DESC_SLOT2 = DATA_BASE + 536    # ... over local 2,
+DESC_SRC = DATA_BASE + 560      # ... over COPY_SRC,
+DESC_OUT = DATA_BASE + 584      # ... and over COPY_OUT
+#: A descriptor spanning DATA's first two pages, over local 2.
+DESC_SPANNING = DATA_BASE + PAGE_SIZE - 8
+#: A second virtual page mapped to the locals' physical frame.
+ALIAS = 0x0028_0000
+#: PUSH immediates outside the signed 64-bit range.
+WIDE = (2 ** 63, 2 ** 64 - 1, -2 ** 63 - 1)
+
+
+def _slot(mm: MiniMachine, k: int) -> int:
+    return mm.cpu.fp + 16 + 8 * k
+
+
+def _descriptors(mm: MiniMachine) -> None:
+    for desc, data in ((DESC_SLOT1, _slot(mm, 1)), (DESC_SLOT2, _slot(mm, 2)),
+                       (DESC_SRC, COPY_SRC), (DESC_OUT, COPY_OUT),
+                       (DESC_SPANNING, _slot(mm, 2))):
+        mm.poke_bytes(desc, struct.pack("<qqq", data, 1, 1))
+    for i in range(8):
+        mm.poke_word(SRC_DATA + 8 * i, 1000 + 37 * i)
+
+
+def _page_start_frame(mm: MiniMachine) -> None:
+    """Put local 0 at the start of the stack's second page."""
+    mm.cpu.fp = STACK_BASE + PAGE_SIZE - 16
+
+
+def _last_slots_frame(mm: MiniMachine) -> None:
+    """Put locals 0-3 at the end of the stack's last mapped page."""
+    _descriptors(mm)
+    mm.cpu.fp = STACK_BASE + STACK_SIZE - 48
+
+
+def _alias_frame(mm: MiniMachine) -> None:
+    pfn = mm.table.lookup(STACK_BASE >> 12).pfn
+    mm.table.map_range(ALIAS, PAGE_SIZE, [pfn], Perm.RW)
+
+
+def _frame_channel(mm: MiniMachine) -> None:
+    """A CHAN_RECV handler that reads local 1 and writes local 2
+    through the MMU, as a runtime service touching the frame would."""
+    def recv(cpu, service, args):
+        value = mm.mmu.read_word(cpu.ctx, _slot(mm, 1), charge=False)
+        mm.mmu.write_word(cpu.ctx, _slot(mm, 2), 3 * value + args[0],
+                          charge=False)
+        return value
+    mm.cpu.rtcall_handler = recv
+
+
+def _setups(*steps):
+    def setup(mm):
+        for step in steps:
+            step(mm)
+    return setup
+
+
+#: name -> (loop body, setup): each reaches a cached frame slot other
+#: than through LOADL/STOREL, and reads the slot back or the memory it
+#: wrote, so a stale slot or stale memory changes the run.
+SLOT_ALIASES = {
+    # A MEMCPY into local 1 after the pass read it, then one out of
+    # local 2 after a STOREL to it.
+    "memcpy": ([Instr(Op.LOADL, 1), *add_to(0),
+                Instr(Op.ADDRL, 1), Instr(Op.PUSH, SRC_DATA), *pass_times(8),
+                Instr(Op.ADD), Instr(Op.PUSH, 8), Instr(Op.MEMCPY),
+                Instr(Op.LOADL, 1), *add_to(0),
+                *pass_times(11), Instr(Op.STOREL, 2),
+                Instr(Op.PUSH, OUT_DATA), *pass_times(8), Instr(Op.ADD),
+                Instr(Op.ADDRL, 2), Instr(Op.PUSH, 8), Instr(Op.MEMCPY),
+                Instr(Op.PUSH, OUT_DATA), *pass_times(8), Instr(Op.ADD),
+                Instr(Op.LOAD), *add_to(0)], _descriptors),
+    # A MEMCPY into local 2 after a STOREL to it; on the last pass it
+    # runs on over local 3 into the unmapped page after it, so it
+    # writes both locals, then faults.
+    "memcpy-faults-midway": (
+        [*pass_times(53), Instr(Op.STOREL, 2),
+         Instr(Op.ADDRL, 2), Instr(Op.PUSH, SRC_DATA),
+         Instr(Op.LOADL, 3), Instr(Op.PUSH, 1), Instr(Op.EQ),
+         Instr(Op.PUSH, 16), Instr(Op.MUL), Instr(Op.PUSH, 8), Instr(Op.ADD),
+         Instr(Op.MEMCPY), Instr(Op.LOADL, 2), *add_to(0)],
+        _last_slots_frame),
+    # A pure service: SLICE_COPY into a slice over local 1, then out of
+    # one over local 2 after a STOREL to it.
+    "slice-copy": ([Instr(Op.PUSH, COPY_SRC), *pass_times(13), Instr(Op.STORE),
+                    Instr(Op.PUSH, DESC_SLOT1), Instr(Op.PUSH, DESC_SRC),
+                    Instr(Op.PUSH, 8), Instr(Op.RTCALL, 26, 3), Instr(Op.DROP),
+                    Instr(Op.LOADL, 1), *add_to(0),
+                    *pass_times(17), Instr(Op.STOREL, 2),
+                    Instr(Op.PUSH, DESC_OUT), Instr(Op.PUSH, DESC_SLOT2),
+                    Instr(Op.PUSH, 8), Instr(Op.RTCALL, 26, 3), Instr(Op.DROP),
+                    Instr(Op.PUSH, COPY_OUT), Instr(Op.LOAD), *add_to(0)],
+                   _descriptors),
+    # SLICE_AT/SLICE_PUT through a page-spanning descriptor (the generic
+    # dispatch) over local 2: a read after a STOREL, a write before a
+    # LOADL.
+    "descriptor-spans-page": (
+        [*pass_times(19), Instr(Op.STOREL, 2),
+         Instr(Op.PUSH, DESC_SPANNING), Instr(Op.PUSH, 8), Instr(Op.PUSH, 0),
+         Instr(Op.RTCALL, 22, 3), *add_to(0),
+         Instr(Op.PUSH, DESC_SPANNING), Instr(Op.PUSH, 8), Instr(Op.PUSH, 0),
+         *pass_times(23), Instr(Op.RTCALL, 23, 4), Instr(Op.DROP),
+         Instr(Op.LOADL, 2), *add_to(1)], _descriptors),
+    # A word LOAD, then a word STORE, spanning the page boundary into
+    # local 0 (the uncharged helpers).
+    "word-spans-into-slot": (
+        [*pass_times(29), Instr(Op.STOREL, 0),
+         Instr(Op.ADDRL, 0), Instr(Op.PUSH, 4), Instr(Op.SUB), Instr(Op.LOAD),
+         *add_to(1),
+         Instr(Op.ADDRL, 0), Instr(Op.PUSH, 4), Instr(Op.SUB),
+         *pass_times(31), Instr(Op.STORE),
+         Instr(Op.LOADL, 0), *add_to(2)], _page_start_frame),
+    # Word and byte accesses through a second mapping of the frame: a
+    # store and a byte store into local 1 read back by LOADL, a load
+    # and a byte load of local 0 after a STOREL to it.
+    "second-mapping": (
+        [Instr(Op.PUSH, ALIAS + 24), *pass_times(37), Instr(Op.STORE),
+         Instr(Op.LOADL, 1), *add_to(2),
+         Instr(Op.PUSH, ALIAS + 25), *pass_times(3), Instr(Op.STORE1),
+         Instr(Op.LOADL, 1), *add_to(2),
+         *pass_times(41), Instr(Op.STOREL, 0),
+         Instr(Op.PUSH, ALIAS + 16), Instr(Op.LOAD), *add_to(2),
+         *pass_times(43), Instr(Op.STOREL, 0),
+         Instr(Op.PUSH, ALIAS + 16), Instr(Op.LOAD1), *add_to(2)],
+        _alias_frame),
+    # A guarded channel call whose handler reads local 1 and writes
+    # local 2, with a wide literal under its argument that the trace
+    # refills from cpu.operands after the call and stores.
+    "channel-call": (
+        [*pass_times(47), Instr(Op.STOREL, 1),
+         Instr(Op.PUSH, 2 ** 64 - 5), Instr(Op.LOADL, 3),
+         Instr(Op.RTCALL, 5, 1), *add_to(0),
+         Instr(Op.LOADL, 2), *add_to(0), Instr(Op.STOREL, 2)],
+        _frame_channel),
+}
+
+
+def wide_stores(value: int) -> dict[str, list[Instr]]:
+    """The three ways a PUSH immediate ``value`` reaches a STOREL in a
+    trace: as a literal, as an entry operand the interpreter left on
+    the stack before the loop, and settled into a local at a block
+    edge.  Each program reads the slot back."""
+    readback = [Instr(Op.LOADL, 1), *add_to(2)]
+    return {
+        "literal": slot_loop([Instr(Op.PUSH, value), Instr(Op.STOREL, 1),
+                              *readback]),
+        "entry-operand": slot_loop([Instr(Op.DUP), Instr(Op.STOREL, 1),
+                                    *readback],
+                                   before=(Instr(Op.PUSH, value),)),
+        # A pass with an even counter skips the NOP: the literal
+        # reaches the STOREL's block along two edges.
+        "block-edge": slot_loop([Instr(Op.PUSH, value), Instr(Op.LOADL, 3),
+                                 Instr(Op.PUSH, 1), Instr(Op.AND),
+                                 Instr(Op.JZ, at(LOOP_HEAD + 6)),
+                                 Instr(Op.NOP), Instr(Op.STOREL, 1),
+                                 *readback]),
+    }
+
+
+class TestCachedFrameSlots:
+    """A trace caches the frame slots its region names in Python
+    locals.  Whatever else reaches the frame — a MEMCPY, a pure or
+    guarded runtime call, the generic slice dispatch, a page-spanning
+    word, a second mapping of the frame's page — must see the slots
+    and leave them as the interpreter would, and a slot holds what
+    STOREL then LOADL would return even for an immediate outside the
+    signed 64-bit range.  Each case must match a run that never
+    compiles, frame and data memory included."""
+
+    @staticmethod
+    def compare(program, setup=None):
+        for budget in (13, 4096):
+            runs = [drive(program, threshold, budget, setup=setup,
+                          encoded=False) for threshold in (1, 10 ** 9)]
+            on, off = ([[mm.peek_word(_slot(mm, k)) for k in range(4)],
+                        mm.peek_bytes(DATA_BASE, 1024), snapshot]
+                       for mm, snapshot in runs)
+            assert on == off, budget
+        perf = runs[0][0].interp.perf
+        assert perf.jit_insns > perf.instructions // 2
+        return runs[0][0]
+
+    @pytest.mark.parametrize("case", sorted(SLOT_ALIASES))
+    def test_aliased_slot_matches_the_interpreter(self, case):
+        body, setup = SLOT_ALIASES[case]
+        mm = self.compare(slot_loop(body), setup)
+        head = mm.interp.code[at(LOOP_HEAD)]
+        assert isinstance(head, JitEntry) and head.fn is not None
+
+    @pytest.mark.parametrize("value", WIDE)
+    @pytest.mark.parametrize("way", ["literal", "entry-operand",
+                                     "block-edge"])
+    def test_wide_immediate_is_stored_wrapped(self, way, value):
+        mm = self.compare(wide_stores(value)[way])
+        assert mm.peek_word(_slot(mm, 1)) == wrap64(value)
 
 
 def unused_hoists(source: str) -> list[str]:
