@@ -246,8 +246,8 @@ class TableBackend(Backend):
         """Make ``env``'s table the core's root.  That is a CR3 write;
         the subclass's switch charge (``CR3_WRITE``) already holds its
         simulated cost, hardware TLB flush included.  The software TLB
-        needs no flush: its entries are tagged with their table, so the
-        old table's entries miss until that table is installed again."""
+        needs no flush: each table keeps its own, so the old table's
+        entries wait, still valid, until it is installed again."""
         cpu.ctx.page_table = env.table
         # Per-core state: SMP syscall filtering reads the environment
         # last installed on the issuing core, not a backend global.
@@ -325,8 +325,9 @@ class TableBackend(Backend):
     def unquarantine(self, env: Environment) -> None:
         """Supervised revival: restore the presence snapshot taken at
         quarantine time.  Sound because a quarantined enclosure cannot
-        allocate, so no Transfer retargets its pages while revoked; the
-        generation bump invalidates any stale TLB entries."""
+        allocate, so no Transfer retargets its pages while revoked;
+        ``revoke_all`` dropped the pages' cached translations, so none
+        can be stale."""
         snapshot = self._quarantine_presence.pop(env.id, None)
         if snapshot is not None and env.table is not None:
             env.table.restore_present(snapshot)

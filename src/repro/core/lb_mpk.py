@@ -149,8 +149,8 @@ class MPKBackend(Backend):
 
     def switch_to(self, cpu: CPU, env: Environment) -> None:
         # An MPK switch is only a PKRU write, which does NOT flush the
-        # TLB on real hardware — and must not here: PKRU is excluded
-        # from the MMU's TLB tag and protection keys are re-checked on
+        # TLB on real hardware — and must not here: PKRU is no part of
+        # a cached translation and protection keys are re-checked on
         # every data access, so a hot entry cannot outlive a revocation
         # (regression-guarded by tests/test_tlb.py).
         litterbox = self.litterbox

@@ -53,8 +53,8 @@ class VTXBackend(TableBackend):
 
     def boot(self, cpu: CPU) -> None:
         """Entering guest mode installs the trusted table as CR3 and the
-        EPT.  Translations cached before it carry the host table and no
-        EPT in their tags, so they miss from here on."""
+        EPT.  Translations cached before it stay in the host table's
+        TLB, filled with no EPT, so none of them serves the guest."""
         cpu.ctx.page_table = self.trusted_table
         cpu.ctx.ept = self.vm.vmcs.ept
 

@@ -10,34 +10,33 @@ non-bypassable inside the simulation.
 Software TLB
 ------------
 
-Each :class:`TranslationContext` carries a software TLB: a dict mapping
-``vpn * 4 + kind`` to a cached ``(pte, frame, table, table_gen, ept,
-ept_gen)`` tuple, filled only after a walk fully passes the present /
-user / permission checks — a denied translation is never cached.  A hit
-revalidates the tag (same page table object, same generation, same EPT
-and generation), and that test is the TLB's only invalidation: any
-``map``/``unmap``/``protect`` edit bumps :attr:`PageTable.gen`, and
-under the table a CR3 write installs (a VT-x/LWC switch) the old
-table's entries miss, then hit again once it is back unless a fill
-replaced them (one entry per page and kind).  Nothing flushes; the
-``CR3_WRITE`` charge holds the hardware flush's simulated cost.
+Each :class:`PageTable` keeps the software TLB of its translations,
+shared by every context and core that installs it: ``table.tlb`` maps
+``vpn * 4 + kind`` to ``(pte, frame, ept)``, filled only after a walk
+fully passes the present / user / permission checks — a denied
+translation is never cached.  A hit needs the entry present, filled
+under ``ctx.ept``, and privilege and PKRU allowing the access.  The
+page table drops what each of its edits changes (see
+:mod:`repro.hw.pagetable`), so a CR3 write (a VT-x/LWC switch) flushes
+nothing; the ``CR3_WRITE`` charge holds the hardware flush's simulated
+cost.
 
-PKRU is deliberately **not** part of the TLB tag: as on real MPK
+PKRU is deliberately **not** part of a cached entry: as on real MPK
 hardware, protection keys are checked on every data access against the
 *current* PKRU using the key stored in the cached PTE, so a ``WRPKRU``
 takes effect on the very next access even with a hot TLB entry, and no
 enforcement is weakened by caching.
 
-That hit test — tag, privilege, PKRU — is written out twice: in
-:meth:`MMU._access`, which every checked access here goes through, and
-in ``repro.isa.jit._hit``, which renders the same test into JIT traces.
-An enforcement change to one must land in the other.
+That hit test is written out twice: in :meth:`MMU._access`, which every
+checked access here goes through, and in ``repro.isa.jit._hit``, which
+renders the same test into JIT traces.  An enforcement change to one
+must land in the other.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PageFault, PkeyFault
 from repro.hw.clock import COSTS, SimClock
@@ -76,14 +75,12 @@ class TranslationContext:
         pkru: PKRU register value, or ``None`` when MPK is not in use.
         ept: optional second-level table (guest-physical -> host frame).
         user: whether the access executes in user mode.
-        tlb: per-context software TLB (see module docstring).
     """
 
     page_table: PageTable
     pkru: int | None = None
     ept: PageTable | None = None
     user: bool = True
-    tlb: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class MMU:
@@ -177,28 +174,29 @@ class MMU:
         frame = self.physmem.frame(paddr >> PAGE_SHIFT)
         table = ctx.page_table
         ept = ctx.ept
-        ctx.tlb[(vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind]] = (
-            pte, frame, table, table.gen, ept, 0 if ept is None else ept.gen)
+        if ept is not None:
+            ept.guests.add(table)
+        table.tlb[(vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind]] = (
+            pte, frame, ept)
         return pte, frame
 
     def _access(self, ctx: TranslationContext, vaddr: int,
                 kind: str) -> bytearray:
         """One checked access through the TLB; returns the page's frame.
 
-        The MMU's only TLB-hit test: the cached entry's table,
-        generation, EPT and privilege still match, and the current PKRU
-        allows the page's key (every data access, hit or miss).  The
-        injector, when armed, gets the access first.  Never touches the
-        clock; callers charge.
+        The MMU's only TLB-hit test: the installed table's TLB holds an
+        entry for the page and kind, filled under ``ctx.ept``, whose
+        privilege still matches, and the current PKRU allows the page's
+        key (every data access, hit or miss).  The injector, when armed,
+        gets the access first.  Never touches the clock; callers charge.
         """
         if self.inject is not None:
             self.inject.on_access(vaddr, kind)
-        entry = ctx.tlb.get((vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind])
+        entry = ctx.page_table.tlb.get(
+            (vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind])
         if entry is not None:
-            pte, frame, table, tgen, ept, egen = entry
-            if table is ctx.page_table and tgen == table.gen and \
-                    ept is ctx.ept and (ept is None or egen == ept.gen) and \
-                    (pte.user or not ctx.user):
+            pte, frame, ept = entry
+            if ept is ctx.ept and (pte.user or not ctx.user):
                 self.perf.tlb_hits += 1
             else:
                 entry = None
@@ -211,14 +209,13 @@ class MMU:
         return frame
 
     def flush_tlb(self, ctx: TranslationContext) -> None:
-        """Drop every cached translation for ``ctx``.
+        """Drop every cached translation of ``ctx``'s table.
 
-        Nothing in the simulator calls it: the tag test in
-        :meth:`_access` already rejects an entry from another table or
-        an older generation.  It stays, with ``tlb_flushes``, only
+        Nothing in the simulator calls it: each page-table edit already
+        drops what it changes.  It stays, with ``tlb_flushes``, only
         because perfbench wraps it by name.
         """
-        ctx.tlb.clear()
+        ctx.page_table.tlb.clear()
         self.perf.tlb_flushes += 1
 
     # -- checked accesses ------------------------------------------------
@@ -278,18 +275,20 @@ class MMU:
         """Validate an instruction fetch from ``vaddr``."""
         self._access(ctx, vaddr, "x")
 
-    def exec_tag(self, ctx: TranslationContext, vaddr: int) -> tuple:
+    def exec_tag(self, ctx: TranslationContext, vaddr: int) -> tuple | None:
         """Validate a fetch and return the interpreter's per-page exec
-        cache tag ``(vpn, ctx, table, table_gen, ept, ept_gen)``.
+        tag: the TLB entry that served it.
 
-        The interpreter compares the tag inline on every step; while it
-        matches, fetches from the same page skip :meth:`check_exec`.
+        While that entry is still the installed table's exec entry for
+        the fetched page (an identity test) and was filled under
+        ``ctx.ept``, the interpreter's fetches from the page skip
+        :meth:`check_exec`.  A supervisor page's entry gives ``None``,
+        so each fetch from one is checked against the context's
+        privilege.
         """
         self._access(ctx, vaddr, "x")
-        table = ctx.page_table
-        ept = ctx.ept
-        return (vaddr >> PAGE_SHIFT, ctx, table, table.gen, ept,
-                0 if ept is None else ept.gen)
+        entry = ctx.page_table.tlb[(vaddr >> PAGE_SHIFT) * 4 + KIND_X]
+        return entry if entry[0].user else None
 
     # -- word-granular helpers (the ISA operates on 64-bit words) --------
 

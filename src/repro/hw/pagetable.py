@@ -1,8 +1,13 @@
-"""Simulated page tables.
+"""Simulated page tables, each with the software TLB of its translations.
 
 A :class:`PageTable` maps virtual page numbers to :class:`PTE` entries.
 PTEs carry access rights, a user/supervisor bit, a presence bit, and —
 as on MPK-capable x86 — a 4-bit protection key.
+
+Only this module edits a translation, so only it decides staleness: an
+edit that changes existing translations drops exactly their TLB
+entries, an EPT edit drops the TLBs filled through it, and a fresh
+mapping drops nothing (a denied translation is never cached).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ class PTE:
 
 
 class PageTable:
-    """A single-level simulated page table (vpn -> PTE).
+    """A single-level simulated page table (vpn -> PTE) and its TLB.
 
     Real x86 tables are 4-level radix trees; a flat dict preserves the
     semantics (per-page translation + rights) that the reproduction needs
@@ -44,23 +49,20 @@ class PageTable:
         self.id = PageTable._next_id
         self.name = name or f"pt{self.id}"
         self._entries: dict[int, PTE] = {}
-        #: Generation counter, bumped on every mutation.  The MMU's
-        #: software TLB tags cached translations with the generation of
-        #: the table they came from; any map/unmap/protect edit makes
-        #: those entries stale without an explicit shootdown.
-        self.gen = 0
-        #: Optional SMP shootdown hook ``fn(table)``; the machine wires
-        #: it on multi-core configurations so mutations charge the
-        #: cross-core IPI/TLB-shootdown cost that the generation counter
-        #: alone gets "for free".  Fired at most once per *public*
-        #: mutation (a ``map_range`` of N pages is one invalidation
-        #: batch, exactly as ``flush_tlb_mm_range`` is one IPI burst),
-        #: and only when an *existing* translation changed — mapping
-        #: fresh pages leaves nothing stale in any TLB, so, as on Linux,
-        #: ``mmap`` costs no IPIs while ``munmap``/``mprotect`` do.
+        #: Software TLB: ``vpn * 4 + kind`` -> ``(pte, frame, ept)``,
+        #: filled by the MMU.  Cleared in place and never rebound, so a
+        #: JIT trace may hoist its ``get``.
+        self.tlb: dict[int, tuple] = {}
+        #: The tables whose TLB holds an entry filled through this one
+        #: as their EPT; an edit of this table clears their TLBs.
+        self.guests: set[PageTable] = set()
+        #: Optional SMP shootdown hook ``fn(table)``, wired on
+        #: multi-core machines to charge the cross-core IPI cost.  Fired
+        #: by :meth:`_invalidate`: once per public edit (one IPI burst,
+        #: as ``flush_tlb_mm_range``) that changed an *existing*
+        #: translation, so, as on Linux, ``mmap`` costs no IPIs while
+        #: ``munmap``/``mprotect`` do.
         self.shootdown = None
-        self._in_batch = False
-        self._batch_stale = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -72,75 +74,75 @@ class PageTable:
         """Translate a virtual page number; ``None`` if unmapped."""
         return self._entries.get(vpn)
 
-    def _shot(self, stale: bool = True) -> None:
-        """Fire the SMP shootdown hook for one mutation.
+    def maps(self, base: int, size: int) -> bool:
+        """Whether every page of ``[base, base+size)`` is mapped."""
+        entries = self._entries
+        return all(vpn in entries for vpn in pages_spanned(base, size))
 
-        Inside a batch the staleness is only accumulated; the batch end
-        fires at most one shootdown.  ``stale=False`` records a
-        mutation that invalidated nothing (a fresh mapping)."""
-        if self.shootdown is None:
-            return
-        if self._in_batch:
-            self._batch_stale = self._batch_stale or stale
-        elif stale:
+    def _invalidate(self, vpns) -> None:
+        """One edit changed the existing translations of ``vpns``: drop
+        their entries of every kind from the TLB, clear the TLB of each
+        table filled through this one, and fire the shootdown hook."""
+        tlb = self.tlb
+        for vpn in vpns:
+            key = vpn * 4   # the kinds r, w, x are keys key .. key + 2
+            tlb.pop(key, None)
+            tlb.pop(key + 1, None)
+            tlb.pop(key + 2, None)
+        for guest in self.guests:
+            guest.tlb.clear()
+        self.guests.clear()
+        if self.shootdown is not None:
             self.shootdown(self)
-
-    def _end_batch(self) -> None:
-        self._in_batch = False
-        if self._batch_stale:
-            self._batch_stale = False
-            self._shot()
 
     def map_page(self, vpn: int, pte: PTE) -> None:
         stale = vpn in self._entries
         self._entries[vpn] = pte
-        self.gen += 1
-        self._shot(stale)
+        if stale:
+            self._invalidate((vpn,))
 
     def map_range(self, base: int, size: int, pfns: list[int], perms: Perm,
                   pkey: int = 0, user: bool = True, present: bool = True) -> None:
         """Map ``[base, base+size)`` onto consecutive entries of ``pfns``."""
-        vpns = list(pages_spanned(base, size))
+        vpns = pages_spanned(base, size)
         if len(vpns) != len(pfns):
             raise ConfigError(
                 f"map_range: {len(vpns)} pages but {len(pfns)} frames")
-        self._in_batch = True
-        try:
-            for vpn, pfn in zip(vpns, pfns):
-                self.map_page(vpn, PTE(pfn, perms, pkey, present, user))
-        finally:
-            self._end_batch()
+        entries = self._entries
+        stale = [vpn for vpn in vpns if vpn in entries]
+        for vpn, pfn in zip(vpns, pfns):
+            entries[vpn] = PTE(pfn, perms, pkey, present, user)
+        if stale:
+            self._invalidate(stale)
 
     def unmap_page(self, vpn: int) -> None:
-        stale = self._entries.pop(vpn, None) is not None
-        self.gen += 1
-        self._shot(stale)
+        if self._entries.pop(vpn, None) is not None:
+            self._invalidate((vpn,))
 
     def unmap_range(self, base: int, size: int) -> None:
-        self._in_batch = True
-        try:
-            for vpn in pages_spanned(base, size):
-                self.unmap_page(vpn)
-        finally:
-            self._end_batch()
+        entries = self._entries
+        stale = [vpn for vpn in pages_spanned(base, size)
+                 if entries.pop(vpn, None) is not None]
+        if stale:
+            self._invalidate(stale)
+
+    def _update(self, vpns, **changes) -> int:
+        """Apply field changes to the mapped ``vpns``' PTEs; returns how
+        many (the caller charges simulated time per updated entry)."""
+        entries = self._entries
+        for vpn in vpns:
+            entries[vpn] = replace(entries[vpn], **changes)
+        if vpns:
+            self._invalidate(vpns)
+        return len(vpns)
 
     def _update_range(self, base: int, size: int, **changes) -> int:
-        """Apply field changes to every mapped PTE in a range.
-
-        Returns the number of entries updated (the caller charges
-        simulated time per updated entry).
-        """
-        updated = 0
-        for vpn in pages_spanned(base, size):
-            pte = self._entries.get(vpn)
-            if pte is None:
-                raise ConfigError(f"update of unmapped page vpn={vpn:#x}")
-            self._entries[vpn] = replace(pte, **changes)
-            updated += 1
-        if updated:
-            self.gen += 1
-            self._shot()
-        return updated
+        """:meth:`_update` a range, all or nothing: a range that is not
+        fully mapped raises before any edit."""
+        if not self.maps(base, size):
+            raise ConfigError(
+                f"update of unmapped range {base:#x}+{size:#x}")
+        return self._update(pages_spanned(base, size), **changes)
 
     def protect_range(self, base: int, size: int, perms: Perm) -> int:
         return self._update_range(base, size, perms=perms)
@@ -154,15 +156,8 @@ class PageTable:
     def revoke_all(self) -> int:
         """Clear the present bit of every mapping (quarantine hard-revoke
         of a per-environment table).  Returns the PTEs updated."""
-        updated = 0
-        for vpn, pte in self._entries.items():
-            if pte.present:
-                self._entries[vpn] = replace(pte, present=False)
-                updated += 1
-        if updated:
-            self.gen += 1
-            self._shot()
-        return updated
+        return self._update([vpn for vpn, pte in self._entries.items()
+                             if pte.present], present=False)
 
     def present_vpns(self) -> frozenset[int]:
         """The vpns currently mapped present.  ``revoke_all`` destroys
@@ -174,20 +169,14 @@ class PageTable:
     def restore_present(self, vpns: frozenset[int]) -> int:
         """Re-set the present bit on every still-mapped vpn of a
         ``present_vpns`` snapshot (quarantine revival).  Returns the
-        PTEs updated; bumps the generation so stale TLB entries die."""
-        updated = 0
-        for vpn in vpns:
-            pte = self._entries.get(vpn)
-            if pte is not None and not pte.present:
-                self._entries[vpn] = replace(pte, present=True)
-                updated += 1
-        if updated:
-            self.gen += 1
-            self._shot()
-        return updated
+        PTEs updated."""
+        entries = self._entries
+        return self._update([vpn for vpn in vpns if vpn in entries
+                             and not entries[vpn].present], present=True)
 
     def clone(self, name: str = "") -> "PageTable":
-        """Copy this table; used to derive per-environment tables."""
+        """Copy this table's mappings (not its TLB); used to derive
+        per-environment tables."""
         table = PageTable(name)
         table._entries = dict(self._entries)
         return table

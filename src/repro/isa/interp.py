@@ -8,10 +8,10 @@ memory views enforceable against arbitrary compiled code.
 Fast paths (wall-clock only; simulated costs are unchanged):
 
 * **fetch** — instead of a full MMU walk per instruction, the
-  interpreter caches the exec-validity of the current code page as a
-  tag ``(vpn, ctx, table, table_gen, ept, ept_gen)`` and revalidates it
-  with cheap identity/int comparisons each step.  Any page-table edit
-  (generation bump), context switch, or CR3 write makes the tag stale
+  interpreter keeps the TLB entry that validated its code page
+  (:meth:`MMU.exec_tag`) and each step checks that the installed table
+  still holds that very entry for the pc's page, filled under the
+  context's EPT.  An edit, another page or a CR3 write fails the check
   and forces a checked fetch, so enforcement is identical to walking.
 * **dispatch** — opcodes index a handler table (built once per
   interpreter) instead of walking a long ``if``/``elif`` chain, and each
@@ -43,7 +43,7 @@ from __future__ import annotations
 from repro.errors import Fault, MachineHalt, SimError, WouldBlock
 from repro.hw.clock import COSTS, SimClock
 from repro.hw.cpu import CPU
-from repro.hw.mmu import MMU, wrap64
+from repro.hw.mmu import KIND_X, MMU, wrap64
 from repro.hw.pages import PAGE_SHIFT
 from repro.isa.instr import Instr
 from repro.isa.jit import GUARDS, JitCompiler
@@ -106,9 +106,10 @@ class Interpreter:
         #: vaddr -> decoded instruction, filled by the loader.  Text pages
         #: are never writable, so the cache cannot go stale.
         self.code: dict[int, Instr] = {}
-        #: Exec-validity tag of the most recently fetched code page;
-        #: ``None`` forces the next fetch through the MMU.
-        self._exec_tag: tuple | None = None
+        #: The TLB entry that validated the most recently fetched code
+        #: page (:meth:`MMU.exec_tag`); ``None`` forces the next fetch
+        #: through the MMU.
+        self._exec_entry: tuple | None = None
         #: Architectural instructions retired by the most recent
         #: :meth:`run_slice` call (valid even if it raised).
         self.slice_executed = 0
@@ -132,7 +133,7 @@ class Interpreter:
         # address, so a jump into the middle of a pair executes it
         # unfused.  Greedy, non-overlapping, never across a page
         # boundary (the fused handler runs both halves under the first
-        # page's exec tag).
+        # page's exec check).
         dispatch = self._dispatch
         index = 0
         last = len(instrs) - 1
@@ -167,13 +168,12 @@ class Interpreter:
         """
         pc = cpu.pc
         ctx = cpu.ctx
-        tag = self._exec_tag
-        if tag is None or tag[0] != pc >> PAGE_SHIFT or tag[1] is not ctx \
-                or tag[2] is not ctx.page_table or tag[3] != tag[2].gen \
-                or tag[4] is not ctx.ept \
-                or (tag[4] is not None and tag[5] != tag[4].gen):
+        entry = self._exec_entry
+        if entry is None or entry[2] is not ctx.ept \
+                or entry is not ctx.page_table.tlb.get(
+                    (pc >> PAGE_SHIFT) * 4 + KIND_X):
             self.perf.fetch_slow += 1
-            self._exec_tag = self.mmu.exec_tag(ctx, pc)
+            self._exec_entry = self.mmu.exec_tag(ctx, pc)
         instr = self.code.get(pc)
         if instr is None:
             raw = self.mmu.read(ctx, pc, INSTR_SIZE, charge=False)
@@ -221,20 +221,18 @@ class Interpreter:
         profiler = self.profiler
         clock = self.clock
         jit_op = JIT_OP
+        exec_kind = KIND_X
         self._jit_partial = 0
         try:
             while executed < budget:
                 pc = cpu.pc
                 ctx = cpu.ctx
-                tag = self._exec_tag
-                if tag is None or tag[0] != pc >> PAGE_SHIFT \
-                        or tag[1] is not ctx \
-                        or tag[2] is not ctx.page_table \
-                        or tag[3] != tag[2].gen \
-                        or tag[4] is not ctx.ept \
-                        or (tag[4] is not None and tag[5] != tag[4].gen):
+                entry = self._exec_entry
+                if entry is None or entry[2] is not ctx.ept \
+                        or entry is not ctx.page_table.tlb.get(
+                            (pc >> PAGE_SHIFT) * 4 + exec_kind):
                     perf.fetch_slow += 1
-                    self._exec_tag = mmu.exec_tag(ctx, pc)
+                    self._exec_entry = mmu.exec_tag(ctx, pc)
                 instr = code.get(pc)
                 if instr is None:
                     raw = mmu.read(ctx, pc, INSTR_SIZE, charge=False)

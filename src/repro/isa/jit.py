@@ -83,16 +83,17 @@ its life, so they are built once per linked image: the machine hands
 its :class:`JitCompiler` the image's memo, and every machine built from
 that image links the same function.
 
-A trace encodes no policy.  Each call hoists the context, its table and
-generation, the EPT and PKRU, and every access passes :func:`_hit`, the
-tag test of ``MMU._access``, so a CR3 write, a page-table edit or a
-PKRU change made between two calls (nothing inside a region makes one)
-reaches the next call's first access.  A linked trace therefore stays
-linked for the interpreter's life: quarantine, revival and environment
-switches leave it alone.  Compiled function objects are also shared
-process-wide through a cache keyed by everything :func:`gen_source`
-reads from a region (:data:`_COMPILED`), so fresh images of the same
-program generate and compile each trace once per process.
+A trace encodes no policy.  Each call hoists the context, the EPT, PKRU
+and the installed table's TLB lookup, and every access passes
+:func:`_hit`, the hit test of ``MMU._access``, so a CR3 write or a PKRU
+change made between two calls (nothing inside a region makes one)
+reaches the next call's first access, and a page-table edit has already
+dropped the entries it changed.  A linked trace therefore stays linked
+for the interpreter's life: quarantine, revival and environment switches
+leave it alone.  Compiled function objects are also shared process-wide
+through a cache keyed by everything :func:`gen_source` reads from a
+region (:data:`_COMPILED`), so fresh images of the same program generate
+and compile each trace once per process.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ _TERM = frozenset({Op.JMP, Op.JZ, Op.JNZ})
 #: Runtime services a trace may call inline, by :class:`repro.runtime.
 #: runtime.RT` value (numeric to avoid an isa -> runtime import cycle).
 #: The bar for membership: the service must never map/unmap/retag pages
-#: or switch environments — every hoisted translation (TLB generations,
-#: prevalidated locals frames, PKRU) must stay valid across the call.
+#: or switch environments — every hoisted translation (the installed
+#: table and EPT, prevalidated locals frames, PKRU) must stay valid
+#: across the call.
 #: That excludes every allocating service (the span-grab slow path
 #: issues SYS_MMAP and a LitterBox Transfer), GO/PRINT/METRICS (kernel
 #: and scheduler machinery), and PANIC (pointless to trace).
@@ -988,9 +990,8 @@ def gen_source(region: Region, profiled: bool) -> str:
 _HOISTS = (
     ("ops", "cpu.operands"), ("clock", "cpu.clock"), ("mmu", "interp.mmu"),
     ("ctx", "cpu.ctx"), ("fpb", "cpu.fp + 16"),
-    ("table", "ctx.page_table"), ("tgen", "table.gen"), ("ept", "ctx.ept"),
-    ("egen", "0 if ept is None else ept.gen"), ("user", "ctx.user"),
-    ("pkru", "ctx.pkru"), ("tget", "ctx.tlb.get"),
+    ("ept", "ctx.ept"), ("user", "ctx.user"),
+    ("pkru", "ctx.pkru"), ("tget", "ctx.page_table.tlb.get"),
     ("inj", "mmu.inject"), ("acc", "mmu._access"), ("th", "0"), ("wf", "0"),
     ("rword", "mmu.read_word"), ("wword", "mmu.write_word"),
     ("mcpy", "mmu.memcpy"), ("dor", "interp._do_rtcall"),
@@ -1011,13 +1012,13 @@ _HOIST_READS = {name: _names([value]) for name, value in _HOISTS}
 
 def _hit(e: str, write: bool) -> str:
     """The TLB-hit test of ``MMU._access`` as a generated expression
-    over the entry ``e`` (a ``ctx.tlb`` value, possibly None) and the
-    trace's hoisted context: the entry's table, generation, EPT and
-    privilege still match, and PKRU allows the page's key for a read
-    (AD clear) or a write (AD and WD clear).  Binds ``p`` to the PTE."""
+    over the entry ``e`` (a value of the installed table's TLB, possibly
+    None) and the trace's hoisted context: the entry is present, was
+    filled under the context's EPT, its privilege still matches, and
+    PKRU allows the page's key for a read (AD clear) or a write (AD and
+    WD clear).  Binds ``p`` to the PTE."""
     deny = 3 if write else 1
-    return (f"{e} is not None and {e}[2] is table and {e}[3] == tgen "
-            f"and {e}[4] is ept and (ept is None or {e}[5] == egen) "
+    return (f"{e} is not None and {e}[2] is ept "
             f"and ((p := {e}[0]).user or not user) and (pkru is None "
             f"or not user or not (pkru >> (2 * p.pkey)) & {deny})")
 

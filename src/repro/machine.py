@@ -50,10 +50,12 @@ class MachineConfig:
     backend: str = "baseline"          # baseline | mpk | vtx | lwc
     #: Simulated CPU cores.  ``1`` is the historical single-core
     #: machine, bit-identical with every prior release; ``N > 1``
-    #: builds N CPUs (each with a private TLB and PKRU) under one
-    #: SimClock with a deterministic per-core virtual-time interleave,
-    #: and turns on honest cross-core costs: every page-table or PKRU
-    #: revocation charges TLB-shootdown IPIs against the remote cores.
+    #: builds N CPUs (each with its own CR3 and PKRU; cached
+    #: translations live with each page table, shared by every core)
+    #: under one SimClock with a deterministic per-core virtual-time
+    #: interleave, and turns on honest cross-core costs: every
+    #: page-table or PKRU revocation charges TLB-shootdown IPIs against
+    #: the remote cores.
     cores: int = 1
     virtualize_keys: bool = False      # libmpk-style ablation (LBMPK)
     arg_rules: list[ArgRule] | None = None  # §6.5 sysfilter extension
@@ -193,8 +195,8 @@ class Machine:
         backend.boot(self.cpu)
 
         # Further cores (SMP): each gets its own translation context —
-        # a private software TLB and PKRU cell — starting from core 0's
-        # boot state.  Core 0's CPU object and context are exactly the
+        # its CR3, EPT and PKRU cells — starting from core 0's boot
+        # state.  Core 0's CPU object and context are exactly the
         # historical single-core ones.
         self.cpus = [self.cpu]
         for _ in range(1, config.cores):

@@ -71,10 +71,6 @@ class Kernel:
         #: Signature: (base, size, pfns) -> None.
         self.mmap_hook: Callable[[int, int, list[int]], None] | None = None
         self._fds: dict[int, object] = {}
-        #: Cached copy_from_user context (same table/EPT as the caller,
-        #: kernel privilege, no PKRU); reused so its software TLB stays
-        #: warm across system calls instead of starting cold each entry.
-        self._kctx_cache: TranslationContext | None = None
         self._next_fd = 3
         self._mmap_cursor = MMAP_BASE
         self._mappings: dict[int, int] = {}  # base -> size
@@ -208,17 +204,12 @@ class Kernel:
         return handler(kctx, args)
 
     def _kernel_ctx(self, ctx: TranslationContext | None) -> TranslationContext | None:
-        """The kernel's copy path uses the user page table sans PKRU."""
+        """The kernel's copy path uses the user page table sans PKRU
+        (and shares that table's cached translations)."""
         if ctx is None:
             return None
-        cached = self._kctx_cache
-        if cached is not None and cached.page_table is ctx.page_table \
-                and cached.ept is ctx.ept:
-            return cached
-        cached = TranslationContext(page_table=ctx.page_table, pkru=None,
-                                    ept=ctx.ept, user=True)
-        self._kctx_cache = cached
-        return cached
+        return TranslationContext(page_table=ctx.page_table, pkru=None,
+                                  ept=ctx.ept, user=True)
 
     # -- user memory helpers -------------------------------------------------
 
@@ -418,8 +409,10 @@ class Kernel:
         base, length, prot = args[0], args[1], args[2]
         if self.host_table is None:
             return -errno.EINVAL
-        updated = self.host_table.protect_range(
-            base, page_align_up(length), Perm(prot))
+        size = page_align_up(length)
+        if not self.host_table.maps(base, size):
+            return -errno.ENOMEM
+        updated = self.host_table.protect_range(base, size, Perm(prot))
         self.clock.charge(COSTS.PTE_UPDATE * updated)
         return 0
 
@@ -445,6 +438,8 @@ class Kernel:
         if not self.pkeys.is_allocated(key):
             return -errno.EINVAL
         size = page_align_up(length)
+        if not self.host_table.maps(base, size):
+            return -errno.ENOMEM
         self.host_table.protect_range(base, size, Perm(prot))
         updated = self.host_table.set_pkey_range(base, size, key)
         self.clock.charge(COSTS.PKEY_SET_PAGE * updated)

@@ -57,12 +57,13 @@ class PerfStats:
         self.reset()
 
     def reset(self) -> None:
-        #: Data/exec translations served from a context's software TLB.
+        #: Data/exec translations served from the installed page
+        #: table's software TLB.
         self.tlb_hits = 0
         #: Translations that required a full page-table (and EPT) walk.
         self.tlb_misses = 0
-        #: ``MMU.flush_tlb`` calls, which nothing makes (the TLB's tags
-        #: invalidate), so 0; perfbench still reads it.
+        #: ``MMU.flush_tlb`` calls, which nothing makes (each page-table
+        #: edit drops what it changes), so 0; perfbench still reads it.
         self.tlb_flushes = 0
         #: Instruction fetches that missed the per-page exec cache and
         #: went through ``check_exec`` (fast fetches = instructions

@@ -88,10 +88,12 @@ class SchedCore:
 
     id: int
     cpu: CPU
-    #: This core's canonical translation context (its private TLB and
-    #: PKRU cell).  A migrated goroutine's saved activation still points
-    #: at the context of the core it last ran on; the drive loop
-    #: re-installs the executing core's own context after every restore.
+    #: This core's canonical translation context (its CR3, EPT and
+    #: PKRU cells; cached translations live with the page tables, which
+    #: every core shares).  A migrated goroutine's saved activation
+    #: still points at the context of the core it last ran on; the
+    #: drive loop re-installs the executing core's own context after
+    #: every restore.
     ctx: object = None
     runq: deque = field(default_factory=deque)
     #: Virtual time: the simulated instant this core has executed up to.
@@ -299,7 +301,7 @@ class Scheduler:
             if self.smp:
                 # A migrated goroutine's activation still references
                 # the previous core's translation context; install this
-                # core's own (its private TLB/PKRU).  The Execute hook
+                # core's own (its CR3 and PKRU).  The Execute hook
                 # below re-applies the environment's restrictions to it.
                 cpu.ctx = core.ctx
             obs = self.obs

@@ -623,8 +623,8 @@ def tenants_study(backend: str, tenants: int = 100,
     ``spans`` arms the request-span recorder on both legs (the report
     itself never changes shape).
     """
-    require_at_least(0, requests=requests, revive_limit=revive_limit)
-    require_at_least(1, pool=pool)
+    require_at_least(1, requests=requests, pool=pool)
+    require_at_least(0, revive_limit=revive_limit)
     if profiles is None:
         profiles = assign_profiles(tenants, faulty_frac, cpuhog_frac,
                                    memhog_frac)

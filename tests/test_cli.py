@@ -103,16 +103,24 @@ class TestOutOfRangeInputs:
         assert err.startswith("repro: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["loadtest", "--backends", "mpk", "--requests", "-5"],
-        ["tenants", "--tenants", "10", "--requests", "-5"],
-        ["macro", "--requests", "-1"],
+    @pytest.mark.parametrize("argv, minimum", [
+        (["loadtest", "--backends", "mpk", "--requests", "-5"], 0),
+        (["tenants", "--tenants", "10", "--requests", "-5"], 1),
+        (["macro", "--requests", "-1"], 0),
     ], ids=["loadtest", "tenants", "macro"])
-    def test_negative_request_count_is_a_named_error(self, capsys, argv):
+    def test_negative_request_count_is_a_named_error(self, capsys, argv,
+                                                     minimum):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro: requests must be >= 0")
+        assert err.startswith(f"repro: requests must be >= {minimum}")
         assert "Traceback" not in err
+
+    def test_a_tenants_study_needs_a_request(self, capsys):
+        """Zero requests reach no tenant, so the study's gates could
+        only read FAIL; the study rejects the count up front."""
+        assert main(["tenants", "--tenants", "10", "--requests", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "repro: requests must be >= 1, got 0\n"
 
 
 class TestLayoutAndViews:

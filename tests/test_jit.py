@@ -15,7 +15,7 @@ import struct
 import pytest
 
 from repro.errors import ConfigError, Fault, MachineHalt, WouldBlock
-from repro.hw import PAGE_SIZE, Perm, make_pkru
+from repro.hw import PAGE_SIZE, PTE, PageTable, Perm, make_pkru
 from repro.hw.mmu import wrap64
 from repro.isa import INSTR_SIZE, Instr, Interpreter, Op, jit
 from repro.isa.jit import JIT_MIN_LEN, JitEntry, build_region, leaders
@@ -665,13 +665,56 @@ SWITCHED_TABLES = {
 }
 
 
+def _without_page(ept: PageTable, gpa: int) -> PageTable:
+    """A copy of ``ept`` that does not map the guest-physical ``gpa``."""
+    switched = ept.clone("switched-ept")
+    switched.unmap_page(gpa)
+    return switched
+
+
+#: EPT changes between two calls of a hot trace that take the data
+#: page away: name -> change, given the context and the data page's
+#: guest-physical page.
+EPT_CHANGES = {
+    "switch": lambda ctx, gpa: setattr(ctx, "ept",
+                                       _without_page(ctx.ept, gpa)),
+    "unmap": lambda ctx, gpa: ctx.ept.unmap_page(gpa),
+}
+
+
 class TestTraceEnforcement:
-    """PKRU is not part of the TLB tag, in traces too: a WRPKRU between
-    two trace calls governs the very next access a hot trace makes
-    through a hot entry, exactly where and when the interpreter
+    """PKRU is not part of a cached translation, in traces too: a WRPKRU
+    between two trace calls governs the very next access a hot trace
+    makes through a hot entry, exactly where and when the interpreter
     faults.  A CR3 write between two calls needs no flush either: the
-    hot entries carry the old table, so the trace declines its entry
-    or misses, and faults where the interpreter does."""
+    hot entries stay in the old table's TLB, so the trace declines its
+    entry or misses, and faults where the interpreter does.  Nor does
+    an EPT switch or edit: the old entries were filled under another
+    EPT, or the edit dropped them."""
+
+    @pytest.mark.parametrize("change", sorted(EPT_CHANGES))
+    @pytest.mark.parametrize("op", sorted(DATA_ACCESS))
+    def test_ept_change_reaches_a_hot_trace(self, op, change):
+        def run(threshold):
+            mm = data_loop_machine(op, threshold)
+            ept = PageTable("ept")
+            for vpn in mm.table.mapped_vpns():
+                pfn = mm.table.lookup(vpn).pfn
+                ept.map_page(pfn, PTE(pfn, Perm.RWX))
+            mm.cpu.ctx.ept = ept
+            stops = [run_program(mm)]
+            EPT_CHANGES[change](mm.cpu.ctx,
+                                mm.table.lookup(DATA_BASE >> 12).pfn)
+            stops.append(run_program(mm))
+            perf = mm.interp.perf
+            return mm, (stops, mm.mmu.obs.stamps, list(perf.op_counts),
+                        perf.word_fast, perf.word_slow, perf.tlb_hits,
+                        perf.tlb_misses)
+
+        (mm, on), (_, off) = run(1), run(10 ** 9)
+        assert on == off
+        assert "halt(0)" in on[0][0][0] and "EPT violation" in on[0][1][0]
+        assert mm.interp.perf.jit_trace_executions >= 1
 
     @pytest.mark.parametrize("warm", [False, True],
                              ids=["cold-locals", "warm-locals"])

@@ -7,6 +7,7 @@ from repro.core.litterbox import ProgramInfo
 from repro.core.packages import DependenceGraph, PackageInfo
 from repro.core.policy import Access, parse_policy
 from repro.errors import CallSiteFault, ConfigError, PageFault, PolicyError
+from repro.hw.mmu import TranslationContext
 from repro.hw.pages import PAGE_SIZE, Perm, Section
 from repro.isa.opcodes import Hook
 from repro.machine import Machine, MachineConfig
@@ -118,14 +119,23 @@ class TestIncrementalInit:
         machine = machine_for(backend)
         base, packages, spec = self._extra(machine)
         rcl = machine.litterbox.env(1)
-        table, before, gen = rcl.table, entries(rcl.table), rcl.table.gen
+        table, before = rcl.table, entries(rcl.table)
+        # A translation cached from rcl's table, which nothing below
+        # may drop.
+        ctx = TranslationContext(page_table=table, ept=machine.cpu.ctx.ept)
+        secrets = machine.image.section_named("secrets.data").section.base
+        machine.mmu.read(ctx, secrets, 8)
         later_init(machine, *packages, enclosures=[spec])
         e2 = machine.litterbox.env(2)
         assert e2.table is not None and e2.table is not table
         assert e2.table.lookup(base >> 12).perms == Perm.RW
-        # rcl's view did not grow: its table was left alone.
-        assert rcl.table is table and rcl.table.gen == gen
-        assert entries(rcl.table) == before
+        # rcl's view did not grow: its table was left alone, and the
+        # translation cached from it still hits.
+        perf = machine.perf
+        hits, misses = perf.tlb_hits, perf.tlb_misses
+        machine.mmu.read(ctx, secrets, 8)
+        assert (perf.tlb_hits - hits, perf.tlb_misses - misses) == (1, 0)
+        assert rcl.table is table and entries(rcl.table) == before
         assert not rcl.table.lookup(base >> 12).present
 
     def test_a_grown_view_maps_the_new_package(self, backend):

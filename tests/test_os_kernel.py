@@ -18,6 +18,8 @@ from repro.os import syscalls as sc
 from repro.os.kernel import MMAP_BASE, Kernel
 from repro.os.seccomp import ArgRule, build_pkru_filter
 
+from tests.golite_helpers import run_golite
+
 T = PKRU_ALLOW_ALL  # trusted PKRU
 
 
@@ -116,6 +118,42 @@ class TestMemorySyscalls:
     def test_mmap_zero_length(self, world):
         kernel, _, ctx = world
         assert syscall(kernel, ctx, sc.SYS_MMAP, 0, 0, 3, 0) == -errno.EINVAL
+
+    @pytest.mark.parametrize("call", ["mprotect", "pkey_mprotect"])
+    def test_protect_over_an_unmapped_page_edits_nothing(self, world, call):
+        """A range running past its mapping is ENOMEM, and the mapped
+        page before the gap keeps its rights and key."""
+        kernel, mmu, ctx = world
+        key = syscall(kernel, ctx, sc.SYS_PKEY_ALLOC)
+        base = syscall(kernel, ctx, sc.SYS_MMAP, 0, PAGE_SIZE, 3, 0)
+        mmu.write(ctx, base, b"hot", charge=False)
+        nr, extra = {"mprotect": (sc.SYS_MPROTECT, ()),
+                     "pkey_mprotect": (sc.SYS_PKEY_MPROTECT, (key,))}[call]
+        assert syscall(kernel, ctx, nr, base, 2 * PAGE_SIZE, int(Perm.R),
+                       *extra) == -errno.ENOMEM
+        pte = kernel.host_table.lookup(base >> 12)
+        assert (pte.perms, pte.pkey) == (Perm.RW, 0)
+        mmu.write(ctx, base, b"still", charge=False)
+
+
+#: mmaps one page and mprotects two (the second is the unmapped guard
+#: page after it), then pkey_mprotects the same range.
+PROTECT_PAST_THE_MAPPING = """
+package main
+
+func main() {
+    p := syscall(9, 0, 4096, 3, 0)
+    println(syscall(10, p, 8192, 1))
+    println(syscall(329, p, 8192, 1, syscall(330, 0, 0)))
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
+def test_guest_protect_past_its_mapping_is_enomem(backend):
+    machine, result = run_golite(PROTECT_PAST_THE_MAPPING, backend=backend)
+    assert result.status == "exited", machine.fault
+    assert machine.stdout == b"-12\n-12\n"
 
 
 class TestNetworkSyscalls:

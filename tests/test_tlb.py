@@ -1,29 +1,33 @@
 """Software-TLB correctness: invalidation and PKRU semantics.
 
-The MMU caches approved translations per context (see the module
-docstring of :mod:`repro.hw.mmu`).  These tests pin down the security
-contract of that cache:
+Each page table keeps the TLB of its own translations (see the module
+docstrings of :mod:`repro.hw.mmu` and :mod:`repro.hw.pagetable`).
+These tests pin down the security contract of that cache:
 
 * any page-table edit — remap, unmap, protect, presence toggle — takes
-  effect on the *next* access, even with a hot TLB entry (generation
-  tags, no shootdown needed);
+  effect on the *next* access, even with a hot TLB entry: the edit
+  drops the entries of the pages it changes, and only those;
 * EPT edits invalidate guest translations the same way;
+* a range edit is all or nothing;
 * a denied translation is never cached;
-* PKRU is not part of the TLB tag: a ``WRPKRU`` revocation faults the
-  very next data access through a hot entry, and a grant is honored
-  without any flush.
-
+* PKRU is not part of a cached entry: a ``WRPKRU`` revocation faults
+  the very next data access through a hot entry, and a grant is
+  honored without any flush;
 * a CR3 write needs no flush: an entry cached under one table is
-  never served under another, and hits again once its table is back
-  unless a fill under the other replaced it.
+  never served under another, and hits again once its table is back;
+  contexts and cores on one table share its entries;
+* generated runs of edits and accesses through several contexts match
+  an uncached walk at every access.
 
 Plus end-to-end runs under every backend, where switches and transfers
 run for real and nothing flushes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import PageFault, PkeyFault
+from repro.errors import ConfigError, PageFault, PkeyFault
 from repro.hw import (
     MMU,
     PAGE_SIZE,
@@ -33,7 +37,10 @@ from repro.hw import (
     PhysicalMemory,
     SimClock,
     TranslationContext,
+    VirtualMachine,
     make_pkru,
+    pkru_allows_read,
+    pkru_allows_write,
 )
 
 from repro.machine import Machine, MachineConfig
@@ -78,9 +85,9 @@ class TestTLBCounters:
     def test_flush_clears_and_counts(self, mmu):
         ctx = make_ctx(mmu)
         mmu.read(ctx, BASE, 8)
-        assert ctx.tlb
+        assert ctx.page_table.tlb
         mmu.flush_tlb(ctx)
-        assert not ctx.tlb
+        assert not ctx.page_table.tlb
         assert mmu.perf.tlb_flushes == 1
         mmu.read(ctx, BASE, 8)
         assert mmu.perf.tlb_misses == 2
@@ -89,19 +96,17 @@ class TestTLBCounters:
 class TestTableSwitch:
     """A CR3 write installs another table and flushes nothing.  An
     entry cached under table A is never served under table B, whatever
-    B maps at the page.  Once A is back, each of its entries that no
-    fill under B replaced (the TLB keeps one entry per page and kind)
-    hits again with no new miss."""
+    B maps at the page.  Each table keeps its own TLB, so once A is
+    back both of its entries hit again with no new miss."""
 
-    #: case -> (B's outcome for a read and for a write, how many of A's
-    #: two entries B's fills replace)
-    CASES = {"remap": ((b"B!", None), 2),
-             "read-only": ((b"A!", PageFault), 1),
-             "not-mapped": ((PageFault, PageFault), 0)}
+    #: case -> B's outcome for a read and for a write
+    CASES = {"remap": (b"B!", None),
+             "read-only": (b"A!", PageFault),
+             "not-mapped": (PageFault, PageFault)}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_entry_stays_with_its_table(self, mmu, case):
-        outcome, replaced = self.CASES[case]
+        outcome = self.CASES[case]
         ctx = make_ctx(mmu)
         table_a = ctx.page_table
         mmu.write(ctx, BASE, b"A!")
@@ -132,8 +137,7 @@ class TestTableSwitch:
         hits, misses = perf.tlb_hits, perf.tlb_misses
         assert mmu.read(ctx, BASE, 2) == b"A!"
         mmu.write(ctx, BASE, b"A!")
-        assert (perf.tlb_hits - hits, perf.tlb_misses - misses) == \
-            (2 - replaced, replaced)
+        assert (perf.tlb_hits - hits, perf.tlb_misses - misses) == (2, 0)
         assert perf.tlb_flushes == 0
 
 
@@ -181,14 +185,31 @@ class TestPageTableEditInvalidation:
         with pytest.raises(PageFault):
             mmu.check_exec(ctx, BASE)
 
+    @pytest.mark.parametrize("edit, change", [
+        ("protect_range", Perm.R), ("set_present_range", False),
+        ("set_pkey_range", 3)])
+    def test_a_failed_range_edit_changes_nothing(self, mmu, edit, change):
+        """A range that runs onto an unmapped page raises before any
+        edit, so the mapped page before it keeps its PTE, and its hot
+        entry stays true to it."""
+        ctx = make_ctx(mmu)
+        mmu.write(ctx, BASE, b"ok")  # write entry now hot
+        pte = ctx.page_table.lookup(BASE >> 12)
+        with pytest.raises(ConfigError, match="unmapped"):
+            getattr(ctx.page_table, edit)(BASE, 2 * PAGE_SIZE, change)
+        assert ctx.page_table.lookup(BASE >> 12) == pte
+        mmu.write(ctx, BASE, b"ok")
+
     def test_exec_tag_goes_stale(self, mmu):
-        """The interpreter's per-page fetch tag embeds the generation;
-        any edit must force it through check_exec again."""
+        """The interpreter's per-page fetch tag is the exec entry that
+        served the fetch; an edit of the page drops that entry, so the
+        identity test forces the next fetch through check_exec."""
         ctx = make_ctx(mmu, perms=Perm.RX)
         tag = mmu.exec_tag(ctx, BASE)
-        assert tag[2] is ctx.page_table and tag[3] == ctx.page_table.gen
+        key = (BASE >> 12) * 4 + 2
+        assert tag is ctx.page_table.tlb[key]
         ctx.page_table.protect_range(BASE, PAGE_SIZE, Perm.RW)
-        assert tag[3] != ctx.page_table.gen
+        assert ctx.page_table.tlb.get(key) is not tag
 
 
 def guest_ctx(mmu):
@@ -220,15 +241,100 @@ class TestEPTInvalidation:
             mmu.read(ctx, BASE, 8)
 
 
+def hits_and_misses(mmu, access):
+    """The ``tlb_hits`` and ``tlb_misses`` that ``access()`` adds."""
+    perf = mmu.perf
+    hits, misses = perf.tlb_hits, perf.tlb_misses
+    access()
+    return perf.tlb_hits - hits, perf.tlb_misses - misses
+
+
+def vm_ctx(mmu):
+    """A context over two RW pages reached through a VM's EPT."""
+    vm = VirtualMachine(SimClock())
+    ctx = make_ctx(mmu, pages=2, ept=vm.vmcs.ept)
+    vm.map_frames([ctx.page_table.lookup(vpn).pfn
+                   for vpn in ctx.page_table.mapped_vpns()])
+    return ctx, vm
+
+
+#: Edits of the second of two pages.
+SECOND_PAGE_EDITS = {
+    "remap": lambda mmu, table: table.map_page(
+        (BASE >> 12) + 1, PTE(mmu.physmem.alloc_frame(), Perm.RW)),
+    "unmap": lambda mmu, table: table.unmap_range(BASE + PAGE_SIZE,
+                                                  PAGE_SIZE),
+    "protect": lambda mmu, table: table.protect_range(
+        BASE + PAGE_SIZE, PAGE_SIZE, Perm.R),
+    "not-present": lambda mmu, table: table.set_present_range(
+        BASE + PAGE_SIZE, PAGE_SIZE, False),
+    "pkey": lambda mmu, table: table.set_pkey_range(
+        BASE + PAGE_SIZE, PAGE_SIZE, 3),
+}
+
+#: Fresh mappings, which change no existing translation.
+FRESH_MAPPINGS = {
+    "map_range": lambda mmu, ctx, vm: ctx.page_table.map_range(
+        BASE + 4 * PAGE_SIZE, PAGE_SIZE, [mmu.physmem.alloc_frame()],
+        Perm.RW),
+    "map_frames": lambda mmu, ctx, vm: vm.map_frames(
+        [mmu.physmem.alloc_frame()]),
+}
+
+
+class TestPreciseInvalidation:
+    """An edit drops only the entries of the pages it changes, so
+    every other cached translation keeps hitting: another page's, one
+    that a fresh mapping leaves alone, and one filled through another
+    context or core on the same table."""
+
+    @pytest.mark.parametrize("edit", sorted(SECOND_PAGE_EDITS))
+    def test_an_edit_leaves_other_pages_hot(self, mmu, edit):
+        ctx = make_ctx(mmu, pages=2)
+        for page in (BASE, BASE + PAGE_SIZE):
+            mmu.write(ctx, page, b"w")
+            mmu.read(ctx, page, 1)
+        SECOND_PAGE_EDITS[edit](mmu, ctx.page_table)
+        assert hits_and_misses(mmu, lambda: mmu.write(ctx, BASE, b"w")) \
+            == (1, 0)
+        assert hits_and_misses(mmu, lambda: mmu.read(ctx, BASE, 1)) == (1, 0)
+
+    @pytest.mark.parametrize("mapping", sorted(FRESH_MAPPINGS))
+    def test_a_fresh_mapping_leaves_entries_hot(self, mmu, mapping):
+        ctx, vm = vm_ctx(mmu)
+        mmu.read(ctx, BASE, 1)
+        FRESH_MAPPINGS[mapping](mmu, ctx, vm)
+        assert hits_and_misses(mmu, lambda: mmu.read(ctx, BASE, 1)) == (1, 0)
+
+    def test_contexts_on_one_table_share_its_entries(self, mmu):
+        ctx, _ = vm_ctx(mmu)
+        other = TranslationContext(page_table=ctx.page_table, ept=ctx.ept,
+                                   pkru=make_pkru({0: "rw"}))
+        mmu.write(ctx, BASE, b"w")
+        assert hits_and_misses(mmu, lambda: mmu.write(other, BASE, b"w")) \
+            == (1, 0)
+
+    @pytest.mark.parametrize("backend", ["mpk", "vtx", "lwc"])
+    def test_cores_on_one_table_share_its_entries(self, backend):
+        machine = Machine(build_image(),
+                          MachineConfig(backend=backend, cores=2))
+        first, second = (cpu.ctx for cpu in machine.cpus)
+        assert first is not second and first.page_table is second.page_table
+        data = machine.image.section_named("main.data").section.base
+        machine.mmu.read(first, data, 8)
+        assert hits_and_misses(
+            machine.mmu, lambda: machine.mmu.read(second, data, 8)) == (1, 0)
+
+
 class TestDeniedNeverCached:
     def test_perm_denied_leaves_no_entry(self, mmu):
         ctx = make_ctx(mmu, perms=Perm.R)
         with pytest.raises(PageFault):
             mmu.write(ctx, BASE, b"x")
-        assert not ctx.tlb
+        assert not ctx.page_table.tlb
         with pytest.raises(PageFault):
             mmu.check_exec(ctx, BASE)
-        assert not ctx.tlb
+        assert not ctx.page_table.tlb
 
     def test_supervisor_entry_not_reused_by_user(self, mmu):
         table = PageTable()
@@ -258,7 +364,7 @@ class TestPKRUNotInTag:
         # Both denials went through the still-hot TLB entries: caching
         # served the translation, the key check still fired.
         assert mmu.perf.tlb_hits == hits_before + 2
-        assert ctx.tlb
+        assert ctx.page_table.tlb
 
     def test_downgrade_to_read_only(self, mmu):
         ctx = make_ctx(mmu, pkey=3, pkru=make_pkru({0: "rw", 3: "rw"}))
@@ -286,6 +392,162 @@ class TestPKRUNotInTag:
         mmu.check_exec(ctx, BASE)  # no fault
         with pytest.raises(PkeyFault):
             mmu.read(ctx, BASE, 1)
+
+
+#: Pages of the generated runs (the last one starts unmapped), frames
+#: behind them, and the rights a generated PTE gets.
+WALK_PAGES = 3
+WALK_FRAMES = 4
+WALK_PERMS = [Perm.R, Perm.RW, Perm.RX, Perm.RWX]
+#: The generated runs' contexts: (table, user mode, through the EPT).
+WALK_CONTEXTS = [(0, True, False), (0, False, False), (0, True, True),
+                 (1, True, True), (1, False, True)]
+
+_page = st.integers(0, WALK_PAGES - 1)
+_span = st.integers(1, 2)
+_table = st.integers(0, 1)
+_ctx = st.integers(0, len(WALK_CONTEXTS) - 1)
+_frame = st.integers(0, WALK_FRAMES - 1)
+_perms = st.sampled_from(WALK_PERMS)
+_pkey = st.integers(0, 1)
+_ACCESS = st.tuples(_ctx, _page, st.sampled_from("rwx"))
+_EDIT = st.one_of(
+    st.tuples(st.just("map"), _table, _page, _frame, _perms, st.booleans(),
+              _pkey),
+    st.tuples(st.just("map_range"), _table, _page, _span, _frame, _perms,
+              _pkey),
+    st.tuples(st.just("unmap"), _table, _page, _span),
+    st.tuples(st.just("protect"), _table, _page, _span, _perms),
+    st.tuples(st.just("present"), _table, _page, _span, st.booleans()),
+    st.tuples(st.just("pkey"), _table, _page, _span, _pkey),
+    st.tuples(st.just("revoke_all"), _table),
+    st.tuples(st.just("restore_present"), _table),
+    st.tuples(st.just("ept_map"), _frame, _frame),
+    st.tuples(st.just("ept_unmap"), _frame),
+    st.tuples(st.just("pkru"), _ctx, st.none() | st.integers(0, 0xF)),
+    st.tuples(st.just("switch"), _ctx, _table, st.booleans()),
+)
+#: One step of a generated run: a few single accesses, one edit, then
+#: a sweep that reads, writes and fetches every page through every
+#: context, the contexts in the order given.
+_STEP = st.tuples(st.lists(_ACCESS, max_size=3), _EDIT,
+                  st.permutations(range(len(WALK_CONTEXTS))))
+
+
+def uncached(mmu, ctx, vaddr, kind):
+    """The reference outcome of one access: the page walk and then the
+    PKRU test, with no TLB — a fault class or the frame reached."""
+    try:
+        pte, paddr = mmu._page_walk(ctx, vaddr, kind)
+    except PageFault:
+        return PageFault
+    allows = {"r": pkru_allows_read, "w": pkru_allows_write}.get(kind)
+    if allows is not None and ctx.user and ctx.pkru is not None \
+            and not allows(ctx.pkru, pte.pkey):
+        return PkeyFault
+    return mmu.physmem.frame(paddr // PAGE_SIZE)
+
+
+class TestAgainstTheWalk:
+    """Random edits — map and remap, unmap, protect, presence, pkey,
+    ``revoke_all`` and ``restore_present``, EPT map, remap and unmap,
+    PKRU writes, table and EPT switches — interleaved with reads,
+    writes and fetches through user and supervisor contexts, with and
+    without the EPT, over two tables that share frames.  Every access
+    through the TLB must match :func:`uncached`, and every fetch the
+    interpreter's exec-entry test would let through must reach the
+    frame the walk reaches."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(_STEP, min_size=1, max_size=12))
+    def test_every_access_matches_the_walk(self, steps):
+        mmu = MMU(PhysicalMemory(), SimClock())
+        frames = [mmu.physmem.alloc_frame() for _ in range(WALK_FRAMES)]
+        tables = [PageTable("a"), PageTable("b")]
+        for table in tables:
+            table.map_range(BASE, (WALK_PAGES - 1) * PAGE_SIZE,
+                            frames[:WALK_PAGES - 1], Perm.RWX)
+        # The second table's first page is supervisor-only.
+        tables[1].map_page(BASE >> 12, PTE(frames[0], Perm.RWX, user=False))
+        ept = PageTable("ept")
+        for pfn in frames:
+            ept.map_page(pfn, PTE(pfn, Perm.RWX))
+        contexts = [TranslationContext(page_table=tables[t], user=user,
+                                       ept=ept if guest else None)
+                    for t, user, guest in WALK_CONTEXTS]
+        vpns = range(BASE >> 12, (BASE >> 12) + WALK_PAGES + 1)
+        fetch_entry = None   # the interpreter's exec entry
+
+        def access(ctx, page, kind):
+            nonlocal fetch_entry
+            vaddr = BASE + page * PAGE_SIZE
+            expected = uncached(mmu, ctx, vaddr, kind)
+            if kind == "x" and fetch_entry is not None \
+                    and fetch_entry[2] is ctx.ept \
+                    and fetch_entry is ctx.page_table.tlb.get(
+                        (vaddr >> 12) * 4 + 2):
+                assert fetch_entry[1] is expected
+            try:
+                got = mmu._access(ctx, vaddr, kind)
+            except (PageFault, PkeyFault) as fault:
+                got = type(fault)
+            assert got is expected
+            if kind == "x" and got is not PageFault:
+                fetch_entry = mmu.exec_tag(ctx, vaddr)
+
+        for accesses, (op, *args), order in steps:
+            for index, page, kind in accesses:
+                access(contexts[index], page, kind)
+            if op in ("ept_map", "ept_unmap", "pkru", "switch"):
+                self._edit_context(op, args, ept, frames, contexts, tables)
+            else:
+                self._edit_table(op, tables[args[0]], args[1:], frames, vpns)
+            for page in range(WALK_PAGES):
+                for index in order:
+                    for kind in "rwx":
+                        access(contexts[index], page, kind)
+
+    @staticmethod
+    def _edit_table(op, table, args, frames, vpns):
+        if op == "map":
+            page, frame, perms, user, pkey = args
+            table.map_page((BASE >> 12) + page,
+                           PTE(frames[frame], perms, pkey, True, user))
+        elif op == "map_range":
+            page, span, frame, perms, pkey = args
+            table.map_range(BASE + page * PAGE_SIZE, span * PAGE_SIZE,
+                            [frames[(frame + k) % WALK_FRAMES]
+                             for k in range(span)], perms, pkey)
+        elif op == "unmap":
+            page, span = args
+            table.unmap_range(BASE + page * PAGE_SIZE, span * PAGE_SIZE)
+        elif op == "revoke_all":
+            table.revoke_all()
+        elif op == "restore_present":
+            table.restore_present(frozenset(vpns))
+        else:
+            page, span, change = args
+            edit = {"protect": table.protect_range,
+                    "present": table.set_present_range,
+                    "pkey": table.set_pkey_range}[op]
+            before = [table.lookup(vpn) for vpn in vpns]
+            try:
+                edit(BASE + page * PAGE_SIZE, span * PAGE_SIZE, change)
+            except ConfigError:
+                assert [table.lookup(vpn) for vpn in vpns] == before
+
+    @staticmethod
+    def _edit_context(op, args, ept, frames, contexts, tables):
+        if op == "ept_map":
+            ept.map_page(frames[args[0]], PTE(frames[args[1]], Perm.RWX))
+        elif op == "ept_unmap":
+            ept.unmap_page(frames[args[0]])
+        elif op == "pkru":
+            contexts[args[0]].pkru = args[1]
+        else:
+            ctx = contexts[args[0]]
+            ctx.page_table = tables[args[1]]
+            ctx.ept = ept if args[2] else None
 
 
 def remap(mmu, ctx):
@@ -380,7 +642,7 @@ class TestHelpersEnforceLikeAccess:
         mmu = MMU(PhysicalMemory(), SimClock())
         ctx = build(mmu)
         access(mmu, ctx)
-        assert ctx.tlb
+        assert ctx.page_table.tlb
         edit(mmu, ctx)
         perf = mmu.perf
         hits, misses = perf.tlb_hits, perf.tlb_misses
