@@ -138,13 +138,16 @@ class TableBackend(Backend):
     """Enforcement with one page table per execution environment.
 
     Each enclosure runs on a table built from its view; trusted code
-    runs on a table that maps everything user-accessible except
-    LitterBox's super.  A switch installs the target's table (a CR3
-    write), a Transfer toggles presence and rights bits in every
-    enclosure table during one kernel entry, and FilterSyscall runs in
-    that kernel on the issuing core's environment.  Subclasses state
-    the mechanism: which kernel that is and what entering it costs,
-    the table names, and how an allowed call reaches the host.
+    runs on the kernel's host table, which maps everything
+    user-accessible except LitterBox's super, so a trusted ``mmap``,
+    ``munmap`` or ``mprotect`` edits the table it runs on.  The kernel's
+    ``mmap`` and ``munmap`` also reach every enclosure table.  A switch
+    installs the target's table (a CR3 write), a Transfer toggles
+    presence and rights bits in every enclosure table during one kernel
+    entry, and FilterSyscall runs in that kernel on the issuing core's
+    environment.  Subclasses state the mechanism: which kernel that is
+    and what entering it costs, the table names, and how an allowed
+    call reaches the host.
     """
 
     #: Prefix of the per-environment table names (``<prefix>.<env>``).
@@ -160,7 +163,6 @@ class TableBackend(Backend):
 
     def __init__(self, arg_rules: list[ArgRule] | None = None):
         super().__init__()
-        self.trusted_table: PageTable | None = None
         #: §6.5 extension: argument-granular rules enforced by the
         #: filtering kernel (nr -> list of ArgRule).
         self._arg_rules: dict[int, list[ArgRule]] = {}
@@ -173,20 +175,16 @@ class TableBackend(Backend):
 
     # ------------------------------------------------------------------ init
 
-    @abc.abstractmethod
-    def _trusted_table(self, host_table: PageTable) -> PageTable:
-        """The table trusted (non-enclosed) code runs on."""
-
     def init(self, litterbox: "LitterBox") -> None:
         self.litterbox = litterbox
         kernel = litterbox.kernel
         if kernel.host_table is None:
             raise ConfigError(
                 f"{self.name.upper()} backend requires the loaded master table")
-        self.trusted_table = self._trusted_table(kernel.host_table)
-        litterbox.trusted_env.table = self.trusted_table
+        litterbox.trusted_env.table = kernel.host_table
         self.extend({})
         kernel.mmap_hook = self._on_mmap
+        kernel.munmap_hook = self._on_munmap
 
     def extend(self, grown: dict[int, dict[str, Access]]) -> None:
         """Build a table for each environment that has none, and map
@@ -229,16 +227,18 @@ class TableBackend(Backend):
                     present=present, user=True))
 
     def _on_mmap(self, base: int, size: int, pfns: list[int]) -> None:
-        """New mmap'd memory appears RW in the host table and
+        """New mmap'd memory, already RW in the host table, appears
         non-present in every enclosure table until transferred."""
-        self.litterbox.kernel.host_table.map_range(base, size, pfns, Perm.RW)
-        self._map_absent(base, size, pfns)
-
-    def _map_absent(self, base: int, size: int, pfns: list[int]) -> None:
-        """Map new memory non-present into every enclosure table."""
         for env in self.litterbox.envs.values():
-            if env.table is not None and env.table is not self.trusted_table:
+            if env.table is not None and not env.trusted:
                 env.table.map_range(base, size, pfns, Perm.RW, present=False)
+
+    def _on_munmap(self, base: int, size: int) -> None:
+        """Memory the kernel unmapped leaves every enclosure table too,
+        uncharged like :meth:`_on_mmap`."""
+        for env in self.litterbox.envs.values():
+            if env.table is not None and not env.trusted:
+                env.table.unmap_range(base, size)
 
     # --------------------------------------------------------------- switches
 
@@ -318,7 +318,7 @@ class TableBackend(Backend):
         """Hard-revoke: mark every page of the quarantined environment's
         table non-present, so even a forged CR3 write into it faults on
         the first access."""
-        if env.table is not None and env.table is not self.trusted_table:
+        if env.table is not None and not env.trusted:
             self._quarantine_presence[env.id] = env.table.present_vpns()
             env.table.revoke_all()
 

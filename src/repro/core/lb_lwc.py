@@ -23,7 +23,6 @@ from repro.core.backends import TableBackend
 from repro.core.enclosure import Environment
 from repro.hw.clock import COSTS
 from repro.hw.cpu import CPU
-from repro.hw.pagetable import PageTable
 
 
 class LWCBackend(TableBackend):
@@ -35,9 +34,6 @@ class LWCBackend(TableBackend):
     filter_name = "lwc-kernel"
     filter_who = "lwc kernel"
     env_noun = "context"
-
-    def _trusted_table(self, host_table: PageTable) -> PageTable:
-        return host_table
 
     def switch_to(self, cpu: CPU, env: Environment) -> None:
         """lwSwitch: one host system call that validates the transition

@@ -1,13 +1,14 @@
 """LBVTX: the Intel VT-x backend (paper §5.3).
 
 The whole application runs in one VM.  Each execution environment is a
-guest page table enforcing the enclosure description; a trusted page
-table (user access to everything except LitterBox's super) runs
-non-enclosed code.  Switches are specialized guest system calls that
-validate the call-site (in super) and write the guest CR3; authorized
-host system calls are forwarded through hypercalls, each paying a full
-VM EXIT; transfers toggle presence bits in the relevant environments'
-page tables without leaving the guest.
+guest page table enforcing the enclosure description; non-enclosed code
+runs on the kernel's host table (user access to everything except
+LitterBox's super), so a trusted ``mmap``, ``munmap`` or ``mprotect``
+edits the table it runs on.  Switches are specialized guest system
+calls that validate the call-site (in super) and write the guest CR3;
+authorized host system calls are forwarded through hypercalls, each
+paying a full VM EXIT; transfers toggle presence bits in the relevant
+environments' page tables without leaving the guest.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from repro.core.backends import TableBackend
 from repro.core.enclosure import Environment
 from repro.hw.clock import COSTS
 from repro.hw.cpu import CPU
-from repro.hw.pages import Perm
-from repro.hw.pagetable import PageTable
 from repro.hw.vtx import ExitReason, VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,36 +40,34 @@ class VTXBackend(TableBackend):
     # ------------------------------------------------------------------ init
 
     def init(self, litterbox: "LitterBox") -> None:
-        """Build the tables, give the EPT every frame of the trusted
-        table, and launch the VM on it.  Every enclosure table maps a
-        subset of those frames: both are built from the host table."""
+        """Build the tables, give the EPT every frame of the host table,
+        and launch the VM on it.  Every enclosure table maps a subset
+        of those frames, since each is built from the host table."""
         self.vm = VirtualMachine(litterbox.clock)
         super().init(litterbox)
-        table = self.trusted_table
+        table = litterbox.kernel.host_table
         self.vm.map_frames([table.lookup(vpn).pfn
                             for vpn in table.mapped_vpns()])
         self.vm.launch(table)
 
     def boot(self, cpu: CPU) -> None:
-        """Entering guest mode installs the trusted table as CR3 and the
-        EPT.  Translations cached before it stay in the host table's
-        TLB, filled with no EPT, so none of them serves the guest."""
-        cpu.ctx.page_table = self.trusted_table
-        cpu.ctx.ept = self.vm.vmcs.ept
-
-    def _trusted_table(self, host_table: PageTable) -> PageTable:
-        # Everything user-accessible except super, which stays
-        # supervisor-only (the loader maps it user=False already).
-        return host_table.clone("gpt.trusted")
+        """Entering guest mode installs the host table as CR3 together
+        with the EPT.  LitterBox's own accesses (a new stack's root
+        frame, pylite's heap headers) run in the guest too, so its
+        trusted context gets the EPT as well: the host-table entries
+        they fill then serve trusted guest code instead of evicting
+        its entries.  Entries cached before boot were filled with no
+        EPT, so none of them serves the guest."""
+        ept = self.vm.vmcs.ept
+        cpu.ctx.page_table = self.litterbox.kernel.host_table
+        cpu.ctx.ept = ept
+        self.litterbox.trusted_ctx.ept = ept
 
     def _on_mmap(self, base: int, size: int, pfns: list[int]) -> None:
-        """New memory is RW in the host table and its trusted clone,
-        non-present in every enclosure table, and reachable via the EPT,
-        which learns its new frames (nothing else maps into the trusted
-        table, and ``munmap`` frees no frame)."""
-        self.litterbox.kernel.host_table.map_range(base, size, pfns, Perm.RW)
-        self.trusted_table.map_range(base, size, pfns, Perm.RW)
-        self._map_absent(base, size, pfns)
+        """New memory is also reachable via the EPT, which learns its
+        new frames (``munmap`` frees no frame, so it never unlearns
+        one)."""
+        super()._on_mmap(base, size, pfns)
         self.vm.map_frames(pfns)
 
     # --------------------------------------------------------------- switches

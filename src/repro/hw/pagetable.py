@@ -38,8 +38,7 @@ class PageTable:
 
     Real x86 tables are 4-level radix trees; a flat dict preserves the
     semantics (per-page translation + rights) that the reproduction needs
-    while staying fast to clone, which LitterBox's VT-x backend does once
-    per execution environment.
+    while staying fast to look up and copy.
     """
 
     _next_id = 0
@@ -175,8 +174,7 @@ class PageTable:
                              and not entries[vpn].present], present=True)
 
     def clone(self, name: str = "") -> "PageTable":
-        """Copy this table's mappings (not its TLB); used to derive
-        per-environment tables."""
+        """Copy this table's mappings (not its TLB)."""
         table = PageTable(name)
         table._entries = dict(self._entries)
         return table

@@ -32,6 +32,10 @@ class PhysicalMemory:
         self._frames[pfn] = bytearray(PAGE_SIZE)
         return pfn
 
+    def frames_left(self) -> int:
+        """How many more frames :meth:`alloc_frame` can hand out."""
+        return len(self._free) + self._max_frames - self._next_frame
+
     def free_frame(self, pfn: int) -> None:
         if pfn not in self._frames:
             raise ConfigError(f"double free of frame {pfn}")

@@ -41,6 +41,10 @@ PID = 4242
 #: instead of parking the goroutine.
 O_NONBLOCK = 0x800
 
+#: The ``prot`` bits ``mprotect`` knows: PROT_READ, PROT_WRITE and
+#: PROT_EXEC, which are ``Perm``'s R, W and X.
+_PROT_BITS = int(Perm.RWX)
+
 
 @dataclass
 class SocketState:
@@ -64,12 +68,18 @@ class Kernel:
         self.pkeys = PkeyAllocator()
         self.stdout = bytearray()
         self.seccomp_filter: BpfProgram | None = None
-        #: The host page table that ``pkey_mprotect`` retags (MPK mode).
+        #: The host page table: ``mmap``, ``munmap`` and ``mprotect``
+        #: edit it, trusted code runs on it under every backend, and
+        #: ``pkey_mprotect`` retags it (MPK mode).
         self.host_table: PageTable | None = None
-        #: Called after mmap allocates frames so the backend can map the
-        #: new range into every page table that needs it.
-        #: Signature: (base, size, pfns) -> None.
+        #: Called after mmap maps new frames into the host table, so the
+        #: backend can map the range into every other page table that
+        #: needs it.  Signature: (base, size, pfns) -> None.
         self.mmap_hook: Callable[[int, int, list[int]], None] | None = None
+        #: Called after munmap drops a range from the host table, so the
+        #: backend can drop it from every other page table.
+        #: Signature: (base, size) -> None.
+        self.munmap_hook: Callable[[int, int], None] | None = None
         self._fds: dict[int, object] = {}
         self._next_fd = 3
         self._mmap_cursor = MMAP_BASE
@@ -380,34 +390,37 @@ class Kernel:
         length = args[1]
         if length <= 0:
             return -errno.EINVAL
+        if self.host_table is None:
+            raise KernelError("mmap with no page table registered")
         size = page_align_up(length)
+        pages = size // PAGE_SIZE
+        if pages > self.physmem.frames_left():
+            return -errno.ENOMEM
         base = self._mmap_cursor
         self._mmap_cursor += size + PAGE_SIZE  # guard page gap
-        pages = size // PAGE_SIZE
         pfns = [self.physmem.alloc_frame() for _ in range(pages)]
         self.clock.charge(COSTS.MMAP_PER_PAGE * pages)
         self._mappings[base] = size
+        self.host_table.map_range(base, size, pfns, Perm.RW)
         if self.mmap_hook is not None:
             self.mmap_hook(base, size, pfns)
-        elif self.host_table is not None:
-            self.host_table.map_range(base, size, pfns, Perm.RW)
-        else:
-            raise KernelError("mmap with no page table registered")
         return base
 
     def _sys_munmap(self, ctx, args) -> int:
         base, length = args[0], args[1]
-        size = self._mappings.pop(base, None)
+        size = self._mappings.get(base)
         if size is None or size != page_align_up(length):
             return -errno.EINVAL
-        if self.host_table is not None:
-            self.host_table.unmap_range(base, size)
+        del self._mappings[base]
+        self.host_table.unmap_range(base, size)
+        if self.munmap_hook is not None:
+            self.munmap_hook(base, size)
         self.clock.charge(COSTS.SYSCALL_SERVICE_MIN)
         return 0
 
     def _sys_mprotect(self, ctx, args) -> int:
         base, length, prot = args[0], args[1], args[2]
-        if self.host_table is None:
+        if self.host_table is None or prot & ~_PROT_BITS:
             return -errno.EINVAL
         size = page_align_up(length)
         if not self.host_table.maps(base, size):
@@ -433,7 +446,7 @@ class Kernel:
 
     def _sys_pkey_mprotect(self, ctx, args) -> int:
         base, length, prot, key = args[0], args[1], args[2], args[3]
-        if self.host_table is None:
+        if self.host_table is None or prot & ~_PROT_BITS:
             return -errno.EINVAL
         if not self.pkeys.is_allocated(key):
             return -errno.EINVAL

@@ -137,17 +137,15 @@ class PyMachine:
     # ------------------------------------------------------------- memory
 
     def _mmap_section(self, label: str, size: int, perms: Perm) -> Section:
+        """mmap a section and give it ``perms`` in the host table, the
+        one trusted code runs on under every mode (new memory is RW
+        there and non-present in every enclosure table)."""
         base = self.kernel.syscall(9, (0, size, 3, 0), None, pkru=0)
         if base < 0:
             raise PyliteError("arena mmap failed")
-        section = Section(label, base, size, perms)
         if perms != Perm.RW:
-            # New memory is RW in the host table and, under LBVTX, in
-            # the trusted guest table cloned from it.
-            for table in (self.host_table, self.litterbox.trusted_env.table):
-                if table is not None:
-                    table.protect_range(base, size, perms)
-        return section
+            self.host_table.protect_range(base, size, perms)
+        return Section(label, base, size, perms)
 
     def _grow_data(self, module: PyModule) -> None:
         section = self._mmap_section(

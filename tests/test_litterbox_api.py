@@ -11,7 +11,7 @@ from repro.hw.mmu import TranslationContext
 from repro.hw.pages import PAGE_SIZE, Perm, Section
 from repro.isa.opcodes import Hook
 from repro.machine import Machine, MachineConfig
-from repro.os.syscalls import SYS_MMAP
+from repro.os.syscalls import SYS_MMAP, SYS_MUNMAP
 
 from tests.fig1 import build_image
 
@@ -261,6 +261,18 @@ class TestTransfer:
         machine.litterbox.transfer(base, 4 * PAGE_SIZE, "main")
         env = machine.litterbox.env(1)
         assert not env.table.lookup(base >> 12).present
+
+    @pytest.mark.parametrize("backend", ["vtx", "lwc"])
+    def test_munmap_unmaps_a_transferred_page_in_every_view(self, backend):
+        machine = machine_for(backend)
+        base = mmap_pages(machine, 1)
+        machine.litterbox.transfer(base, PAGE_SIZE, "libfx")
+        env = machine.litterbox.env(1)
+        assert env.table.lookup(base >> 12).present
+        assert machine.kernel.syscall(SYS_MUNMAP, (base, PAGE_SIZE), None,
+                                      pkru=0) == 0
+        assert env.table.lookup(base >> 12) is None
+        assert machine.host_table.lookup(base >> 12) is None
 
     def test_transfer_unknown_package_rejected(self):
         machine = machine_for("mpk")

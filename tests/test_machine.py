@@ -31,8 +31,19 @@ class TestConfiguration:
         machine = Machine(build_image(), "vtx")
         backend = machine.backend
         assert backend.vm.vmcs.launched
-        assert machine.cpu.ctx.page_table is backend.trusted_table
+        assert machine.cpu.ctx.page_table is machine.host_table
         assert machine.cpu.ctx.ept is backend.vm.vmcs.ept
+        # LitterBox's own accesses run in the guest too.
+        assert machine.litterbox.trusted_ctx.ept is backend.vm.vmcs.ept
+
+    @pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
+    def test_trusted_code_runs_on_the_host_table(self, backend):
+        """At boot, and back from the enclosure the program calls."""
+        machine = Machine(build_image(), backend)
+        assert machine.cpu.ctx.page_table is machine.host_table
+        machine.run()
+        assert machine.clock.count("switches") == 2
+        assert machine.cpu.ctx.page_table is machine.host_table
 
     def test_mpk_starts_with_permissive_pkru(self):
         machine = Machine(build_image(), "mpk")

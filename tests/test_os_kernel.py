@@ -25,8 +25,11 @@ T = PKRU_ALLOW_ALL  # trusted PKRU
 
 @pytest.fixture
 def world():
+    return make_world(PhysicalMemory())
+
+
+def make_world(physmem):
     clock = SimClock()
-    physmem = PhysicalMemory()
     mmu = MMU(physmem, clock)
     kernel = Kernel(physmem, mmu, clock)
     table = PageTable("host")
@@ -119,6 +122,28 @@ class TestMemorySyscalls:
         kernel, _, ctx = world
         assert syscall(kernel, ctx, sc.SYS_MMAP, 0, 0, 3, 0) == -errno.EINVAL
 
+    def test_mmap_past_the_frames_left_is_enomem(self):
+        """An mmap that cannot get every frame takes none and leaves the
+        cursor where it was, so a request that fits still succeeds."""
+        physmem = PhysicalMemory(max_frames=8)   # 7 frames, 1 in use
+        kernel, mmu, ctx = make_world(physmem)
+        assert syscall(kernel, ctx, sc.SYS_MMAP, 0, 16 * PAGE_SIZE, 3,
+                       0) == -errno.ENOMEM
+        assert physmem.frames_left() == 6
+        base = syscall(kernel, ctx, sc.SYS_MMAP, 0, 6 * PAGE_SIZE, 3, 0)
+        assert base == MMAP_BASE
+        mmu.write(ctx, base + 5 * PAGE_SIZE, b"last", charge=False)
+        assert syscall(kernel, ctx, sc.SYS_MMAP, 0, PAGE_SIZE, 3,
+                       0) == -errno.ENOMEM
+
+    def test_munmap_of_the_wrong_length_keeps_the_mapping(self, world):
+        kernel, mmu, ctx = world
+        base = syscall(kernel, ctx, sc.SYS_MMAP, 0, 2 * PAGE_SIZE, 3, 0)
+        assert syscall(kernel, ctx, sc.SYS_MUNMAP, base, PAGE_SIZE) == \
+            -errno.EINVAL
+        mmu.write(ctx, base + PAGE_SIZE, b"kept", charge=False)
+        assert syscall(kernel, ctx, sc.SYS_MUNMAP, base, 2 * PAGE_SIZE) == 0
+
     @pytest.mark.parametrize("call", ["mprotect", "pkey_mprotect"])
     def test_protect_over_an_unmapped_page_edits_nothing(self, world, call):
         """A range running past its mapping is ENOMEM, and the mapped
@@ -154,6 +179,75 @@ def test_guest_protect_past_its_mapping_is_enomem(backend):
     machine, result = run_golite(PROTECT_PAST_THE_MAPPING, backend=backend)
     assert result.status == "exited", machine.fault
     assert machine.stdout == b"-12\n-12\n"
+
+
+#: mprotects and pkey_mprotects a page with prot bits beyond
+#: PROT_READ|PROT_WRITE|PROT_EXEC (-1 sets them all, 0x10 one), then
+#: stores to it.
+PROTECT_WITH_UNKNOWN_BITS = """
+package main
+
+func main() {
+    p := syscall(9, 0, 4096, 3, 0)
+    key := syscall(330, 0, 0)
+    println(syscall(10, p, 4096, -1))
+    println(syscall(10, p, 4096, 16))
+    println(syscall(329, p, 4096, -1, key))
+    println(syscall(329, p, 4096, 16, key))
+    poke(p, 7)
+    println(peek(p))
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
+def test_guest_protect_with_unknown_prot_bits_is_einval(backend):
+    machine, result = run_golite(PROTECT_WITH_UNKNOWN_BITS, backend=backend)
+    assert result.status == "exited", machine.fault
+    assert machine.stdout == b"-22\n-22\n-22\n-22\n7\n"
+
+
+#: Trusted programs that take their own page away, then touch it: each
+#: prints the syscall's 0 and faults on the page, which lies past the
+#: main goroutine's 16-page stack and its guard page.
+TAKE_THE_PAGE_AWAY = {
+    "mprotect-then-store": ("""
+package main
+
+func main() {
+    p := syscall(9, 0, 4096, 3, 0)
+    poke(p, 1)
+    println(syscall(10, p, 4096, 1))
+    poke(p, 2)
+    println(peek(p))
+}
+""", "w"),
+    "munmap-then-load": ("""
+package main
+
+func main() {
+    p := syscall(9, 0, 4096, 3, 0)
+    poke(p, 1)
+    println(syscall(11, p, 4096))
+    println(peek(p))
+}
+""", "non-present"),
+}
+
+
+@pytest.mark.parametrize("program", sorted(TAKE_THE_PAGE_AWAY))
+def test_trusted_memory_syscalls_agree_on_every_backend(program):
+    """Trusted code runs on the host table these calls edit under every
+    backend, so all four stop at the same fault."""
+    source, kind = TAKE_THE_PAGE_AWAY[program]
+    outcomes = {}
+    for backend in ("baseline", "mpk", "vtx", "lwc"):
+        machine, result = run_golite(source, backend=backend)
+        outcomes[backend] = (result.status, machine.stdout,
+                             machine.fault and machine.fault.kind,
+                             machine.fault and machine.fault.addr)
+    assert set(outcomes.values()) == {
+        ("faulted", b"0\n", kind, 0x40011000)}, outcomes
 
 
 class TestNetworkSyscalls:

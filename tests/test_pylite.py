@@ -301,15 +301,13 @@ class TestPyliteEnclosures:
     @pytest.mark.parametrize("mode", ["python", "conservative"])
     def test_module_text_is_read_execute_to_trusted_code(self, mode):
         """A module imported after start-up has RX text in the table
-        trusted code runs on (under LBVTX, the trusted guest table)."""
+        trusted code runs on: the host table, under every mode."""
         machine, _ = run_pylite("import late\n", mode=mode,
                                 late="x = 1\n")
         text = machine.modules["late"].code_sections[0]
-        assert machine.cpu.ctx.page_table is \
-            (machine.litterbox.trusted_env.table or machine.host_table)
-        for table in (machine.host_table, machine.cpu.ctx.page_table):
-            for vpn in text.vpns():
-                assert table.lookup(vpn).perms == Perm.RX
+        assert machine.cpu.ctx.page_table is machine.host_table
+        for vpn in text.vpns():
+            assert machine.host_table.lookup(vpn).perms == Perm.RX
 
     def test_refcount_switches_counted(self):
         machine, interp = run_pylite(

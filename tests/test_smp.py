@@ -382,6 +382,30 @@ class TestShootdowns:
         assert machine.clock.count("ipis") > 0
         assert machine._shootdown_ns > 0
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_trusted_mprotect_and_munmap_interrupt_the_other_core(
+            self, backend):
+        """Trusted code runs on the host table under every backend, so
+        the second core holds it from boot and each edit of a mapped
+        page interrupts that core once."""
+        mapped = """
+package main
+
+func main() {
+    p := syscall(9, 0, 4096, 3, 0)
+    poke(p, 1)
+%s}
+"""
+        config = MachineConfig(backend=backend, cores=2)
+        counts = []
+        for edits in ("", "    syscall(10, p, 4096, 1)\n"
+                          "    syscall(11, p, 4096)\n"):
+            machine, result = run_golite(mapped % edits, config=config)
+            assert result.status == "exited", machine.fault
+            counts.append((machine.clock.count("tlb_shootdowns"),
+                           machine.clock.count("ipis")))
+        assert counts[1] == (counts[0][0] + 2, counts[0][1] + 2)
+
     def test_uniprocessor_never_charges_shootdowns(self):
         machine, _ = run_golite(
             ENCLOSED, SECRETS, config=MachineConfig(backend="mpk"))
