@@ -20,7 +20,7 @@ from repro.errors import ConfigError, SyscallFault
 from repro.hw.clock import COSTS
 from repro.hw.cpu import CPU
 from repro.hw.pages import Perm, Section
-from repro.hw.pagetable import PageTable
+from repro.hw.pagetable import PTE, PageTable
 from repro.os.seccomp import ArgRule
 from repro.os.syscalls import syscall_name
 
@@ -114,6 +114,10 @@ class BaselineBackend(Backend):
         return self.litterbox.kernel.syscall(nr, args, cpu.ctx, pkru=0)
 
 
+#: Arena rights in an enclosure table, as the plain ints a PTE stores.
+_RW, _R = int(Perm.RW), int(Perm.R)
+
+
 def _perms_under(access: Access, kind: str, default: Perm) -> Perm | None:
     """Page permissions for a section kind under an access right (§2.2).
 
@@ -202,7 +206,7 @@ class TableBackend(Backend):
         """Map the sections of the packages ``names`` into ``env``'s
         table under its view, then replay their Transfers, so that
         their arenas read as in a table that existed all along."""
-        pages = []   # (section, perms, present)
+        pages = []   # (section, int rights, present)
         for name in names:
             access = Access.U if name == LITTERBOX_SUPER \
                 else env.access_to(name)
@@ -210,21 +214,20 @@ class TableBackend(Backend):
                 perms = _perms_under(access, section.name.rsplit(".", 1)[-1],
                                      section.perms)
                 if perms is not None:
-                    pages.append((section, perms, True))
+                    pages.append((section, int(perms), True))
         for record in self.litterbox.arenas:
             if record.owner in names:
                 access = env.access_to(record.owner)
-                pages.append((record.section, Perm.RW if access.includes(
-                    Access.RW) else Perm.R, access is not Access.U))
+                pages.append((record.section, _RW if access.includes(
+                    Access.RW) else _R, access is not Access.U))
         host_table = self.litterbox.kernel.host_table
         for section, perms, present in pages:
             for vpn in section.vpns():
                 pte = host_table.lookup(vpn)
                 if pte is None:
                     raise ConfigError(f"section {section.name} not loaded")
-                env.table.map_page(vpn, type(pte)(
-                    pfn=pte.pfn, perms=perms, pkey=pte.pkey,
-                    present=present, user=True))
+                env.table.map_page(vpn, PTE(pte.pfn, perms, pte.pkey,
+                                            present))
 
     def _on_mmap(self, base: int, size: int, pfns: list[int]) -> None:
         """New mmap'd memory, already RW in the host table, appears
@@ -235,10 +238,12 @@ class TableBackend(Backend):
 
     def _on_munmap(self, base: int, size: int) -> None:
         """Memory the kernel unmapped leaves every enclosure table too,
-        uncharged like :meth:`_on_mmap`."""
+        uncharged like :meth:`_on_mmap`, and its arena records go, so
+        no later :meth:`_map` replays a Transfer of it."""
         for env in self.litterbox.envs.values():
             if env.table is not None and not env.trusted:
                 env.table.unmap_range(base, size)
+        self.litterbox.forget_arenas(base, size)
 
     # --------------------------------------------------------------- switches
 

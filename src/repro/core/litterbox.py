@@ -66,6 +66,11 @@ class ArenaRecord:
     owner: str
 
 
+def _arena_section(owner: str, base: int, end: int) -> Section:
+    return Section(f"{owner}.arena+{base:#x}", base, end - base,
+                   perms=_ARENA_PERMS)
+
+
 class LitterBox:
     """The enforcement framework instance for one loaded program."""
 
@@ -313,8 +318,7 @@ class LitterBox:
         try:
             if self.initialized and to_pkg not in self.graph:
                 raise ConfigError(f"transfer to unknown package {to_pkg!r}")
-            section = Section(f"{to_pkg}.arena+{base:#x}", base, size,
-                              perms=_ARENA_PERMS)
+            section = _arena_section(to_pkg, base, base + size)
             self.clock.tick("transfers")
             self.backend.transfer(section, to_pkg)
             self.arenas.append(ArenaRecord(section, to_pkg))
@@ -375,3 +379,20 @@ class LitterBox:
 
     def arena_of(self, pkg: str) -> list[Section]:
         return [rec.section for rec in self.arenas if rec.owner == pkg]
+
+    def forget_arenas(self, base: int, size: int) -> None:
+        """The kernel unmapped ``[base, base+size)``: drop the arena
+        records it covers, and trim one it covers in part to the pages
+        outside it, so every record names mapped memory."""
+        end = base + size
+        kept = []
+        for rec in self.arenas:
+            section = rec.section
+            if section.end <= base or end <= section.base:
+                kept.append(rec)
+                continue
+            for lo, hi in ((section.base, base), (end, section.end)):
+                if lo < hi:
+                    kept.append(ArenaRecord(
+                        _arena_section(rec.owner, lo, hi), rec.owner))
+        self.arenas[:] = kept

@@ -57,9 +57,10 @@ _WORD_FIT = PAGE_SIZE - WORD_SIZE
 KIND_R, KIND_W, KIND_X = 0, 1, 2
 _KIND_CODE = {"r": KIND_R, "w": KIND_W, "x": KIND_X}
 
-#: Permission bit required for each access kind (module-level so
-#: ``_page_walk`` doesn't rebuild the mapping per call).
-_NEEDED_PERM = {"r": Perm.R, "w": Perm.W, "x": Perm.X}
+#: Rights bit required for each access kind, as the plain int a PTE
+#: stores (module-level so ``_page_walk`` doesn't rebuild the mapping
+#: per call).
+_NEEDED_PERM = {"r": int(Perm.R), "w": int(Perm.W), "x": int(Perm.X)}
 
 #: PKRU bits that deny each access kind, per key: AD denies a read, AD
 #: or WD a write, and keys never govern a fetch.
@@ -130,13 +131,12 @@ class MMU:
                                   access=kind, table=ctx.page_table.name)
             raise PageFault(kind, f"user access to supervisor page {vaddr:#x}",
                             addr=vaddr)
-        needed = _NEEDED_PERM[kind]
-        if not pte.perms & needed:
+        if not pte.perms & _NEEDED_PERM[kind]:
+            label = Perm(pte.perms).label()
             self._trace_violation("page-fault", vaddr, "permission denied",
-                                  access=kind, perms=pte.perms.label())
+                                  access=kind, perms=label)
             raise PageFault(
-                kind,
-                f"{kind}-access to {vaddr:#x} ({pte.perms.label()}) denied",
+                kind, f"{kind}-access to {vaddr:#x} ({label}) denied",
                 addr=vaddr)
         paddr = pte.pfn * PAGE_SIZE + (vaddr & PAGE_MASK)
         if ctx.ept is not None:

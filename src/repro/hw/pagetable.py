@@ -2,7 +2,14 @@
 
 A :class:`PageTable` maps virtual page numbers to :class:`PTE` entries.
 PTEs carry access rights, a user/supervisor bit, a presence bit, and —
-as on MPK-capable x86 — a 4-bit protection key.
+as on MPK-capable x86 — a 4-bit protection key.  Rights are stored as
+a plain ``int`` of :class:`Perm` bits; ``Perm`` is the type of every
+public argument, and the MMU turns an entry's bits back into one only
+for fault text.
+
+An entry is never edited in place: TLB entries and ``lookup()`` callers
+keep the object they were given, so every edit maps a new one, built
+by a direct constructor call.
 
 Only this module edits a translation, so only it decides staleness: an
 edit that changes existing translations drops exactly their TLB
@@ -12,18 +19,24 @@ mapping drops nothing (a denied translation is never cached).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.hw.pages import PAGE_SIZE, Perm, pages_spanned
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PTE:
-    """A page-table entry."""
+    """A page-table entry; ``perms`` holds :class:`Perm` bits as an int.
+
+    Not frozen, because a frozen dataclass costs about four times as
+    much to build, but never edited in place (see the module
+    docstring).  The constructor checks the key, so every entry that
+    enters a table carries a legal one.
+    """
 
     pfn: int
-    perms: Perm
+    perms: int
     pkey: int = 0
     present: bool = True
     user: bool = True
@@ -38,7 +51,7 @@ class PageTable:
 
     Real x86 tables are 4-level radix trees; a flat dict preserves the
     semantics (per-page translation + rights) that the reproduction needs
-    while staying fast to look up and copy.
+    while staying fast to look up.
     """
 
     _next_id = 0
@@ -109,6 +122,7 @@ class PageTable:
                 f"map_range: {len(vpns)} pages but {len(pfns)} frames")
         entries = self._entries
         stale = [vpn for vpn in vpns if vpn in entries]
+        perms = int(perms)
         for vpn, pfn in zip(vpns, pfns):
             entries[vpn] = PTE(pfn, perms, pkey, present, user)
         if stale:
@@ -125,12 +139,21 @@ class PageTable:
         if stale:
             self._invalidate(stale)
 
-    def _update(self, vpns, **changes) -> int:
-        """Apply field changes to the mapped ``vpns``' PTEs; returns how
-        many (the caller charges simulated time per updated entry)."""
+    def _update(self, vpns, perms: int | None = None,
+                pkey: int | None = None, present: bool | None = None) -> int:
+        """Map a new entry for each of the mapped ``vpns``, keeping every
+        field not given, then drop their TLB entries once; returns how
+        many (the caller charges simulated time per edited entry).  The
+        constructor checks ``pkey``, so an illegal key raises at the
+        first entry, before any is stored."""
         entries = self._entries
         for vpn in vpns:
-            entries[vpn] = replace(entries[vpn], **changes)
+            pte = entries[vpn]
+            entries[vpn] = PTE(pte.pfn,
+                               pte.perms if perms is None else perms,
+                               pte.pkey if pkey is None else pkey,
+                               pte.present if present is None else present,
+                               pte.user)
         if vpns:
             self._invalidate(vpns)
         return len(vpns)
@@ -144,7 +167,7 @@ class PageTable:
         return self._update(pages_spanned(base, size), **changes)
 
     def protect_range(self, base: int, size: int, perms: Perm) -> int:
-        return self._update_range(base, size, perms=perms)
+        return self._update_range(base, size, perms=int(perms))
 
     def set_pkey_range(self, base: int, size: int, pkey: int) -> int:
         return self._update_range(base, size, pkey=pkey)
@@ -172,12 +195,6 @@ class PageTable:
         entries = self._entries
         return self._update([vpn for vpn in vpns if vpn in entries
                              and not entries[vpn].present], present=True)
-
-    def clone(self, name: str = "") -> "PageTable":
-        """Copy this table's mappings (not its TLB)."""
-        table = PageTable(name)
-        table._entries = dict(self._entries)
-        return table
 
     def mapped_vpns(self) -> list[int]:
         return sorted(self._entries)

@@ -19,6 +19,9 @@ from repro.hw.clock import COSTS, SimClock
 from repro.hw.pages import Perm
 from repro.hw.pagetable import PTE, PageTable
 
+#: The rights of every EPT entry, as the plain int a PTE stores.
+_EPT_RIGHTS = int(Perm.RWX)
+
 
 class ExitReason(enum.Enum):
     """Why control returned from non-root to root mode."""
@@ -66,7 +69,7 @@ class VirtualMachine:
         ept = self.vmcs.ept
         for pfn in pfns:
             if ept.lookup(pfn) is None:
-                ept.map_page(pfn, PTE(pfn, Perm.RWX, user=True))
+                ept.map_page(pfn, PTE(pfn, _EPT_RIGHTS))
                 self.clock.charge(COSTS.EPT_UPDATE)
 
     # -- mode transitions --------------------------------------------------

@@ -43,6 +43,8 @@ from repro.runtime.scheduler import Goroutine
 
 ARENA_CHUNK = 16 * PAGE_SIZE
 CODE_CHUNK = 4 * PAGE_SIZE
+#: The write bit of a PTE's int rights.
+_W = int(Perm.W)
 
 
 @dataclass
@@ -204,7 +206,7 @@ class PyMachine:
         if not self.thread.env_stack:
             return True
         pte = self.cpu.ctx.page_table.lookup(addr >> 12)
-        return pte is not None and pte.present and bool(pte.perms & Perm.W)
+        return pte is not None and pte.present and bool(pte.perms & _W)
 
     def meta_write(self, addr: int, value: int) -> None:
         """Write object *metadata* (refcount / gc_next).

@@ -114,14 +114,6 @@ class TestPageTable:
         pte, _ = pt.translate_addr(0x5000)
         assert pte is None
 
-    def test_clone_is_independent(self):
-        pt = PageTable()
-        pt.map_page(1, PTE(pfn=2, perms=Perm.RW))
-        c = pt.clone()
-        c.protect_range(PAGE_SIZE, PAGE_SIZE, Perm.R)
-        assert pt.lookup(1).perms == Perm.RW
-        assert c.lookup(1).perms == Perm.R
-
     def test_update_counts_pages(self):
         pt = PageTable()
         pfns = [1, 2, 3, 4]

@@ -656,7 +656,7 @@ def run_program(mm: MiniMachine) -> tuple:
 
 
 #: Tables a CR3 write may install over the data page: name -> edit of
-#: a clone of the loader's table.
+#: a copy of the loader's table.
 SWITCHED_TABLES = {
     "not-present": lambda table: table.set_present_range(
         DATA_BASE, PAGE_SIZE, False),
@@ -665,9 +665,17 @@ SWITCHED_TABLES = {
 }
 
 
+def _copy(table: PageTable, name: str) -> PageTable:
+    """A new table mapping ``table``'s entries (not its TLB)."""
+    copy = PageTable(name)
+    for vpn in table.mapped_vpns():
+        copy.map_page(vpn, table.lookup(vpn))
+    return copy
+
+
 def _without_page(ept: PageTable, gpa: int) -> PageTable:
     """A copy of ``ept`` that does not map the guest-physical ``gpa``."""
-    switched = ept.clone("switched-ept")
+    switched = _copy(ept, "switched-ept")
     switched.unmap_page(gpa)
     return switched
 
@@ -725,7 +733,7 @@ class TestTraceEnforcement:
             mm = data_loop_machine(op, threshold)
             stops = [run_program(mm)]
             before = dict(mm.interp.perf.jit_deopts)
-            switched = mm.table.clone("switched")
+            switched = _copy(mm.table, "switched")
             SWITCHED_TABLES[table](switched)
             mm.cpu.ctx.page_table = switched
             if warm:

@@ -274,6 +274,38 @@ class TestTransfer:
         assert env.table.lookup(base >> 12) is None
         assert machine.host_table.lookup(base >> 12) is None
 
+    @pytest.mark.parametrize("backend", ["vtx", "lwc"])
+    def test_munmap_drops_the_arena_record(self, backend):
+        """A new table replays every arena record, so a Transfer of
+        memory since unmapped must leave none behind for a later Init
+        to replay."""
+        machine = machine_for(backend)
+        base = mmap_pages(machine, 1)
+        machine.litterbox.transfer(base, PAGE_SIZE, "libfx")
+        assert machine.kernel.syscall(SYS_MUNMAP, (base, PAGE_SIZE), None,
+                                      pkru=0) == 0
+        assert all(s.base != base
+                   for s in machine.litterbox.arena_of("libfx"))
+        spec = EnclosureSpec(id=2, name="e2", owner="libfx",
+                             policy=parse_policy("none"), refs=("libfx",))
+        later_init(machine, PackageInfo(spec.pseudo_package,
+                                        imports=("libfx",)),
+                   enclosures=[spec])
+        e2 = machine.litterbox.env(2)
+        assert e2.table is not None
+        assert e2.table.lookup(base >> 12) is None
+
+    def test_an_unmapped_range_splits_the_record_it_cuts(self):
+        machine = machine_for("vtx")
+        base = mmap_pages(machine, 4)
+        machine.litterbox.transfer(base, 4 * PAGE_SIZE, "libfx")
+        machine.litterbox.forget_arenas(base + PAGE_SIZE, PAGE_SIZE)
+        assert [(s.name, s.base, s.size)
+                for s in machine.litterbox.arena_of("libfx")] == [
+            (f"libfx.arena+{base:#x}", base, PAGE_SIZE),
+            (f"libfx.arena+{base + 2 * PAGE_SIZE:#x}",
+             base + 2 * PAGE_SIZE, 2 * PAGE_SIZE)]
+
     def test_transfer_unknown_package_rejected(self):
         machine = machine_for("mpk")
         base = machine.kernel.syscall(SYS_MMAP, (0, PAGE_SIZE, 3, 0),

@@ -44,7 +44,12 @@ from repro.hw import (
 )
 
 from repro.machine import Machine, MachineConfig
-from repro.os.syscalls import SYS_MMAP
+from repro.os.syscalls import (
+    SYS_MMAP,
+    SYS_MPROTECT,
+    SYS_PKEY_ALLOC,
+    SYS_PKEY_MPROTECT,
+)
 
 from tests.fig1 import build_image
 from tests.golite_helpers import run_golite
@@ -210,6 +215,109 @@ class TestPageTableEditInvalidation:
         assert tag is ctx.page_table.tlb[key]
         ctx.page_table.protect_range(BASE, PAGE_SIZE, Perm.RW)
         assert ctx.page_table.tlb.get(key) is not tag
+
+
+def _fields(pte):
+    return (pte.pfn, pte.perms, pte.pkey, pte.present, pte.user)
+
+
+def _restore(table):
+    snapshot = table.present_vpns()
+    table.revoke_all()
+    return table.restore_present(snapshot)
+
+
+#: Every page-table edit that rebuilds entries: name -> edit of a table
+#: whose two pages at BASE are mapped RW and present.
+ENTRY_EDITS = {
+    "protect_range": lambda t: t.protect_range(BASE, 2 * PAGE_SIZE, Perm.R),
+    "set_present_range": lambda t: t.set_present_range(
+        BASE, 2 * PAGE_SIZE, False),
+    "set_pkey_range": lambda t: t.set_pkey_range(BASE, 2 * PAGE_SIZE, 5),
+    "revoke_all": lambda t: t.revoke_all(),
+    "restore_present": _restore,
+}
+
+
+def _tables_of(machine):
+    """Every page table a machine built: host, enclosure tables, EPT."""
+    tables = [machine.host_table]
+    tables += [env.table for env in machine.litterbox.envs.values()
+               if env.table is not None and not env.trusted]
+    vm = getattr(machine.backend, "vm", None)
+    if vm is not None:
+        tables.append(vm.vmcs.ept)
+    return tables
+
+
+class TestEntryContract:
+    """A PTE stores its rights as a plain int, and no edit changes an
+    entry object in place: TLB entries and ``lookup()`` callers keep
+    the objects they were given."""
+
+    @pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
+    def test_every_table_a_machine_builds_holds_int_rights(self, backend):
+        """The loader's ``map_range``, the enclosure tables ``_map``
+        builds, the VT-x EPT identity map, a Transfer's edits and the
+        kernel's ``mprotect`` and ``pkey_mprotect``."""
+        machine = _fig1_machine(backend)
+        kernel = machine.kernel
+        base = kernel.syscall(SYS_MMAP, (0, 2 * PAGE_SIZE, 3, 0), None,
+                              pkru=0)
+        machine.litterbox.transfer(base, PAGE_SIZE, "libfx")
+        assert kernel.syscall(SYS_MPROTECT, (base, PAGE_SIZE, 1), None,
+                              pkru=0) == 0
+        key = kernel.syscall(SYS_PKEY_ALLOC, (0, 0), None, pkru=0)
+        if key > 0:
+            assert kernel.syscall(
+                SYS_PKEY_MPROTECT, (base + PAGE_SIZE, PAGE_SIZE, 1, key),
+                None, pkru=0) == 0
+        tables = _tables_of(machine)
+        assert len(tables) == {"baseline": 1, "mpk": 1,
+                               "vtx": 3, "lwc": 2}[backend]
+        for table in tables:
+            assert all(type(table.lookup(vpn).perms) is int
+                       for vpn in table.mapped_vpns()), table.name
+
+    @pytest.mark.parametrize("edit", sorted(ENTRY_EDITS))
+    def test_an_edit_maps_new_entries(self, mmu, edit):
+        """The entries ``lookup()`` gave and the TLB holds read their
+        old fields after the edit, and the new ones hold int rights."""
+        ctx = make_ctx(mmu, pages=2)
+        table = ctx.page_table
+        mmu.read(ctx, BASE, 8)
+        mmu.write(ctx, BASE + PAGE_SIZE, b"hot")
+        vpns = table.mapped_vpns()
+        held = [table.lookup(vpn) for vpn in vpns]
+        cached = [entry[0] for entry in table.tlb.values()]
+        assert len(cached) == 2
+        before = [_fields(pte) for pte in held + cached]
+        assert ENTRY_EDITS[edit](table) == 2
+        assert [_fields(pte) for pte in held + cached] == before
+        for vpn, pte in zip(vpns, held):
+            assert table.lookup(vpn) is not pte
+            assert type(table.lookup(vpn).perms) is int
+
+    def test_an_illegal_key_edits_nothing(self, mmu):
+        ctx = make_ctx(mmu, pages=2)
+        table = ctx.page_table
+        mmu.read(ctx, BASE, 8)
+        mmu.write(ctx, BASE + PAGE_SIZE, b"hot")
+        entries = {vpn: table.lookup(vpn) for vpn in table.mapped_vpns()}
+        fields = {vpn: _fields(pte) for vpn, pte in entries.items()}
+        tlb = dict(table.tlb)
+        with pytest.raises(ConfigError, match="out of range"):
+            table.set_pkey_range(BASE, 2 * PAGE_SIZE, 16)
+        assert all(table.lookup(vpn) is pte and _fields(pte) == fields[vpn]
+                   for vpn, pte in entries.items())
+        assert table.tlb.keys() == tlb.keys()
+        assert all(table.tlb[key] is entry for key, entry in tlb.items())
+
+    def test_fault_text_labels_rights(self, mmu):
+        ctx = make_ctx(mmu, perms=Perm.R)
+        with pytest.raises(PageFault) as fault:
+            mmu.write(ctx, BASE, b"no")
+        assert fault.value.detail == f"w-access to {BASE:#x} (r--) denied"
 
 
 def guest_ctx(mmu):
@@ -738,8 +846,8 @@ class TestBackendsEndToEnd:
 
     def test_mpk_pkey_mprotect_visible_through_hot_entry(self):
         """An MPK Transfer re-tags pages via pkey_mprotect; the cached
-        PTE's key must not survive the edit (the generation bump forces
-        a refill, the refilled key is checked against PKRU)."""
+        PTE's key must not survive the edit (the edit drops the entry,
+        and the refilled key is checked against PKRU)."""
         machine = _fig1_machine("mpk")
         base = machine.kernel.syscall(SYS_MMAP, (0, PAGE_SIZE, 3, 0),
                                       None, pkru=0)
