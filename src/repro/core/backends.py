@@ -68,6 +68,10 @@ class Backend(abc.ABC):
     def prepare_stack(self, env: Environment, section: Section) -> None:
         """Make a freshly mmapped stack section usable inside ``env``."""
 
+    def unmap(self, base: int, size: int) -> None:
+        """The kernel unmapped ``[base, base+size)`` from the host
+        table.  Default: no other table maps it."""
+
     @abc.abstractmethod
     def syscall(self, cpu: CPU, nr: int, args: tuple[int, ...]) -> int:
         """Route one SYSCALL instruction through this backend's filter path."""
@@ -188,7 +192,6 @@ class TableBackend(Backend):
         litterbox.trusted_env.table = kernel.host_table
         self.extend({})
         kernel.mmap_hook = self._on_mmap
-        kernel.munmap_hook = self._on_munmap
 
     def extend(self, grown: dict[int, dict[str, Access]]) -> None:
         """Build a table for each environment that has none, and map
@@ -204,8 +207,8 @@ class TableBackend(Backend):
 
     def _map(self, env: Environment, names) -> None:
         """Map the sections of the packages ``names`` into ``env``'s
-        table under its view, then replay their Transfers, so that
-        their arenas read as in a table that existed all along."""
+        table under its view, then their arenas' pages, so that their
+        arenas read as in a table that existed all along."""
         pages = []   # (section, int rights, present)
         for name in names:
             access = Access.U if name == LITTERBOX_SUPER \
@@ -215,10 +218,10 @@ class TableBackend(Backend):
                                      section.perms)
                 if perms is not None:
                     pages.append((section, int(perms), True))
-        for record in self.litterbox.arenas:
-            if record.owner in names:
-                access = env.access_to(record.owner)
-                pages.append((record.section, _RW if access.includes(
+        for name in names:
+            access = env.access_to(name)
+            for section in self.litterbox.arena_of(name):
+                pages.append((section, _RW if access.includes(
                     Access.RW) else _R, access is not Access.U))
         host_table = self.litterbox.kernel.host_table
         for section, perms, present in pages:
@@ -236,14 +239,13 @@ class TableBackend(Backend):
             if env.table is not None and not env.trusted:
                 env.table.map_range(base, size, pfns, Perm.RW, present=False)
 
-    def _on_munmap(self, base: int, size: int) -> None:
+    def unmap(self, base: int, size: int) -> None:
         """Memory the kernel unmapped leaves every enclosure table too,
-        uncharged like :meth:`_on_mmap`, and its arena records go, so
-        no later :meth:`_map` replays a Transfer of it."""
+        uncharged like :meth:`_on_mmap`; LitterBox drops its arena
+        ownership, so no later :meth:`_map` replays a Transfer of it."""
         for env in self.litterbox.envs.values():
             if env.table is not None and not env.trusted:
                 env.table.unmap_range(base, size)
-        self.litterbox.forget_arenas(base, size)
 
     # --------------------------------------------------------------- switches
 

@@ -52,12 +52,10 @@ class VTXBackend(TableBackend):
 
     def boot(self, cpu: CPU) -> None:
         """Entering guest mode installs the host table as CR3 together
-        with the EPT.  LitterBox's own accesses (a new stack's root
-        frame, pylite's heap headers) run in the guest too, so its
-        trusted context gets the EPT as well: the host-table entries
-        they fill then serve trusted guest code instead of evicting
-        its entries.  Entries cached before boot were filled with no
-        EPT, so none of them serves the guest."""
+        with the VM's EPT, its frame set.  LitterBox's own accesses (a
+        new stack's root frame, pylite's heap headers) run in the guest
+        too, so its trusted context gets the EPT as well, and every
+        fill made in the guest is checked against it."""
         ept = self.vm.vmcs.ept
         cpu.ctx.page_table = self.litterbox.kernel.host_table
         cpu.ctx.ept = ept
@@ -65,7 +63,7 @@ class VTXBackend(TableBackend):
 
     def _on_mmap(self, base: int, size: int, pfns: list[int]) -> None:
         """New memory is also reachable via the EPT, which learns its
-        new frames (``munmap`` frees no frame, so it never unlearns
+        new frames (``munmap`` frees no frame, so it never drops
         one)."""
         super()._on_mmap(base, size, pfns)
         self.vm.map_frames(pfns)

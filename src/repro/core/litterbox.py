@@ -35,7 +35,13 @@ from repro.errors import (
 from repro.hw.clock import SimClock
 from repro.hw.cpu import CPU, StackSegment
 from repro.hw.mmu import MMU, TranslationContext
-from repro.hw.pages import PAGE_SIZE, Perm, Section, check_disjoint
+from repro.hw.pages import (
+    PAGE_SIZE,
+    Perm,
+    Section,
+    check_disjoint,
+    pages_spanned,
+)
 from repro.image.elf import ElfImage
 from repro.isa.opcodes import Hook
 from repro.os.kernel import Kernel
@@ -56,14 +62,6 @@ class ProgramInfo:
     graph: DependenceGraph
     enclosures: list[EnclosureSpec] = field(default_factory=list)
     verif: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class ArenaRecord:
-    """Ownership record for one transferred heap section."""
-
-    section: Section
-    owner: str
 
 
 def _arena_section(owner: str, base: int, end: int) -> Section:
@@ -89,7 +87,11 @@ class LitterBox:
             self.trusted_env.id: self.trusted_env}
         self.clustering: Clustering = Clustering()
         self.verif: dict[int, int] = {}
-        self.arenas: list[ArenaRecord] = []
+        #: Arena ownership: vpn -> the package its page was last
+        #: Transferred to.  A Transfer replaces its range's owners and a
+        #: munmap drops the pages it covers, under every backend.
+        self.arena_owner: dict[int, str] = {}
+        kernel.munmap_hook = self._on_munmap
         #: Trusted translation context for runtime-privileged accesses
         #: (stack frame setup, GC-style metadata); set by the machine.
         self.trusted_ctx: TranslationContext | None = None
@@ -321,7 +323,7 @@ class LitterBox:
             section = _arena_section(to_pkg, base, base + size)
             self.clock.tick("transfers")
             self.backend.transfer(section, to_pkg)
-            self.arenas.append(ArenaRecord(section, to_pkg))
+            self.arena_owner.update(dict.fromkeys(section.vpns(), to_pkg))
             moved = True
         finally:
             if obs is not None:
@@ -378,21 +380,25 @@ class LitterBox:
     # ------------------------------------------------------------ accounting
 
     def arena_of(self, pkg: str) -> list[Section]:
-        return [rec.section for rec in self.arenas if rec.owner == pkg]
+        """``pkg``'s arena: each run of consecutive pages it owns, as
+        one section named after the run's first page."""
+        runs = []
+        for vpn in sorted(vpn for vpn, owner in self.arena_owner.items()
+                          if owner == pkg):
+            if runs and runs[-1][1] == vpn:
+                runs[-1][1] = vpn + 1
+            else:
+                runs.append([vpn, vpn + 1])
+        return [_arena_section(pkg, lo * PAGE_SIZE, hi * PAGE_SIZE)
+                for lo, hi in runs]
 
     def forget_arenas(self, base: int, size: int) -> None:
-        """The kernel unmapped ``[base, base+size)``: drop the arena
-        records it covers, and trim one it covers in part to the pages
-        outside it, so every record names mapped memory."""
-        end = base + size
-        kept = []
-        for rec in self.arenas:
-            section = rec.section
-            if section.end <= base or end <= section.base:
-                kept.append(rec)
-                continue
-            for lo, hi in ((section.base, base), (end, section.end)):
-                if lo < hi:
-                    kept.append(ArenaRecord(
-                        _arena_section(rec.owner, lo, hi), rec.owner))
-        self.arenas[:] = kept
+        """Drop the ownership of every page of ``[base, base+size)``."""
+        for vpn in pages_spanned(base, size):
+            self.arena_owner.pop(vpn, None)
+
+    def _on_munmap(self, base: int, size: int) -> None:
+        """The kernel unmapped ``[base, base+size)``: it leaves the
+        backend's tables and every arena."""
+        self.backend.unmap(base, size)
+        self.forget_arenas(base, size)

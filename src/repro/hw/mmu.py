@@ -12,14 +12,23 @@ Software TLB
 
 Each :class:`PageTable` keeps the software TLB of its translations,
 shared by every context and core that installs it: ``table.tlb`` maps
-``vpn * 4 + kind`` to ``(pte, frame, ept)``, filled only after a walk
-fully passes the present / user / permission checks — a denied
-translation is never cached.  A hit needs the entry present, filled
-under ``ctx.ept``, and privilege and PKRU allowing the access.  The
-page table drops what each of its edits changes (see
-:mod:`repro.hw.pagetable`), so a CR3 write (a VT-x/LWC switch) flushes
-nothing; the ``CR3_WRITE`` charge holds the hardware flush's simulated
-cost.
+``vpn * 4 + kind`` to ``(pte, frame)``, filled only after a walk passes
+every present / user / permission / EPT check — a denied translation
+is never cached.  A hit needs only the entry, and for a data access
+PKRU allowing the page's key.  The page table drops what each of its
+edits changes (see :mod:`repro.hw.pagetable`), so a CR3 write (a
+VT-x/LWC switch) flushes nothing; the ``CR3_WRITE`` charge holds the
+hardware flush's simulated cost.
+
+An entry needs no privilege or EPT tag.  Every context runs in user
+mode, so the walk faults every supervisor page (which keeps LitterBox's
+super out of reach) and the TLB holds only user pages.  Under VT-x a
+context's EPT is the set of frames the VM owns (GPA == HPA).  Only
+:meth:`repro.hw.vtx.VirtualMachine.map_frames` changes it, and only by
+adding frames: every host-table frame at Init and each ``mmap``'s new
+ones, while every enclosure table maps host-table frames and nothing
+accesses memory before boot.  So a translation that passed the EPT
+when it was filled would pass it again.
 
 PKRU is deliberately **not** part of a cached entry: as on real MPK
 hardware, protection keys are checked on every data access against the
@@ -74,14 +83,13 @@ class TranslationContext:
     Attributes:
         page_table: the active table (CR3 in VT-x mode selects this).
         pkru: PKRU register value, or ``None`` when MPK is not in use.
-        ept: optional second-level table (guest-physical -> host frame).
-        user: whether the access executes in user mode.
+        ept: inside a VM, the frames its EPT maps (identity: GPA ==
+            HPA); ``None`` outside one.
     """
 
     page_table: PageTable
     pkru: int | None = None
-    ept: PageTable | None = None
-    user: bool = True
+    ept: set[int] | None = None
 
 
 class MMU:
@@ -126,7 +134,7 @@ class MMU:
             raise PageFault("non-present",
                             f"page {vaddr:#x} not present in {ctx.page_table.name}",
                             addr=vaddr)
-        if ctx.user and not pte.user:
+        if not pte.user:
             self._trace_violation("page-fault", vaddr, "supervisor page",
                                   access=kind, table=ctx.page_table.name)
             raise PageFault(kind, f"user access to supervisor page {vaddr:#x}",
@@ -139,14 +147,11 @@ class MMU:
                 kind, f"{kind}-access to {vaddr:#x} ({label}) denied",
                 addr=vaddr)
         paddr = pte.pfn * PAGE_SIZE + (vaddr & PAGE_MASK)
-        if ctx.ept is not None:
-            ept_pte = ctx.ept.lookup(paddr >> PAGE_SHIFT)
-            if ept_pte is None:
-                self._trace_violation("ept", vaddr, "EPT violation",
-                                      access=kind, gpa=paddr)
-                raise PageFault("non-present",
-                                f"EPT violation for GPA {paddr:#x}", addr=vaddr)
-            paddr = ept_pte.pfn * PAGE_SIZE + (paddr & PAGE_MASK)
+        if ctx.ept is not None and pte.pfn not in ctx.ept:
+            self._trace_violation("ept", vaddr, "EPT violation",
+                                  access=kind, gpa=paddr)
+            raise PageFault("non-present",
+                            f"EPT violation for GPA {paddr:#x}", addr=vaddr)
         return pte, paddr
 
     def _deny_pkey(self, ctx: TranslationContext, pte: PTE, vaddr: int,
@@ -164,20 +169,16 @@ class MMU:
         """TLB miss path: walk, then cache the *approved* translation.
 
         The entry is created only after the walk passes every
-        present/user/permission check, so the TLB never caches a denied
-        translation.  Protection keys are intentionally checked after
+        present/user/permission/EPT check, so the TLB never caches a
+        denied translation.  Protection keys are intentionally checked after
         caching (and on every later hit) — the translation itself is
         legal to cache under MPK semantics.
         """
         self.perf.tlb_misses += 1
         pte, paddr = self._page_walk(ctx, vaddr, kind)
         frame = self.physmem.frame(paddr >> PAGE_SHIFT)
-        table = ctx.page_table
-        ept = ctx.ept
-        if ept is not None:
-            ept.guests.add(table)
-        table.tlb[(vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind]] = (
-            pte, frame, ept)
+        ctx.page_table.tlb[(vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind]] = (
+            pte, frame)
         return pte, frame
 
     def _access(self, ctx: TranslationContext, vaddr: int,
@@ -185,26 +186,22 @@ class MMU:
         """One checked access through the TLB; returns the page's frame.
 
         The MMU's only TLB-hit test: the installed table's TLB holds an
-        entry for the page and kind, filled under ``ctx.ept``, whose
-        privilege still matches, and the current PKRU allows the page's
-        key (every data access, hit or miss).  The injector, when armed,
-        gets the access first.  Never touches the clock; callers charge.
+        entry for the page and kind, and the current PKRU allows the
+        page's key (every data access, hit or miss).  The injector, when
+        armed, gets the access first.  Never touches the clock; callers
+        charge.
         """
         if self.inject is not None:
             self.inject.on_access(vaddr, kind)
         entry = ctx.page_table.tlb.get(
             (vaddr >> PAGE_SHIFT) * 4 + _KIND_CODE[kind])
-        if entry is not None:
-            pte, frame, ept = entry
-            if ept is ctx.ept and (pte.user or not ctx.user):
-                self.perf.tlb_hits += 1
-            else:
-                entry = None
         if entry is None:
             pte, frame = self._fill(ctx, vaddr, kind)
+        else:
+            pte, frame = entry
+            self.perf.tlb_hits += 1
         pkru = ctx.pkru
-        if pkru is not None and ctx.user and \
-                (pkru >> (2 * pte.pkey)) & _PKRU_DENY[kind]:
+        if pkru is not None and (pkru >> (2 * pte.pkey)) & _PKRU_DENY[kind]:
             self._deny_pkey(ctx, pte, vaddr, kind)
         return frame
 
@@ -275,20 +272,16 @@ class MMU:
         """Validate an instruction fetch from ``vaddr``."""
         self._access(ctx, vaddr, "x")
 
-    def exec_tag(self, ctx: TranslationContext, vaddr: int) -> tuple | None:
+    def exec_tag(self, ctx: TranslationContext, vaddr: int) -> tuple:
         """Validate a fetch and return the interpreter's per-page exec
         tag: the TLB entry that served it.
 
         While that entry is still the installed table's exec entry for
-        the fetched page (an identity test) and was filled under
-        ``ctx.ept``, the interpreter's fetches from the page skip
-        :meth:`check_exec`.  A supervisor page's entry gives ``None``,
-        so each fetch from one is checked against the context's
-        privilege.
+        the fetched page (an identity test), the interpreter's fetches
+        from the page skip :meth:`check_exec`.
         """
         self._access(ctx, vaddr, "x")
-        entry = ctx.page_table.tlb[(vaddr >> PAGE_SHIFT) * 4 + KIND_X]
-        return entry if entry[0].user else None
+        return ctx.page_table.tlb[(vaddr >> PAGE_SHIFT) * 4 + KIND_X]
 
     # -- word-granular helpers (the ISA operates on 64-bit words) --------
 

@@ -13,8 +13,9 @@ by a direct constructor call.
 
 Only this module edits a translation, so only it decides staleness: an
 edit that changes existing translations drops exactly their TLB
-entries, an EPT edit drops the TLBs filled through it, and a fresh
-mapping drops nothing (a denied translation is never cached).
+entries, and a fresh mapping drops nothing (a denied translation is
+never cached).  A TLB entry holds no privilege or EPT tag (see
+:mod:`repro.hw.mmu`), so no other state has to be invalidated.
 """
 
 from __future__ import annotations
@@ -61,13 +62,10 @@ class PageTable:
         self.id = PageTable._next_id
         self.name = name or f"pt{self.id}"
         self._entries: dict[int, PTE] = {}
-        #: Software TLB: ``vpn * 4 + kind`` -> ``(pte, frame, ept)``,
+        #: Software TLB: ``vpn * 4 + kind`` -> ``(pte, frame)``,
         #: filled by the MMU.  Cleared in place and never rebound, so a
         #: JIT trace may hoist its ``get``.
         self.tlb: dict[int, tuple] = {}
-        #: The tables whose TLB holds an entry filled through this one
-        #: as their EPT; an edit of this table clears their TLBs.
-        self.guests: set[PageTable] = set()
         #: Optional SMP shootdown hook ``fn(table)``, wired on
         #: multi-core machines to charge the cross-core IPI cost.  Fired
         #: by :meth:`_invalidate`: once per public edit (one IPI burst,
@@ -93,17 +91,14 @@ class PageTable:
 
     def _invalidate(self, vpns) -> None:
         """One edit changed the existing translations of ``vpns``: drop
-        their entries of every kind from the TLB, clear the TLB of each
-        table filled through this one, and fire the shootdown hook."""
+        their entries of every kind from the TLB and fire the shootdown
+        hook."""
         tlb = self.tlb
         for vpn in vpns:
             key = vpn * 4   # the kinds r, w, x are keys key .. key + 2
             tlb.pop(key, None)
             tlb.pop(key + 1, None)
             tlb.pop(key + 2, None)
-        for guest in self.guests:
-            guest.tlb.clear()
-        self.guests.clear()
         if self.shootdown is not None:
             self.shootdown(self)
 

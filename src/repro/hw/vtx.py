@@ -7,20 +7,20 @@ CR3 (a specialized guest system call), and the backend forwards each
 allowed host system call as a hypercall, paying a full VM EXIT /
 VM RESUME round trip.  This module models only the VM: its VMCS, the
 EPT, CR3 writes and VM-exit accounting.
+
+As in the paper, the EPT identity-maps guest memory (GPA == HPA), so
+it is the set of frames the VM owns: the MMU's walk faults a guest
+page whose frame is outside it, and the set only ever grows.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.hw.clock import COSTS, SimClock
-from repro.hw.pages import Perm
-from repro.hw.pagetable import PTE, PageTable
-
-#: The rights of every EPT entry, as the plain int a PTE stores.
-_EPT_RIGHTS = int(Perm.RWX)
+from repro.hw.pagetable import PageTable
 
 
 class ExitReason(enum.Enum):
@@ -40,7 +40,8 @@ class VMCS:
     """The subset of VMCS state the simulation needs."""
 
     guest_cr3: PageTable | None = None
-    ept: PageTable | None = None
+    #: The frames the EPT identity-maps.
+    ept: set[int] = field(default_factory=set)
     launched: bool = False
     exits: int = 0
 
@@ -49,14 +50,12 @@ class VirtualMachine:
     """A single VT-x VM hosting the application (as in LBVTX).
 
     The VM keeps the VMCS and provides the VM EXIT / VM RESUME cost
-    accounting.  ``GPA == HVA`` is preserved: the EPT identity-maps
-    every guest-physical page that a guest table references,
-    mirroring the paper's simplification.
+    accounting.
     """
 
     def __init__(self, clock: SimClock):
         self.clock = clock
-        self.vmcs = VMCS(ept=PageTable("ept"))
+        self.vmcs = VMCS()
         #: Observer bus (repro.obs), wired by the machine.
         self.obs = None
 
@@ -65,11 +64,11 @@ class VirtualMachine:
     def map_frames(self, pfns: list[int]) -> None:
         """Extend the EPT so each physical frame in ``pfns`` is
         reachable (identity mapping), charging one EPT update per frame
-        it lacked."""
+        it lacked.  The only write of the EPT: it never drops a frame."""
         ept = self.vmcs.ept
         for pfn in pfns:
-            if ept.lookup(pfn) is None:
-                ept.map_page(pfn, PTE(pfn, _EPT_RIGHTS))
+            if pfn not in ept:
+                ept.add(pfn)
                 self.clock.charge(COSTS.EPT_UPDATE)
 
     # -- mode transitions --------------------------------------------------

@@ -10,9 +10,10 @@ Fast paths (wall-clock only; simulated costs are unchanged):
 * **fetch** — instead of a full MMU walk per instruction, the
   interpreter keeps the TLB entry that validated its code page
   (:meth:`MMU.exec_tag`) and each step checks that the installed table
-  still holds that very entry for the pc's page, filled under the
-  context's EPT.  An edit, another page or a CR3 write fails the check
-  and forces a checked fetch, so enforcement is identical to walking.
+  still holds that very entry for the pc's page: the MMU's hit test
+  for a fetch, which PKRU never governs.  An edit, another page or a
+  CR3 write fails the check and forces a checked fetch, so enforcement
+  is identical to walking.
 * **dispatch** — opcodes index a handler table (built once per
   interpreter) instead of walking a long ``if``/``elif`` chain, and each
   binary ALU op gets its own handler around its :data:`_ALU_FUNCS`
@@ -169,9 +170,8 @@ class Interpreter:
         pc = cpu.pc
         ctx = cpu.ctx
         entry = self._exec_entry
-        if entry is None or entry[2] is not ctx.ept \
-                or entry is not ctx.page_table.tlb.get(
-                    (pc >> PAGE_SHIFT) * 4 + KIND_X):
+        if entry is None or entry is not ctx.page_table.tlb.get(
+                (pc >> PAGE_SHIFT) * 4 + KIND_X):
             self.perf.fetch_slow += 1
             self._exec_entry = self.mmu.exec_tag(ctx, pc)
         instr = self.code.get(pc)
@@ -228,9 +228,8 @@ class Interpreter:
                 pc = cpu.pc
                 ctx = cpu.ctx
                 entry = self._exec_entry
-                if entry is None or entry[2] is not ctx.ept \
-                        or entry is not ctx.page_table.tlb.get(
-                            (pc >> PAGE_SHIFT) * 4 + exec_kind):
+                if entry is None or entry is not ctx.page_table.tlb.get(
+                        (pc >> PAGE_SHIFT) * 4 + exec_kind):
                     perf.fetch_slow += 1
                     self._exec_entry = mmu.exec_tag(ctx, pc)
                 instr = code.get(pc)

@@ -83,12 +83,12 @@ its life, so they are built once per linked image: the machine hands
 its :class:`JitCompiler` the image's memo, and every machine built from
 that image links the same function.
 
-A trace encodes no policy.  Each call hoists the context, the EPT, PKRU
-and the installed table's TLB lookup, and every access passes
-:func:`_hit`, the hit test of ``MMU._access``, so a CR3 write or a PKRU
-change made between two calls (nothing inside a region makes one)
-reaches the next call's first access, and a page-table edit has already
-dropped the entries it changed.  A linked trace therefore stays linked
+A trace encodes no policy.  Each call hoists the context, PKRU and the
+installed table's TLB lookup, and every access passes :func:`_hit`, the
+hit test of ``MMU._access``, so a CR3 write or a PKRU change made
+between two calls (nothing inside a region makes one) reaches the next
+call's first access, and a page-table edit has already dropped the
+entries it changed.  A linked trace therefore stays linked
 for the interpreter's life: quarantine, revival and environment switches
 leave it alone.  Compiled function objects are also shared process-wide
 through a cache keyed by everything :func:`gen_source` reads from a
@@ -989,9 +989,8 @@ def gen_source(region: Region, profiled: bool) -> str:
 #: hoist's value.
 _HOISTS = (
     ("ops", "cpu.operands"), ("clock", "cpu.clock"), ("mmu", "interp.mmu"),
-    ("ctx", "cpu.ctx"), ("fpb", "cpu.fp + 16"),
-    ("ept", "ctx.ept"), ("user", "ctx.user"),
-    ("pkru", "ctx.pkru"), ("tget", "ctx.page_table.tlb.get"),
+    ("ctx", "cpu.ctx"), ("fpb", "cpu.fp + 16"), ("pkru", "ctx.pkru"),
+    ("tget", "ctx.page_table.tlb.get"),
     ("inj", "mmu.inject"), ("acc", "mmu._access"), ("th", "0"), ("wf", "0"),
     ("rword", "mmu.read_word"), ("wword", "mmu.write_word"),
     ("mcpy", "mmu.memcpy"), ("dor", "interp._do_rtcall"),
@@ -1013,14 +1012,12 @@ _HOIST_READS = {name: _names([value]) for name, value in _HOISTS}
 def _hit(e: str, write: bool) -> str:
     """The TLB-hit test of ``MMU._access`` as a generated expression
     over the entry ``e`` (a value of the installed table's TLB, possibly
-    None) and the trace's hoisted context: the entry is present, was
-    filled under the context's EPT, its privilege still matches, and
-    PKRU allows the page's key for a read (AD clear) or a write (AD and
-    WD clear).  Binds ``p`` to the PTE."""
+    None) and the trace's hoisted PKRU: the entry is present, and PKRU
+    allows the page's key for a read (AD clear) or a write (AD and WD
+    clear)."""
     deny = 3 if write else 1
-    return (f"{e} is not None and {e}[2] is ept "
-            f"and ((p := {e}[0]).user or not user) and (pkru is None "
-            f"or not user or not (pkru >> (2 * p.pkey)) & {deny})")
+    return (f"{e} is not None and (pkru is None "
+            f"or not (pkru >> (2 * {e}[0].pkey)) & {deny})")
 
 
 def _emit_preval(emit, key: str, frame_var: str, write: bool) -> None:

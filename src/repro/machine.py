@@ -289,7 +289,8 @@ class Machine:
         stay free of IPIs, exactly as on one core: a core that has never
         executed holds no stale TLB entries worth shooting down.  From
         here on, any mutation of a page table that a remote core has
-        installed (as its root or its EPT) interrupts that core —
+        installed interrupts that core (the EPT only gains frames, and
+        a fresh mapping needs no shootdown) —
         ``mm_cpumask`` targeting, so transfers to an enclosure only IPI
         cores actually running with that table.  The machine's *current*
         core is the initiator and is never IPI'd; mutations arriving
@@ -304,8 +305,6 @@ class Machine:
         for cpu in self.cpus:
             if cpu.ctx.page_table is not None:
                 tables[id(cpu.ctx.page_table)] = cpu.ctx.page_table
-            if cpu.ctx.ept is not None:
-                tables[id(cpu.ctx.ept)] = cpu.ctx.ept
         for table in tables.values():
             table.shootdown = self._table_shootdown
         # MPK quarantine revokes by rewriting a PKRU value — register
@@ -340,7 +339,7 @@ class Machine:
         """A mutated translation: IPI every remote core using ``table``."""
         remotes = [core for core in self.scheduler.cores
                    if core is not self.scheduler.current_core
-                   and (core.ctx.page_table is table or core.ctx.ept is table)]
+                   and core.ctx.page_table is table]
         if remotes:
             self._charge_shootdown(remotes, f"shootdown:{table.name}")
 

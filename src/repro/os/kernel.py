@@ -219,7 +219,7 @@ class Kernel:
         if ctx is None:
             return None
         return TranslationContext(page_table=ctx.page_table, pkru=None,
-                                  ept=ctx.ept, user=True)
+                                  ept=ctx.ept)
 
     # -- user memory helpers -------------------------------------------------
 

@@ -477,6 +477,8 @@ def validate_chrome_trace(source) -> int:
         raise TraceFormatError("traceEvents must be a non-empty array")
     if document.get("displayTimeUnit") not in ("ms", "ns"):
         raise TraceFormatError("displayTimeUnit must be 'ms' or 'ns'")
+    if not isinstance(document.get("otherData", {}), dict):
+        raise TraceFormatError("otherData must be an object")
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
         if not isinstance(event, dict):
@@ -495,6 +497,11 @@ def validate_chrome_trace(source) -> int:
         if "args" in event and not isinstance(event["args"], dict):
             raise TraceFormatError(f"{where}: args must be an object")
         if ph == "M":
+            # A process or lane name is what a viewer labels it with.
+            if event["name"] in ("process_name", "thread_name") and \
+                    not isinstance(event.get("args", {}).get("name"), str):
+                raise TraceFormatError(
+                    f"{where}: {event['name']} args.name must be a string")
             continue
         if not isinstance(event.get("cat"), str):
             raise TraceFormatError(f"{where}: missing category")

@@ -1,13 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import copy
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
+from repro import artifacts
 from repro.cli import main
 
 
@@ -332,7 +335,120 @@ class TestArtifacts:
             "repro: mpk/trace.json: trace-summary.json: not an object of "
             "per-environment rows, each with a counts object\n")
 
+    def test_non_string_lane_name_is_named(self, tmp_path, capsys):
+        argv, _ = SMOKES["run"]
+        assert main(argv + ["--artifacts", str(tmp_path)]) == 0
+        path = tmp_path / "mpk" / "trace.json"
+        document = json.loads(path.read_text())
+        events = document["traceEvents"]
+        index = next(index for index, event in enumerate(events)
+                     if event["name"] == "thread_name")
+        events[index]["args"]["name"] = ["env:main"]
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"repro: mpk/trace.json: traceEvents[{index}]: thread_name "
+            "args.name must be a string\n")
+
+    def test_null_span_metadata_is_named(self, tmp_path, capsys):
+        argv, _ = SMOKES["loadtest"]
+        assert main(argv + ["--artifacts", str(tmp_path)]) == 0
+        path = tmp_path / "spans.json"
+        document = json.loads(path.read_text())
+        document["otherData"] = None
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "repro: spans.json: otherData must be an object\n")
+
     def test_empty_dir_is_a_named_error(self, tmp_path, capsys):
         # A missing DIR is TestRun::test_missing_input_is_a_named_error.
         assert main(["report", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"repro: {tmp_path}: no artifacts\n"
+
+
+#: What a mutation puts in place of a JSON node.
+_JUNK = [None, True, 0, -1, 2.5, "", "x", [], ["x"], {}, {"name": 1}]
+
+
+def _nodes(value, path=()):
+    """Every ``(path, node)`` of a parsed JSON document, root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _nodes(child, path + (index,))
+
+
+def _mangle_json(document, rng):
+    """Replace one node with junk or with a copy of another node, or
+    delete it."""
+    nodes = list(_nodes(document))
+    path, _ = rng.choice(nodes)
+    if not path:
+        return rng.choice(_JUNK)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    how = rng.randrange(3)
+    if how == 0:
+        parent[path[-1]] = copy.deepcopy(rng.choice(_JUNK))
+    elif how == 1:
+        parent[path[-1]] = copy.deepcopy(rng.choice(nodes)[1])
+    else:
+        del parent[path[-1]]
+    return document
+
+
+def _mangle_text(text, rng):
+    """Truncate the text, drop one of its lines, or insert junk."""
+    how = rng.randrange(3)
+    if how == 0:
+        return text[:rng.randrange(len(text) + 1)]
+    lines = text.splitlines(keepends=True)
+    if how == 1 and lines:
+        del lines[rng.randrange(len(lines))]
+        return "".join(lines)
+    at = rng.randrange(len(text) + 1)
+    return text[:at] + rng.choice(["x", " ", "\n", "{", "-1", "nan", "#"]) \
+        + text[at:]
+
+
+class TestMangledBundles:
+    """Seeded mutations of a Fig. 1 ``run`` bundle and a ``loadtest``
+    bundle, one mangled file at a time: ``artifacts.read`` names every
+    file of the bundle, the mangled one included, and raises nothing
+    (a malformed file is an error line, never a traceback)."""
+
+    #: Mutations per bundle, kept small for the tier-1 suite's time.
+    BUDGET = 250
+
+    @pytest.mark.parametrize("command", ["loadtest", "run"])
+    def test_every_mangled_file_is_reported(self, tmp_path, command):
+        argv, _ = SMOKES[command]
+        assert main(argv + ["--artifacts", str(tmp_path)]) == 0
+        pristine = _bundle(tmp_path)
+        names = sorted(pristine)
+        rng = random.Random(f"mangle-{command}")
+        caught = 0
+        for _ in range(self.BUDGET):
+            name = rng.choice(names)
+            text = pristine[name].decode()
+            if name.endswith(".json"):
+                text = json.dumps(_mangle_json(json.loads(text), rng))
+            else:
+                text = _mangle_text(text, rng)
+            (tmp_path / name).write_text(text)
+            checked = artifacts.read(tmp_path)
+            assert [entry[0] for entry in checked] == names, name
+            errors = [error for _, _, error in checked if error is not None]
+            assert all(isinstance(error, str) and error for error in errors)
+            caught += bool(errors)
+            (tmp_path / name).write_bytes(pristine[name])
+        # Most damage lands in plain JSON files, which only parse; the
+        # rest must reach the strict checks.
+        assert caught > self.BUDGET // 10

@@ -202,11 +202,9 @@ class TestMMU:
         table = PageTable()
         pfn = mmu.physmem.alloc_frame()
         table.map_range(0x10000, PAGE_SIZE, [pfn], Perm.RW, user=False)
-        ctx = TranslationContext(page_table=table, user=True)
-        with pytest.raises(PageFault):
+        ctx = TranslationContext(page_table=table)
+        with pytest.raises(PageFault, match="supervisor"):
             mmu.read(ctx, 0x10000, 1)
-        ctx.user = False
-        mmu.read(ctx, 0x10000, 1)
 
     def test_memcpy_checks_both_sides(self, mmu):
         ctx = make_ctx(mmu, 2)

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PageFault
 from repro.hw import (
+    MMU,
     PAGE_SIZE,
-    PTE,
     PageTable,
     Perm,
     PhysicalMemory,
     SimClock,
+    TranslationContext,
     VirtualMachine,
 )
 from repro.hw.clock import COSTS
@@ -27,21 +28,32 @@ def table_with_pages(name, pfns, base=0x10000):
 
 
 class TestGuestTables:
+    """The EPT is the set of frames the VM owns (GPA == HPA)."""
+
     def test_register_extends_ept(self, vm):
+        before = vm.clock.now_ns
         vm.map_frames([3, 4, 5])
-        for pfn in (3, 4, 5):
-            assert vm.vmcs.ept.lookup(pfn) is not None
+        assert vm.vmcs.ept == {3, 4, 5}
+        assert vm.clock.now_ns - before == 3 * COSTS.EPT_UPDATE
 
     def test_ept_identity_mapping(self, vm):
-        vm.map_frames([7])
-        ept_pte = vm.vmcs.ept.lookup(7)
-        assert ept_pte.pfn == 7  # GPA == HVA preserved
+        """A guest page whose frame the VM owns reaches that very host
+        frame: the EPT adds a membership test, not a translation."""
+        physmem = PhysicalMemory()
+        mmu = MMU(physmem, vm.clock)
+        pfn = physmem.alloc_frame()
+        vm.map_frames([pfn])
+        guest = table_with_pages("gpt.t", [pfn])
+        ctx = TranslationContext(page_table=guest, ept=vm.vmcs.ept)
+        mmu.write(ctx, 0x10008, b"via-ept", charge=False)
+        assert physmem.read(pfn * PAGE_SIZE + 8, 7) == b"via-ept"
 
     def test_reregistration_idempotent(self, vm):
         vm.map_frames([3])
         before = vm.clock.now_ns
-        vm.map_frames([3])
+        vm.map_frames([3, 3])
         assert vm.clock.now_ns == before  # no duplicate EPT work
+        assert vm.vmcs.ept == {3}
 
 
 class TestModeTransitions:
@@ -76,30 +88,54 @@ class TestModeTransitions:
         assert vm.clock.now_ns - before == 2 * COSTS.VMEXIT_ROUNDTRIP
 
 
-class TestEptTranslationPath:
-    def test_mmu_applies_ept_level(self):
-        """With a non-identity EPT, the second translation level is
-        actually exercised."""
-        from repro.hw import MMU, TranslationContext
-        clock = SimClock()
-        physmem = PhysicalMemory()
-        mmu = MMU(physmem, clock)
-        real = physmem.alloc_frame()
-        guest = PageTable("guest")
-        # Guest thinks the page is at GPA frame 50.
-        guest.map_range(0x10000, PAGE_SIZE, [50], Perm.RW)
-        ept = PageTable("ept")
-        ept.map_page(50, PTE(pfn=real, perms=Perm.RWX))
-        ctx = TranslationContext(page_table=guest, ept=ept)
-        mmu.write(ctx, 0x10008, b"via-ept", charge=False)
-        assert physmem.read(real * PAGE_SIZE + 8, 7) == b"via-ept"
+class _Violations:
+    """Records each violation the MMU reports."""
 
-    def test_ept_violation_faults(self):
-        from repro.errors import PageFault
-        from repro.hw import MMU, TranslationContext
-        mmu = MMU(PhysicalMemory(), SimClock())
-        guest = PageTable("guest")
-        guest.map_range(0x10000, PAGE_SIZE, [50], Perm.RW)
-        ctx = TranslationContext(page_table=guest, ept=PageTable("ept"))
-        with pytest.raises(PageFault, match="EPT"):
-            mmu.read(ctx, 0x10000, 1, charge=False)
+    def __init__(self):
+        self.seen = []
+
+    def on_violation(self, kind, vaddr, detail, **extra):
+        self.seen.append((kind, vaddr, detail, extra))
+
+
+class TestEptTranslationPath:
+    def test_mmu_applies_ept_level(self, vm):
+        """Every access kind to a guest page outside the VM's frames
+        is an EPT violation, reported to the observer with its GPA,
+        and only after the guest table's own checks pass: a page the
+        guest table denies faults there instead."""
+        mmu = MMU(PhysicalMemory(), vm.clock)
+        mmu.obs = _Violations()
+        outside = mmu.physmem.alloc_frame()
+        guest = table_with_pages("gpt.t", [outside])
+        guest.protect_range(0x10000, PAGE_SIZE, Perm.RWX)
+        guest.map_range(0x11000, PAGE_SIZE, [outside], Perm.R)
+        ctx = TranslationContext(page_table=guest, ept=vm.vmcs.ept)
+        gpa = outside * PAGE_SIZE + 8
+        for access in (lambda: mmu.read(ctx, 0x10008, 1),
+                       lambda: mmu.write(ctx, 0x10008, b"x"),
+                       lambda: mmu.check_exec(ctx, 0x10008)):
+            with pytest.raises(PageFault, match="EPT") as fault:
+                access()
+            assert fault.value.kind == "non-present"
+        assert [(kind, extra["gpa"]) for kind, _, _, extra
+                in mmu.obs.seen] == [("ept", gpa)] * 3
+        with pytest.raises(PageFault, match="w-access"):
+            mmu.write(ctx, 0x11008, b"x")
+        assert mmu.obs.seen[-1][0] == "page-fault"
+
+    def test_ept_violation_faults(self, vm):
+        """A guest table mapping a frame outside the VM's set faults,
+        and caches nothing."""
+        mmu = MMU(PhysicalMemory(), vm.clock)
+        vm.map_frames([mmu.physmem.alloc_frame()])
+        outside = mmu.physmem.alloc_frame()
+        guest = table_with_pages("gpt.t", [outside])
+        ctx = TranslationContext(page_table=guest, ept=vm.vmcs.ept)
+        for _ in range(2):
+            with pytest.raises(PageFault, match="EPT violation for GPA "
+                               f"{outside * PAGE_SIZE:#x}"):
+                mmu.read(ctx, 0x10000, 1, charge=False)
+        assert not guest.tlb
+        vm.map_frames([outside])
+        assert mmu.read(ctx, 0x10000, 1, charge=False) == b"\0"

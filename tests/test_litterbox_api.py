@@ -306,6 +306,36 @@ class TestTransfer:
             (f"libfx.arena+{base + 2 * PAGE_SIZE:#x}",
              base + 2 * PAGE_SIZE, 2 * PAGE_SIZE)]
 
+    @pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
+    def test_munmap_drops_arena_ownership_on_every_backend(self, backend):
+        machine = machine_for(backend)
+        base = mmap_pages(machine, 1)
+        machine.litterbox.transfer(base, PAGE_SIZE, "libfx")
+        assert [s.name for s in machine.litterbox.arena_of("libfx")] == [
+            f"libfx.arena+{base:#x}"]
+        assert machine.kernel.syscall(SYS_MUNMAP, (base, PAGE_SIZE), None,
+                                      pkru=0) == 0
+        assert machine.litterbox.arena_of("libfx") == []
+
+    @pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
+    def test_a_transfer_replaces_its_ranges_owner(self, backend):
+        """As when the allocator recycles a package's spans and another
+        package grabs them: only the newest Transfer owns the page."""
+        machine = machine_for(backend)
+        first, second = mmap_pages(machine, 1), mmap_pages(machine, 2)
+        litterbox = machine.litterbox
+        litterbox.transfer(first, PAGE_SIZE, "libfx")
+        litterbox.transfer(second, 2 * PAGE_SIZE, "libfx")
+        litterbox.transfer(second, PAGE_SIZE, "secrets")
+        assert [(s.name, s.base, s.size)
+                for s in litterbox.arena_of("libfx")] == [
+            (f"libfx.arena+{first:#x}", first, PAGE_SIZE),
+            (f"libfx.arena+{second + PAGE_SIZE:#x}", second + PAGE_SIZE,
+             PAGE_SIZE)]
+        assert [(s.name, s.base, s.size)
+                for s in litterbox.arena_of("secrets")] == [
+            (f"secrets.arena+{second:#x}", second, PAGE_SIZE)]
+
     def test_transfer_unknown_package_rejected(self):
         machine = machine_for("mpk")
         base = machine.kernel.syscall(SYS_MMAP, (0, PAGE_SIZE, 3, 0),

@@ -106,10 +106,7 @@ class TestFigure2:
     """Color-coding of Figure 2: which arena holds which value."""
 
     def _arena_owner(self, machine, addr):
-        for record in machine.litterbox.arenas:
-            if record.section.contains(addr):
-                return record.owner
-        return None
+        return machine.litterbox.arena_owner.get(addr >> 12)
 
     def test_original_lives_in_secrets_arena(self, machine):
         original_ptr = machine.read_global("secrets.Original")

@@ -4,20 +4,23 @@ Each page table keeps the TLB of its own translations (see the module
 docstrings of :mod:`repro.hw.mmu` and :mod:`repro.hw.pagetable`).
 These tests pin down the security contract of that cache:
 
-* any page-table edit — remap, unmap, protect, presence toggle — takes
-  effect on the *next* access, even with a hot TLB entry: the edit
-  drops the entries of the pages it changes, and only those;
-* EPT edits invalidate guest translations the same way;
+* any page-table edit — remap, unmap, protect, presence toggle,
+  supervisor bit — takes effect on the *next* access, even with a hot
+  TLB entry: the edit drops the entries of the pages it changes, and
+  only those;
 * a range edit is all or nothing;
-* a denied translation is never cached;
+* a denied translation is never cached: not a supervisor page, which
+  every (user-mode) context faults, nor a guest page whose frame lies
+  outside the VM's EPT;
 * PKRU is not part of a cached entry: a ``WRPKRU`` revocation faults
   the very next data access through a hot entry, and a grant is
   honored without any flush;
 * a CR3 write needs no flush: an entry cached under one table is
   never served under another, and hits again once its table is back;
   contexts and cores on one table share its entries;
-* generated runs of edits and accesses through several contexts match
-  an uncached walk at every access.
+* generated runs of edits and accesses through several contexts, with
+  and without an EPT that gains every frame a table maps, match an
+  uncached walk at every access.
 
 Plus end-to-end runs under every backend, where switches and transfers
 run for real and nothing flushes.
@@ -240,13 +243,10 @@ ENTRY_EDITS = {
 
 
 def _tables_of(machine):
-    """Every page table a machine built: host, enclosure tables, EPT."""
+    """Every page table a machine built: host and enclosure tables."""
     tables = [machine.host_table]
     tables += [env.table for env in machine.litterbox.envs.values()
                if env.table is not None and not env.trusted]
-    vm = getattr(machine.backend, "vm", None)
-    if vm is not None:
-        tables.append(vm.vmcs.ept)
     return tables
 
 
@@ -258,8 +258,8 @@ class TestEntryContract:
     @pytest.mark.parametrize("backend", ["baseline", "mpk", "vtx", "lwc"])
     def test_every_table_a_machine_builds_holds_int_rights(self, backend):
         """The loader's ``map_range``, the enclosure tables ``_map``
-        builds, the VT-x EPT identity map, a Transfer's edits and the
-        kernel's ``mprotect`` and ``pkey_mprotect``."""
+        builds, a Transfer's edits and the kernel's ``mprotect`` and
+        ``pkey_mprotect``."""
         machine = _fig1_machine(backend)
         kernel = machine.kernel
         base = kernel.syscall(SYS_MMAP, (0, 2 * PAGE_SIZE, 3, 0), None,
@@ -274,7 +274,7 @@ class TestEntryContract:
                 None, pkru=0) == 0
         tables = _tables_of(machine)
         assert len(tables) == {"baseline": 1, "mpk": 1,
-                               "vtx": 3, "lwc": 2}[backend]
+                               "vtx": 2, "lwc": 2}[backend]
         for table in tables:
             assert all(type(table.lookup(vpn).perms) is int
                        for vpn in table.mapped_vpns()), table.name
@@ -318,35 +318,6 @@ class TestEntryContract:
         with pytest.raises(PageFault) as fault:
             mmu.write(ctx, BASE, b"no")
         assert fault.value.detail == f"w-access to {BASE:#x} (r--) denied"
-
-
-def guest_ctx(mmu):
-    """Identity-EPT context over one RW page, like the VT-x backend's
-    GPA == HVA model; returns it with the guest-physical page."""
-    ctx = make_ctx(mmu)
-    gpa_page = ctx.page_table.lookup(BASE >> 12).pfn
-    ept = PageTable("ept")
-    ept.map_page(gpa_page, PTE(gpa_page, Perm.RWX))
-    ctx.ept = ept
-    return ctx, gpa_page
-
-
-class TestEPTInvalidation:
-    def test_ept_remap_redirects_hot_entry(self, mmu):
-        ctx, gpa_page = guest_ctx(mmu)
-        mmu.write(ctx, BASE, b"guest")
-        assert mmu.read(ctx, BASE, 5) == b"guest"  # hot through the EPT
-        shadow = mmu.physmem.alloc_frame()
-        mmu.physmem.write(shadow * PAGE_SIZE, b"host!")
-        ctx.ept.map_page(gpa_page, PTE(shadow, Perm.RWX))
-        assert mmu.read(ctx, BASE, 5) == b"host!"
-
-    def test_ept_unmap_is_a_violation(self, mmu):
-        ctx, gpa_page = guest_ctx(mmu)
-        mmu.read(ctx, BASE, 8)
-        ctx.ept.unmap_page(gpa_page)
-        with pytest.raises(PageFault, match="EPT"):
-            mmu.read(ctx, BASE, 8)
 
 
 def hits_and_misses(mmu, access):
@@ -445,13 +416,25 @@ class TestDeniedNeverCached:
         assert not ctx.page_table.tlb
 
     def test_supervisor_entry_not_reused_by_user(self, mmu):
+        """Every context runs in user mode, so a supervisor page's
+        entry never enters the TLB, and making a hot user page
+        supervisor drops its entries."""
         table = PageTable()
         pfn = mmu.physmem.alloc_frame()
-        table.map_range(BASE, PAGE_SIZE, [pfn], Perm.RW, user=False)
-        ctx = TranslationContext(page_table=table, user=False)
-        mmu.read(ctx, BASE, 1)  # cached under supervisor privilege
-        ctx.user = True
-        with pytest.raises(PageFault):
+        table.map_range(BASE, PAGE_SIZE, [pfn], Perm.RWX, user=False)
+        ctx = TranslationContext(page_table=table)
+        for access in (lambda: mmu.read(ctx, BASE, 1),
+                       lambda: mmu.write(ctx, BASE, b"x"),
+                       lambda: mmu.check_exec(ctx, BASE)):
+            with pytest.raises(PageFault, match="supervisor"):
+                access()
+        assert not table.tlb
+        table.map_page(BASE >> 12, PTE(pfn, Perm.RWX))
+        mmu.read(ctx, BASE, 1)
+        mmu.check_exec(ctx, BASE)
+        table.map_page(BASE >> 12, PTE(pfn, Perm.RWX, user=False))
+        assert not table.tlb
+        with pytest.raises(PageFault, match="supervisor"):
             mmu.read(ctx, BASE, 1)
 
 
@@ -507,9 +490,8 @@ class TestPKRUNotInTag:
 WALK_PAGES = 3
 WALK_FRAMES = 4
 WALK_PERMS = [Perm.R, Perm.RW, Perm.RX, Perm.RWX]
-#: The generated runs' contexts: (table, user mode, through the EPT).
-WALK_CONTEXTS = [(0, True, False), (0, False, False), (0, True, True),
-                 (1, True, True), (1, False, True)]
+#: The generated runs' contexts: (table, through the EPT).
+WALK_CONTEXTS = [(0, False), (0, True), (1, True), (1, False)]
 
 _page = st.integers(0, WALK_PAGES - 1)
 _span = st.integers(1, 2)
@@ -530,8 +512,6 @@ _EDIT = st.one_of(
     st.tuples(st.just("pkey"), _table, _page, _span, _pkey),
     st.tuples(st.just("revoke_all"), _table),
     st.tuples(st.just("restore_present"), _table),
-    st.tuples(st.just("ept_map"), _frame, _frame),
-    st.tuples(st.just("ept_unmap"), _frame),
     st.tuples(st.just("pkru"), _ctx, st.none() | st.integers(0, 0xF)),
     st.tuples(st.just("switch"), _ctx, _table, st.booleans()),
 )
@@ -550,21 +530,22 @@ def uncached(mmu, ctx, vaddr, kind):
     except PageFault:
         return PageFault
     allows = {"r": pkru_allows_read, "w": pkru_allows_write}.get(kind)
-    if allows is not None and ctx.user and ctx.pkru is not None \
+    if allows is not None and ctx.pkru is not None \
             and not allows(ctx.pkru, pte.pkey):
         return PkeyFault
     return mmu.physmem.frame(paddr // PAGE_SIZE)
 
 
 class TestAgainstTheWalk:
-    """Random edits — map and remap, unmap, protect, presence, pkey,
-    ``revoke_all`` and ``restore_present``, EPT map, remap and unmap,
-    PKRU writes, table and EPT switches — interleaved with reads,
-    writes and fetches through user and supervisor contexts, with and
-    without the EPT, over two tables that share frames.  Every access
-    through the TLB must match :func:`uncached`, and every fetch the
-    interpreter's exec-entry test would let through must reach the
-    frame the walk reaches."""
+    """Random edits — map and remap (user or supervisor), unmap,
+    protect, presence, pkey, ``revoke_all`` and ``restore_present``,
+    PKRU writes and table switches — interleaved with reads, writes
+    and fetches through contexts with and without the EPT, over two
+    tables that share frames.  As under the VT-x backend, the EPT is a
+    frame set that gains every frame a step maps before any access
+    reaches it.  Every access through the TLB must match
+    :func:`uncached`, and every fetch the interpreter's exec-entry test
+    would let through must reach the frame the walk reaches."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.lists(_STEP, min_size=1, max_size=12))
@@ -577,12 +558,10 @@ class TestAgainstTheWalk:
                             frames[:WALK_PAGES - 1], Perm.RWX)
         # The second table's first page is supervisor-only.
         tables[1].map_page(BASE >> 12, PTE(frames[0], Perm.RWX, user=False))
-        ept = PageTable("ept")
-        for pfn in frames:
-            ept.map_page(pfn, PTE(pfn, Perm.RWX))
-        contexts = [TranslationContext(page_table=tables[t], user=user,
+        ept = set(frames[:WALK_PAGES - 1])
+        contexts = [TranslationContext(page_table=tables[t],
                                        ept=ept if guest else None)
-                    for t, user, guest in WALK_CONTEXTS]
+                    for t, guest in WALK_CONTEXTS]
         vpns = range(BASE >> 12, (BASE >> 12) + WALK_PAGES + 1)
         fetch_entry = None   # the interpreter's exec entry
 
@@ -591,7 +570,6 @@ class TestAgainstTheWalk:
             vaddr = BASE + page * PAGE_SIZE
             expected = uncached(mmu, ctx, vaddr, kind)
             if kind == "x" and fetch_entry is not None \
-                    and fetch_entry[2] is ctx.ept \
                     and fetch_entry is ctx.page_table.tlb.get(
                         (vaddr >> 12) * 4 + 2):
                 assert fetch_entry[1] is expected
@@ -606,26 +584,29 @@ class TestAgainstTheWalk:
         for accesses, (op, *args), order in steps:
             for index, page, kind in accesses:
                 access(contexts[index], page, kind)
-            if op in ("ept_map", "ept_unmap", "pkru", "switch"):
-                self._edit_context(op, args, ept, frames, contexts, tables)
+            if op in ("pkru", "switch"):
+                self._edit_context(op, args, ept, contexts, tables)
             else:
-                self._edit_table(op, tables[args[0]], args[1:], frames, vpns)
+                self._edit_table(op, tables[args[0]], args[1:], frames, vpns,
+                                 ept)
             for page in range(WALK_PAGES):
                 for index in order:
                     for kind in "rwx":
                         access(contexts[index], page, kind)
 
     @staticmethod
-    def _edit_table(op, table, args, frames, vpns):
+    def _edit_table(op, table, args, frames, vpns, ept):
         if op == "map":
             page, frame, perms, user, pkey = args
+            ept.add(frames[frame])
             table.map_page((BASE >> 12) + page,
                            PTE(frames[frame], perms, pkey, True, user))
         elif op == "map_range":
             page, span, frame, perms, pkey = args
+            pfns = [frames[(frame + k) % WALK_FRAMES] for k in range(span)]
+            ept.update(pfns)
             table.map_range(BASE + page * PAGE_SIZE, span * PAGE_SIZE,
-                            [frames[(frame + k) % WALK_FRAMES]
-                             for k in range(span)], perms, pkey)
+                            pfns, perms, pkey)
         elif op == "unmap":
             page, span = args
             table.unmap_range(BASE + page * PAGE_SIZE, span * PAGE_SIZE)
@@ -645,12 +626,8 @@ class TestAgainstTheWalk:
                 assert [table.lookup(vpn) for vpn in vpns] == before
 
     @staticmethod
-    def _edit_context(op, args, ept, frames, contexts, tables):
-        if op == "ept_map":
-            ept.map_page(frames[args[0]], PTE(frames[args[1]], Perm.RWX))
-        elif op == "ept_unmap":
-            ept.unmap_page(frames[args[0]])
-        elif op == "pkru":
+    def _edit_context(op, args, ept, contexts, tables):
+        if op == "pkru":
             contexts[args[0]].pkru = args[1]
         else:
             ctx = contexts[args[0]]
@@ -665,12 +642,25 @@ def remap(mmu, ctx):
     ctx.page_table.map_page(BASE >> 12, PTE(pfn, Perm.RW))
 
 
-def supervisor_ctx(mmu):
-    """A supervisor-mode context over one supervisor page."""
-    table = PageTable()
-    table.map_range(BASE, PAGE_SIZE, [mmu.physmem.alloc_frame()], Perm.RW,
-                    user=False)
-    return TranslationContext(page_table=table, user=False)
+def make_supervisor(mmu, ctx):
+    """Map the page's frame again as a supervisor-only page."""
+    pfn = ctx.page_table.lookup(BASE >> 12).pfn
+    ctx.page_table.map_page(BASE >> 12, PTE(pfn, Perm.RW, user=False))
+
+
+def guest_ctx(mmu):
+    """A context over one RW page reached through a VM's EPT, the set of
+    frames the VM owns (GPA == HPA)."""
+    vm = VirtualMachine(mmu.clock)
+    ctx = make_ctx(mmu, ept=vm.vmcs.ept)
+    vm.map_frames([ctx.page_table.lookup(BASE >> 12).pfn])
+    return ctx
+
+
+def remap_outside_ept(mmu, ctx):
+    """Point the page at a frame the VM does not own."""
+    ctx.page_table.map_page(BASE >> 12, PTE(mmu.physmem.alloc_frame(),
+                                            Perm.RW))
 
 
 def key3_ctx(mmu):
@@ -694,14 +684,10 @@ HOT_ENTRY_EDITS = {
         lambda mmu, ctx: ctx.page_table.set_present_range(
             BASE, PAGE_SIZE, False),
         PageFault, PageFault),
-    "ept-unmap": (
-        lambda mmu: guest_ctx(mmu)[0],
-        lambda mmu, ctx: ctx.ept.unmap_page(
-            ctx.page_table.lookup(BASE >> 12).pfn),
-        PageFault, PageFault),
-    "supervisor-entry-to-user": (
-        supervisor_ctx, lambda mmu, ctx: setattr(ctx, "user", True),
-        PageFault, PageFault),
+    "remap-outside-ept": (guest_ctx, remap_outside_ept,
+                          PageFault, PageFault),
+    "supervisor-entry-to-user": (make_ctx, make_supervisor,
+                                 PageFault, PageFault),
     "pkru-access-disable": (
         key3_ctx, lambda mmu, ctx: setattr(ctx, "pkru", make_pkru({0: "rw"})),
         PkeyFault, PkeyFault),
